@@ -237,6 +237,13 @@ _GATES = {
 }
 
 
+# The Pauli each flip channel applies with probability p.
+_FLIPS = {"bit_flip": "x", "phase_flip": "z", "bit_phase_flip": "y"}
+# Parameters each zoo family takes; all but identity and unitary act on one qubit.
+_ZOO_PARAMS = {"identity": (), "unitary": ("gate", "u"), "depolarizing": ("p",), "amplitude_damping": ("gamma",)}
+_ZOO_PARAMS.update(dict.fromkeys(_FLIPS, ("p",)))
+
+
 def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
     value = float(value)
     if not 0.0 <= value <= hi:
@@ -251,7 +258,15 @@ def channel_zoo(name: str, n: int = 1, **params) -> KrausChannel:
     ``u`` an explicit matrix), bit_flip(p), phase_flip(p), bit_phase_flip(p),
     depolarizing(p), amplitude_damping(gamma). The flip and damping channels
     are single-qubit; build multi-qubit ones with ``tensor_channels``.
+    Unknown parameters, and n != 1 for a single-qubit family, are refused.
     """
+    if name not in _ZOO_PARAMS:
+        raise UnknownChannel(f"unknown channel {name!r}; see zoo_descriptions()")
+    unknown = set(params) - set(_ZOO_PARAMS[name])
+    if unknown:
+        raise UnknownChannel(f"channel {name!r} takes no parameter(s) {sorted(unknown)}")
+    if name not in ("identity", "unitary") and n != 1:
+        raise DimensionMismatch(f"{name} is a single-qubit channel, got n={n}; use tensor for more qubits")
     eye2 = np.eye(2, dtype=complex)
     if name == "identity":
         return KrausChannel(n, [np.eye(2**n, dtype=complex)])
@@ -269,15 +284,9 @@ def channel_zoo(name: str, n: int = 1, **params) -> KrausChannel:
         if 2**nq != u.shape[0]:
             raise DimensionMismatch(f"unitary dimension {u.shape[0]} is not a power of two")
         return KrausChannel(nq, [u])
-    if name == "bit_flip":
+    if name in _FLIPS:
         p = _check_prob("p", params["p"])
-        return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * _GATES["x"]])
-    if name == "phase_flip":
-        p = _check_prob("p", params["p"])
-        return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * _GATES["z"]])
-    if name == "bit_phase_flip":
-        p = _check_prob("p", params["p"])
-        return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * _GATES["y"]])
+        return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * _GATES[_FLIPS[name]]])
     if name == "depolarizing":
         # Kraus weights stay nonnegative up to p = 4/3.
         p = _check_prob("p", params["p"], hi=4.0 / 3.0)
@@ -295,7 +304,6 @@ def channel_zoo(name: str, n: int = 1, **params) -> KrausChannel:
         k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
         k1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
         return KrausChannel(1, [k0, k1])
-    raise UnknownChannel(f"unknown channel {name!r}; see zoo_descriptions()")
 
 
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -379,8 +387,10 @@ def channel_from_json(spec) -> KrausChannel:
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise UnknownChannel(f"channel spec must be an object, got {spec!r}")
     if "kraus" in spec:
-        ops = [_matrix_from_pairs(k) for k in spec["kraus"]]
+        ops = [_matrix_from_pairs(k) for k in _nonempty_list(spec["kraus"], "kraus")]
         n = int(np.log2(ops[0].shape[0]))
         return KrausChannel(n, ops)
     name = spec.get("name")
@@ -388,7 +398,7 @@ def channel_from_json(spec) -> KrausChannel:
         raise UnknownChannel(f"channel spec needs 'name' or 'kraus': {spec!r}")
     params = dict(spec.get("params") or {})
     if name == "tensor":
-        factors = [channel_from_json(f) for f in params["factors"]]
+        factors = [channel_from_json(f) for f in _nonempty_list(params["factors"], "factors")]
         out = factors[0]
         for f in factors[1:]:
             out = tensor_channels(out, f)
@@ -416,8 +426,17 @@ def chi_csv_rows(chi: ChiMatrix) -> list:
     return rows
 
 
+def _nonempty_list(value, key: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise UnknownChannel(f"{key!r} must be a nonempty list, got {value!r}")
+    return value
+
+
 def _matrix_from_pairs(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise UnknownChannel(f"Kraus matrices must be nested lists of [re, im] number pairs: {exc}") from None
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

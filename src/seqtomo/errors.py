@@ -22,7 +22,7 @@ class NotCompletelyPositive(SeqtomoError):
 
 
 class UnknownChannel(SeqtomoError):
-    """Channel name not in the zoo."""
+    """A channel spec names no zoo channel or a parameter its channel lacks, or is malformed."""
 
 
 class ParamOutOfRange(SeqtomoError):

@@ -23,33 +23,29 @@ direct Kraus-to-chi conversion:
   inverted to recover chi_ab. ``seqpt_exact_average`` evaluates the Haar
   integral in closed form through the two-copy identity
   ∫ |psi><psi|⊗|psi><psi| dpsi = (I + SWAP) / (D(D+1)).
+
+Both selective samplers draw from the readout block of
+``seqst.ancilla_readout`` built from the Kraus operators: for SEQST-QPT
+g_ij = chi_ij = sum_k c_ki conj(c_kj) with c_km = Tr(P_m K_k)/D, and for
+SEQPT g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The dense
+circuit on rho_E and the closed-form Haar integral stay as the oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, haar_random_state, maximally_entangled_state
+from .core import ATOL, PureState, haar_random_state, maximally_entangled_state
 from .channels import ChiMatrix, KrausChannel, choi_state
 from .errors import DimensionMismatch, IndexOutOfRange, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
 from .pauli import PauliLabel, pauli_basis
-from .seqst import (
-    _AXIS_EIGENVECTORS,
-    EstimateReport,
-    PreparationBasis,
-    _tally_stats,
-    seqst_exact,
-    seqst_sample,
-)
+from .seqst import PreparationBasis, ancilla_readout, sample_readout, seqst_exact
 
 # Dense-simulation ceilings: full-matrix protocols hold a 4**n × 4**n chi;
 # selective ones simulate 2n+1 qubits.
 AAPT_MAX_QUBITS = 2
 SELECTIVE_MAX_QUBITS = 3
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -108,14 +104,18 @@ def _check_pauli_indices(n: int, *indices) -> None:
             raise IndexOutOfRange(f"Pauli index {idx} outside [0, {4**n}) for n={n}")
 
 
-def aapt_full_chi(ch: KrausChannel, max_qubits: int = AAPT_MAX_QUBITS) -> ChiMatrix:
+def _check_size(ch: KrausChannel, limit: int, what: str) -> None:
+    if ch.n > limit:
+        raise SizeLimitExceeded(f"{what} for n={ch.n} exceeds the limit of {limit} qubits")
+
+
+def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
     """The full process matrix as exact matrix elements of the dual state.
 
     Builds rho_E once and projects it onto the {(P_k ⊗ I)|I>} basis; agrees
     with kraus_to_chi entrywise.
     """
-    if ch.n > max_qubits:
-        raise SizeLimitExceeded(f"full chi for n={ch.n} exceeds the limit of {max_qubits} qubits")
+    _check_size(ch, AAPT_MAX_QUBITS, "full chi")
     rho_e = choi_state(ch).matrix
     cb = choi_basis(ch.n)
     vecs = np.stack([cb.element(k).amplitudes for k in range(4**ch.n)])
@@ -155,10 +155,14 @@ def dcqd_diagonal_sample(ch: KrausChannel, plan: ShotPlan, stream: RandomStream,
     return out
 
 
-def seqst_qpt_exact(ch: KrausChannel, a: int, b: int, max_qubits: int = SELECTIVE_MAX_QUBITS) -> complex:
+def _readout_block(wa: np.ndarray, wb: np.ndarray) -> tuple:
+    """The block (sum |wa_k|², sum |wb_k|², sum wa_k conj(wb_k)) over Kraus index k."""
+    return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
+
+
+def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
     """One chi_ab coefficient via the selective circuit on the dual state."""
-    if ch.n > max_qubits:
-        raise SizeLimitExceeded(f"selective tomography for n={ch.n} exceeds the limit of {max_qubits} qubits")
+    _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
     return seqst_exact(choi_state(ch), choi_basis(ch.n), a, b)
 
@@ -169,46 +173,47 @@ def seqst_qpt_sample(
     b: int,
     plan: ShotPlan,
     stream: RandomStream,
-    max_qubits: int = SELECTIVE_MAX_QUBITS,
     workers: int = 1,
 ) -> ChiEstimate:
-    """Shot-sampled chi_ab via the selective circuit on the dual state."""
-    if ch.n > max_qubits:
-        raise SizeLimitExceeded(f"selective tomography for n={ch.n} exceeds the limit of {max_qubits} qubits")
+    """Shot-sampled chi_ab, drawn from the block (chi_aa, chi_bb, chi_ab) of the dual-state circuit.
+
+    A channel whose dual state has trace Tr(sum_k K_k† K_k)/D != 1 raises ValueError.
+    """
+    _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
-    rep: EstimateReport = seqst_sample(choi_state(ch), choi_basis(ch.n), a, b, plan, stream, workers)
+    trace = sum(np.vdot(k, k).real for k in ch.kraus_ops) / ch.dim
+    if abs(trace - 1.0) > ATOL:
+        raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
+    basis = pauli_basis(ch.n)
+    kraus = np.stack(ch.kraus_ops)
+    ca, cb = (np.einsum("ij,kji->k", basis[m], kraus) / ch.dim for m in (a, b))
+    block = _readout_block(ca, cb)
+    _, re, se_re = sample_readout(block, "X", plan.m, stream.substream(0), workers)
+    _, im, se_im = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
     return ChiEstimate(
         a=a,
         b=b,
         n=ch.n,
-        value=rep.estimate,
-        se_re=rep.se_re,
-        se_im=rep.se_im,
+        value=complex(re, im),
+        se_re=se_re,
+        se_im=se_im,
         protocol="SEQST-QPT",
         shots=2 * plan.m,
         seed=stream.seed,
     )
 
 
-def _seqpt_joint_output(ch: KrausChannel, a: int, b: int, psi: PureState) -> np.ndarray:
-    """Joint system+ancilla state after controlled Paulis and the channel."""
+def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
+    """The readout block of the SEQPT circuit for one input state psi."""
     _check_pauli_indices(ch.n, a, b)
     if psi.dim != ch.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != channel dim {ch.dim}")
     basis = pauli_basis(ch.n)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    # Same control polarity as the state circuit: index b on ancilla |0>,
-    # index a on ancilla |1> (Paulis are Hermitian, so daggers are moot).
-    u = np.kron(basis[b], p0) + np.kron(basis[a], p1)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    joint = u @ np.kron(np.outer(psi.amplitudes, psi.amplitudes.conj()), plus) @ u.conj().T
-    eye2 = np.eye(2, dtype=complex)
-    out = np.zeros_like(joint)
-    for k in ch.kraus_ops:
-        big = np.kron(k, eye2)
-        out += big @ joint @ big.conj().T
-    return out
+    v = psi.amplitudes
+    kraus = np.stack(ch.kraus_ops)
+    # w[k] = <psi|K_k P_m|psi> for m = a, b.
+    wa, wb = ((kraus @ (basis[m] @ v)) @ v.conj() for m in (a, b))
+    return _readout_block(wa, wb)
 
 
 def seqpt_single_state(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
@@ -216,25 +221,13 @@ def seqpt_single_state(ch: KrausChannel, a: int, b: int, psi: PureState) -> tupl
 
     Returns (x_val, y_val) with x_val + i y_val = <psi|E(P_a |psi><psi| P_b)|psi>.
     """
-    out = _seqpt_joint_output(ch, a, b, psi)
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    x = float(np.einsum("ij,ji->", out, np.kron(proj, _X)).real)
-    y = float(np.einsum("ij,ji->", out, np.kron(proj, _Y)).real)
-    return x, y
+    g_ab = _seqpt_block(ch, a, b, psi)[2]
+    return float(g_ab.real), float(g_ab.imag)
 
 
 def seqpt_outcome_distribution(ch: KrausChannel, a: int, b: int, psi: PureState, axis: str) -> tuple:
     """Three-outcome probabilities (p_plus, p_minus, p_zero) of a single run."""
-    if axis not in _AXIS_EIGENVECTORS:
-        raise ValueError(f"axis must be 'X' or 'Y', got {axis!r}")
-    out = _seqpt_joint_output(ch, a, b, psi)
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    splus, sminus = _AXIS_EIGENVECTORS[axis]
-    p_plus = float(np.einsum("ij,ji->", out, np.kron(proj, np.outer(splus, splus.conj()))).real)
-    p_minus = float(np.einsum("ij,ji->", out, np.kron(proj, np.outer(sminus, sminus.conj()))).real)
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    p_minus = min(max(p_minus, 0.0), 1.0)
-    return p_plus, p_minus, max(1.0 - p_plus - p_minus, 0.0)
+    return ancilla_readout(_seqpt_block(ch, a, b, psi), axis)
 
 
 def seqpt_estimate(
@@ -260,15 +253,9 @@ def seqpt_estimate(
     se_x = se_y = 0.0
     for s in range(n_states):
         ss = stream.substream(s)
-        psi = haar_random_state(d, ss.substream(0).generator())
-        tx = sample_categorical_partitioned(
-            seqpt_outcome_distribution(ch, a, b, psi, "X"), plan.m, ss.substream(1), workers
-        )
-        ty = sample_categorical_partitioned(
-            seqpt_outcome_distribution(ch, a, b, psi, "Y"), plan.m, ss.substream(2), workers
-        )
-        means_x[s], se_x = _tally_stats(tx, plan.m)
-        means_y[s], se_y = _tally_stats(ty, plan.m)
+        block = _seqpt_block(ch, a, b, haar_random_state(d, ss.substream(0).generator()))
+        _, means_x[s], se_x = sample_readout(block, "X", plan.m, ss.substream(1), workers)
+        _, means_y[s], se_y = sample_readout(block, "Y", plan.m, ss.substream(2), workers)
     avg_x = float(means_x.mean())
     avg_y = float(means_y.mean())
     # With several states the per-state means carry both the shot noise and

@@ -20,11 +20,18 @@ A single run has three outcomes: +1 (system found in |psi_0>, ancilla in the
 estimates the real and imaginary parts with Chernoff-bounded shot counts
 that do not grow with the system size.
 
+The outcome statistics depend only on the 2×2 readout block
+g_ij = <psi_i|rho|psi_j>, i, j in {a, b}: on axis X,
+p_plus/minus = (g_aa + g_bb ± 2 Re g_ab) / 4 (Im on axis Y), and
+p_zero = 1 - p_plus - p_minus. ``ancilla_readout`` is the one home of that
+rule; every sampler, here and in ``qpt``, draws from a block it computes
+directly. The dense (2D)-dimensional circuit (``seqst_joint_state``,
+``seqst_exact``) is kept only as the independent oracle.
+
 The conventional Pauli-expectation route (standard_pauli_qst) is included
 as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
 """
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,25 +46,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-# +1/-1 eigenvectors of X and Y for the ancilla readout.
-_AXIS_EIGENVECTORS = {
-    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2), np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-}
-
-
-class SeqstOutcome(enum.IntEnum):
-    """The three results of a single run."""
-
-    PLUS = 1
-    MINUS = -1
-    NULL = 0
-
-
-# Tally vectors are ordered (PLUS, MINUS, NULL).
-OUTCOME_ORDER = (SeqstOutcome.PLUS, SeqstOutcome.MINUS, SeqstOutcome.NULL)
-
 
 class PreparationBasis:
     """A basis {V_a |psi_0>} of states prepared from a fiducial state.
@@ -215,30 +203,38 @@ def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> 
     return complex(x.real, y.real)
 
 
-def seqst_outcome_distribution(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int, axis: str) -> tuple:
-    """Probabilities (p_plus, p_minus, p_zero) of the three run outcomes.
-
-    p_plus - p_minus equals Re(alpha_ab) for axis "X" and Im(alpha_ab) for
-    axis "Y".
-    """
-    if axis not in _AXIS_EIGENVECTORS:
+def ancilla_readout(block: tuple, axis: str) -> tuple:
+    """Probabilities (p_plus, p_minus, p_zero) of a run from its block (g_aa, g_bb, g_ab)."""
+    if axis not in ("X", "Y"):
         raise ValueError(f"axis must be 'X' or 'Y', got {axis!r}")
-    rho_f = _controlled_preparation(rho, basis, a, b)
-    fid = basis.fiducial.amplitudes
-    p0 = np.outer(fid, fid.conj())
-    splus, sminus = _AXIS_EIGENVECTORS[axis]
-    p_plus = float(np.einsum("ij,ji->", rho_f, np.kron(p0, np.outer(splus, splus.conj()))).real)
-    p_minus = float(np.einsum("ij,ji->", rho_f, np.kron(p0, np.outer(sminus, sminus.conj()))).real)
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    p_minus = min(max(p_minus, 0.0), 1.0)
+    g_aa, g_bb, g_ab = block
+    base = float(g_aa + g_bb) / 4
+    half = float(g_ab.real if axis == "X" else g_ab.imag) / 2
+    p_plus = min(max(base + half, 0.0), 1.0)
+    p_minus = min(max(base - half, 0.0), 1.0)
     return p_plus, p_minus, max(1.0 - p_plus - p_minus, 0.0)
 
 
-def _tally_stats(tallies: np.ndarray, m: int) -> tuple:
-    """Mean and standard error of (+1, -1, 0)-valued outcomes from tallies."""
+def sample_readout(block: tuple, axis: str, m: int, stream: RandomStream, workers: int = 1) -> tuple:
+    """Draw m runs on one axis: (+1, -1, 0) tallies, outcome mean, sqrt(var/m)."""
+    tallies = sample_categorical_partitioned(ancilla_readout(block, axis), m, stream, workers)
     mean = (tallies[0] - tallies[1]) / m
     var = (tallies[0] + tallies[1]) / m - mean**2
-    return float(mean), float(np.sqrt(max(var, 0.0) / m))
+    return tallies, float(mean), float(np.sqrt(max(var, 0.0) / m))
+
+
+def _state_block(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> tuple:
+    """(g_aa, g_bb, g_ab) with g_ij = <psi_i|rho|psi_j>."""
+    if rho.dim != basis.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
+    psi_a, psi_b = (basis.element(i).amplitudes for i in (a, b))
+    rho_b = rho.matrix @ psi_b
+    return np.vdot(psi_a, rho.matrix @ psi_a).real, np.vdot(psi_b, rho_b).real, np.vdot(psi_a, rho_b)
+
+
+def seqst_outcome_distribution(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int, axis: str) -> tuple:
+    """Probabilities (p_plus, p_minus, p_zero); p_plus - p_minus is Re(alpha_ab) on "X", Im on "Y"."""
+    return ancilla_readout(_state_block(rho, basis, a, b), axis)
 
 
 def seqst_sample(
@@ -255,12 +251,9 @@ def seqst_sample(
     Deterministic for a given stream; shot draws may be partitioned across
     `workers` derived substreams.
     """
-    dist_x = seqst_outcome_distribution(rho, basis, a, b, "X")
-    dist_y = seqst_outcome_distribution(rho, basis, a, b, "Y")
-    tx = sample_categorical_partitioned(dist_x, plan.m, stream.substream(0), workers)
-    ty = sample_categorical_partitioned(dist_y, plan.m, stream.substream(1), workers)
-    mean_x, se_x = _tally_stats(tx, plan.m)
-    mean_y, se_y = _tally_stats(ty, plan.m)
+    block = _state_block(rho, basis, a, b)
+    tx, mean_x, se_x = sample_readout(block, "X", plan.m, stream.substream(0), workers)
+    ty, mean_y, se_y = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
     return EstimateReport(
         a=a,
         b=b,

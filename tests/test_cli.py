@@ -286,6 +286,24 @@ class TestConfigHandling:
         args = ["run", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "9"]
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kraus": []}',
+            '{"name": "tensor", "params": {"factors": []}}',
+            '{"kraus": [[1]]}',
+            "bit_flip:p=0.1,n=3",
+            "bit_flip:p=0.1,q=3",
+        ],
+    )
+    def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", "validate", "--channel", spec], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_size_limit_exit_code(self):
         args = ["run", "--protocol", "aapt", "--channel", '{"name": "identity", "params": {"n": 3}}']
         assert main(args) == 3

@@ -11,6 +11,7 @@ from seqtomo import (
     choi_basis,
     choi_basis_state,
     channel_zoo,
+    choi_state,
     dcqd_diagonal,
     dcqd_diagonal_sample,
     entangled_state_circuit,
@@ -25,6 +26,7 @@ from seqtomo import (
     seqpt_single_state,
     seqst_qpt_exact,
     seqst_qpt_sample,
+    seqst_sample,
     zoo_catalog,
 )
 from seqtomo.errors import IndexOutOfRange, SizeLimitExceeded
@@ -198,6 +200,60 @@ class TestSeqstQpt:
         assert data["protocol"] == "SEQST-QPT"
         assert data["a"] == "I" and data["b"] == "Z"
         assert data["shots"] == 64 and data["seed"] == 5
+
+
+class TestReadoutBlockCrossChecks:
+    """The block samplers against dense routes they do not share code with."""
+
+    def test_qpt_sample_matches_dense_dual_state_route(self):
+        # Random channels keep every outcome probability off the sampler's
+        # branch points, where a last-bit difference could move one shot.
+        rng = np.random.default_rng(61)
+        plan = ShotPlan(0.1, 0.05, 500)
+        for n in (1, 2, 3):
+            for i in range(8):
+                ch = random_channel(n, 1 + i % 4, rng)
+                a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
+                stream = RandomStream(100 * n + i)
+                est = seqst_qpt_sample(ch, a, b, plan, stream)
+                rep = seqst_sample(choi_state(ch), choi_basis(n), a, b, plan, stream)
+                assert (est.value, est.se_re, est.se_im) == (rep.estimate, rep.se_re, rep.se_im)
+
+    @staticmethod
+    def dense_seqpt_distribution(ch, a, b, psi, axis):
+        """Controlled P_b/P_a, then the channel ⊗ I2, then the psi ⊗ |±><±| projector trace."""
+        paulis = pauli_basis(ch.n)
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        u = np.kron(paulis[b], p0) + np.kron(paulis[a], p1)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        joint = u @ np.kron(proj, plus) @ u.conj().T
+        out = sum(np.kron(k, np.eye(2)) @ joint @ np.kron(k, np.eye(2)).conj().T for k in ch.kraus_ops)
+        phase = 1 if axis == "X" else 1j
+        probs = []
+        for sign in (1, -1):
+            s = np.array([1, sign * phase], dtype=complex) / np.sqrt(2)
+            probs.append(float(np.trace(out @ np.kron(proj, np.outer(s, s.conj()))).real))
+        return probs[0], probs[1], 1.0 - probs[0] - probs[1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_seqpt_distribution_matches_dense_joint_state(self, n):
+        rng = np.random.default_rng(62 + n)
+        for i in range(6):
+            ch = random_channel(n, 1 + i % 3, rng)
+            psi = haar_random_state(2**n, rng)
+            a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
+            for axis in ("X", "Y"):
+                got = seqpt_outcome_distribution(ch, a, b, psi, axis)
+                want = self.dense_seqpt_distribution(ch, a, b, psi, axis)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.8, 1.2])
+    def test_qpt_sample_refuses_non_trace_preserving_channel(self, scale):
+        ch = KrausChannel(1, [scale * np.eye(2)])
+        with pytest.raises(ValueError):
+            seqst_qpt_sample(ch, 0, 0, ShotPlan(0.1, 0.05, 10), RandomStream(0))
 
 
 class TestSeqptSingleState:

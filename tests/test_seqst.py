@@ -7,7 +7,6 @@ from seqtomo import (
     PreparationBasis,
     PureState,
     RandomStream,
-    SeqstOutcome,
     chernoff_plan,
     pauli_basis,
     random_density_matrix,
@@ -260,9 +259,6 @@ class TestSampling:
         assert data["m_shots"] == 10
         assert sum(data["tallies"]["x"]) == 10
         assert data["seed"] == 3
-
-    def test_outcome_encoding(self):
-        assert [o.value for o in (SeqstOutcome.PLUS, SeqstOutcome.MINUS, SeqstOutcome.NULL)] == [1, -1, 0]
 
 
 class TestStandardQst:
