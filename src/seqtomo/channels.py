@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, as_matrix, maximally_entangled_state
+from .core import GATES, DensityMatrix, as_matrix, maximally_entangled_state
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     NotCompletelyPositive,
     ParamOutOfRange,
     UnknownChannel,
 )
-from .pauli import PauliLabel, pauli_basis
+from .pauli import PauliLabel, pauli_coefficients, pauli_combination
 
 # Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
 # treated as numerical zeros when extracting Kraus operators; anything
@@ -129,19 +130,17 @@ def apply_kraus(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def apply_chi(chi: ChiMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Evaluate the double sum sum_mn chi_mn P_m rho P_n† literally."""
+    """Evaluate the double sum sum_mn chi_mn P_m rho P_n† directly from chi."""
     if chi.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {chi.dim} != state dim {rho.dim}")
-    basis = pauli_basis(chi.n)
-    d2 = 4**chi.n
-    out = np.zeros((chi.dim, chi.dim), dtype=complex)
-    for m in range(d2):
-        left = basis[m] @ rho.matrix
-        for k in range(d2):
-            c = chi.entries[m, k]
-            if c != 0:
-                out += c * (left @ basis[k].conj().T)
-    return DensityMatrix(out)
+    return DensityMatrix(_pauli_sandwich(chi.entries, rho.matrix))
+
+
+def _pauli_sandwich(chi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_mn chi_mn P_m x P_n as two Pauli combinations (Paulis are Hermitian)."""
+    left = pauli_combination(chi.T) @ x  # left[n] = (sum_m chi_mn P_m) x
+    # [r, b, b', c] = sum_n left_n[r, b] P_n[b', c]; sum_n left_n P_n is its b = b' trace.
+    return np.einsum("rbbc->rc", pauli_combination(np.moveaxis(left, 0, -1)))
 
 
 def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
@@ -150,11 +149,8 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     K_k = sum_m c_km P_m with c_km = Tr(P_m† K_k) / D, and
     chi_mn = sum_k c_km conj(c_kn).
     """
-    d = ch.dim
-    basis = np.stack(pauli_basis(ch.n))
-    kstack = np.stack(ch.kraus_ops)
     # c[k, m] = Tr(P_m K_k) / D  (Pauli matrices are Hermitian)
-    c = np.einsum("mij,kji->km", basis, kstack) / d
+    c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
     chi = np.einsum("km,kn->mn", c, c.conj())
     return ChiMatrix(ch.n, chi)
 
@@ -169,13 +165,8 @@ def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     vals, vecs = np.linalg.eigh(herm)
     if vals.min() < CHI_EIG_ZERO_LO:
         raise NotCompletelyPositive(f"chi has eigenvalue {vals.min():.3e}")
-    basis = np.stack(pauli_basis(chi.n))
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam < CHI_EIG_ZERO_HI:
-            continue
-        ops.append(np.sqrt(lam) * np.einsum("m,mij->ij", v, basis))
-    return KrausChannel(chi.n, ops)
+    keep = vals >= CHI_EIG_ZERO_HI
+    return KrausChannel(chi.n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
 
 
 def choi_state(ch: KrausChannel) -> DensityMatrix:
@@ -200,14 +191,7 @@ def validate_channel(chi: ChiMatrix, atol: float = 1e-9) -> ValidityReport:
     """
     m = chi.entries
     herm_res = float(np.max(np.abs(m - m.conj().T)))
-    basis = pauli_basis(chi.n)
-    d2 = 4**chi.n
-    tp = np.zeros((chi.dim, chi.dim), dtype=complex)
-    for a in range(d2):
-        for b in range(d2):
-            c = m[a, b]
-            if c != 0:
-                tp += c * (basis[b].conj().T @ basis[a])
+    tp = _pauli_sandwich(m.T, np.eye(chi.dim))  # sum_ab chi_ab P_b† P_a
     tp_res = float(np.max(np.abs(tp - np.eye(chi.dim))))
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
     return ValidityReport(
@@ -225,15 +209,9 @@ def validate_channel(chi: ChiMatrix, atol: float = 1e-9) -> ValidityReport:
 # ---------------------------------------------------------------------------
 
 _GATES = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+    **GATES,
     "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-    "cnot": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
 
 
@@ -251,24 +229,27 @@ def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
     return value
 
 
-def channel_zoo(name: str, n: int = 1, **params) -> KrausChannel:
+def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     """Construct a named channel.
 
     Names: identity(n), unitary (param ``gate`` from {x,y,z,h,s,t,cnot} or
     ``u`` an explicit matrix), bit_flip(p), phase_flip(p), bit_phase_flip(p),
     depolarizing(p), amplitude_damping(gamma). The flip and damping channels
     are single-qubit; build multi-qubit ones with ``tensor_channels``.
-    Unknown parameters, and n != 1 for a single-qubit family, are refused.
+    ``n`` defaults to 1, or to the gate's qubit count for unitary. Unknown
+    parameters, n != 1 for a single-qubit family, and an n that differs
+    from the gate's qubit count are refused.
     """
     if name not in _ZOO_PARAMS:
         raise UnknownChannel(f"unknown channel {name!r}; see zoo_descriptions()")
     unknown = set(params) - set(_ZOO_PARAMS[name])
     if unknown:
         raise UnknownChannel(f"channel {name!r} takes no parameter(s) {sorted(unknown)}")
-    if name not in ("identity", "unitary") and n != 1:
+    if name not in ("identity", "unitary") and n not in (None, 1):
         raise DimensionMismatch(f"{name} is a single-qubit channel, got n={n}; use tensor for more qubits")
     eye2 = np.eye(2, dtype=complex)
     if name == "identity":
+        n = 1 if n is None else n
         return KrausChannel(n, [np.eye(2**n, dtype=complex)])
     if name == "unitary":
         if "u" in params:
@@ -283,6 +264,8 @@ def channel_zoo(name: str, n: int = 1, **params) -> KrausChannel:
         nq = int(np.log2(u.shape[0]))
         if 2**nq != u.shape[0]:
             raise DimensionMismatch(f"unitary dimension {u.shape[0]} is not a power of two")
+        if n is not None and n != nq:
+            raise DimensionMismatch(f"the unitary acts on {nq} qubit(s), got n={n}")
         return KrausChannel(nq, [u])
     if name in _FLIPS:
         p = _check_prob("p", params["p"])
@@ -390,7 +373,7 @@ def channel_from_json(spec) -> KrausChannel:
     if not isinstance(spec, dict):
         raise UnknownChannel(f"channel spec must be an object, got {spec!r}")
     if "kraus" in spec:
-        ops = [_matrix_from_pairs(k) for k in _nonempty_list(spec["kraus"], "kraus")]
+        ops = [matrix_from_pairs(k) for k in _nonempty_list(spec["kraus"], "kraus")]
         n = int(np.log2(ops[0].shape[0]))
         return KrausChannel(n, ops)
     name = spec.get("name")
@@ -405,8 +388,8 @@ def channel_from_json(spec) -> KrausChannel:
         return out
     if name == "compose":
         return compose_channels(channel_from_json(params["first"]), channel_from_json(params["then"]))
-    n = int(params.pop("n", 1))
-    return channel_zoo(name, n=n, **params)
+    n = params.pop("n", None)
+    return channel_zoo(name, n=None if n is None else int(n), **params)
 
 
 def channel_to_json(ch: KrausChannel) -> dict:
@@ -432,11 +415,12 @@ def _nonempty_list(value, key: str) -> list:
     return value
 
 
-def _matrix_from_pairs(rows) -> np.ndarray:
+def matrix_from_pairs(rows) -> np.ndarray:
+    """A complex matrix from rows of [re, im] number pairs, the form of every explicit matrix in a spec."""
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise UnknownChannel(f"Kraus matrices must be nested lists of [re, im] number pairs: {exc}") from None
+        raise ConfigError(f"explicit matrices must be rows of [re, im] number pairs: {exc}") from None
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

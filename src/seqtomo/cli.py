@@ -27,20 +27,22 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    ChiMatrix,
     channel_from_json,
     chi_csv_rows,
     kraus_to_chi,
+    matrix_from_pairs,
     validate_channel,
     zoo_descriptions,
 )
 from .core import DensityMatrix, PureState, haar_random_state, maximally_entangled_state, random_density_matrix
-from .errors import SeqtomoError, SizeLimitExceeded
+from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
 from .estimation import RandomStream, chernoff_plan
 from .pauli import PauliLabel
 from .qpt import (
     aapt_full_chi,
-    dcqd_diagonal,
     dcqd_diagonal_sample,
+    dcqd_distribution,
     seqpt_estimate,
     seqpt_exact_average,
     seqst_qpt_exact,
@@ -49,10 +51,6 @@ from .qpt import (
 from .seqst import PreparationBasis, seqst_exact, seqst_sample, standard_pauli_qst
 
 PROTOCOLS = ("seqst-state", "standard-qst", "aapt", "dcqd-diag", "seqst-qpt", "seqpt", "validate")
-
-
-class ConfigError(SeqtomoError):
-    """The experiment configuration is missing fields or inconsistent."""
 
 
 @dataclass
@@ -87,7 +85,18 @@ class ExperimentConfig:
 
 _CHANNEL_PROTOCOLS = {"aapt", "dcqd-diag", "seqst-qpt", "seqpt", "validate"}
 _STATE_PROTOCOLS = {"seqst-state", "standard-qst"}
-_SAMPLING_PROTOCOLS = {"seqst-state", "dcqd-diag", "seqst-qpt", "seqpt"}
+
+
+# The keys each state kind takes besides "kind".
+_STATE_KEYS = dict.fromkeys(("zero", "plus", "ghz", "maximally_mixed", "entangled"), ("n",))
+_STATE_KEYS.update(haar=("n", "seed"), random_mixed=("n", "seed"), amplitudes=("values",), matrix=("values",))
+
+
+def _spec_int(spec: dict, key: str, default: int, lo: int) -> int:
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise ConfigError(f"state {key} must be an integer >= {lo}, got {value!r}")
+    return value
 
 
 def build_state(spec: dict) -> DensityMatrix:
@@ -95,15 +104,19 @@ def build_state(spec: dict) -> DensityMatrix:
 
     Kinds: zero(n), plus(n), ghz(n), maximally_mixed(n), entangled(n),
     haar(n, seed), random_mixed(n, seed), amplitudes(values),
-    matrix(values) — explicit values use [re, im] pairs.
+    matrix(values) — explicit values use [re, im] pairs. n defaults to 1
+    and seed to 0; a key the kind does not take is refused.
     """
-    kind = spec.get("kind")
-    n = int(spec.get("n", 1))
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _STATE_KEYS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    unknown = set(spec) - {"kind", *_STATE_KEYS[kind]}
+    if unknown:
+        raise ConfigError(f"state kind {kind!r} takes no key(s) {sorted(unknown)}")
+    n = _spec_int(spec, "n", 1, 1)
     d = 2**n
     if kind == "zero":
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        return PureState(v).density()
+        return PureState(np.eye(d)[0]).density()
     if kind == "plus":
         return PureState(np.full(d, 1.0 / np.sqrt(d), dtype=complex)).density()
     if kind == "ghz":
@@ -115,18 +128,15 @@ def build_state(spec: dict) -> DensityMatrix:
     if kind == "entangled":
         return maximally_entangled_state(n).density()
     if kind == "haar":
-        gen = RandomStream(int(spec.get("seed", 0)), (9001,)).generator()
+        gen = RandomStream(_spec_int(spec, "seed", 0, 0), (9001,)).generator()
         return haar_random_state(d, gen).density()
     if kind == "random_mixed":
-        gen = RandomStream(int(spec.get("seed", 0)), (9002,)).generator()
+        gen = RandomStream(_spec_int(spec, "seed", 0, 0), (9002,)).generator()
         return random_density_matrix(d, gen)
     if kind == "amplitudes":
-        v = np.array([complex(re, im) for re, im in spec["values"]], dtype=complex)
-        return PureState(v).density()
-    if kind == "matrix":
-        m = np.array([[complex(re, im) for re, im in row] for row in spec["values"]], dtype=complex)
-        return DensityMatrix(m)
-    raise ConfigError(f"unknown state kind {kind!r}")
+        # A vector of pairs is the one row of a matrix of pairs.
+        return PureState(matrix_from_pairs([spec.get("values")])[0]).density()
+    return DensityMatrix(matrix_from_pairs(spec.get("values")))
 
 
 def build_basis(spec: dict | None, n: int) -> PreparationBasis:
@@ -227,9 +237,11 @@ def execute(cfg: ExperimentConfig) -> dict:
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
         oracle = kraus_to_chi(ch)
         rows = dcqd_diagonal_sample(ch, plan, stream, cfg.workers)
+        # The distribution the sampler draws from, with dcqd_diagonal's clamp to [0, 1].
+        diagonal = np.minimum(dcqd_distribution(ch), 1.0)
         payload = []
         for k, freq, err in rows:
-            exact = dcqd_diagonal(ch, k)
+            exact = float(diagonal[k])
             payload.append(
                 {
                     "k": k,
@@ -242,9 +254,7 @@ def execute(cfg: ExperimentConfig) -> dict:
             )
         result = {
             "n": ch.n,
-            "oracle_diagonal_max_abs_diff": float(
-                max(abs(r["exact"] - oracle.entries[r["k"], r["k"]].real) for r in payload)
-            ),
+            "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle.entries.diagonal().real))),
             "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
         }
         if cfg.target == "all-diagonal":
@@ -317,8 +327,6 @@ def render_report(report: dict, fmt: str) -> str:
     res = report["results"]
     if "chi" in res:
         w.writerow(["m", "n", "label_m", "label_n", "re", "im"])
-        from .channels import ChiMatrix
-
         entries = np.array([[complex(re, im) for re, im in row] for row in res["chi"]])
         for row in chi_csv_rows(ChiMatrix(res["n"], entries)):
             w.writerow(row)

@@ -13,7 +13,7 @@ puts ``a`` on the leading qubits.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary
+from .errors import DimensionMismatch
 
 # Default absolute tolerance for algebraic identities; statistical tests
 # use explicit sigma multipliers instead.
@@ -25,6 +25,20 @@ EIG_FLOOR = -1e-9
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+# The one home of the single-qubit gate matrices; Y follows the sign
+# convention fixed in ``pauli``.
+GATES = {
+    name: _freeze(np.array(m, dtype=complex))
+    for name, m in {
+        "x": [[0, 1], [1, 0]],
+        "y": [[0, -1j], [1j, 0]],
+        "z": [[1, 0], [0, -1]],
+        "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+        "s": [[1, 0], [0, 1j]],
+    }.items()
+}
 
 
 def as_matrix(op) -> np.ndarray:
@@ -122,30 +136,10 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.matrix, b.matrix))
 
 
-def dagger(a: Operator) -> Operator:
-    """Conjugate transpose."""
-    return Operator(a.matrix.conj().T)
-
-
 def unitarity_residual(u) -> float:
     """Max-norm deviation of u†u from the identity."""
     m = as_matrix(u)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-
-def apply_unitary(u: Operator, rho: DensityMatrix, atol: float = 1e-8) -> DensityMatrix:
-    """Conjugate a state by a unitary: u rho u†.
-
-    Raises NonUnitary if the max-norm residual of u†u - I exceeds atol,
-    DimensionMismatch if the dimensions differ.
-    """
-    um = as_matrix(u)
-    if um.shape[0] != rho.dim:
-        raise DimensionMismatch(f"unitary dim {um.shape[0]} != state dim {rho.dim}")
-    res = unitarity_residual(um)
-    if res > atol:
-        raise NonUnitary(f"u†u deviates from I by {res:.3e} (> {atol})")
-    return DensityMatrix(um @ rho.matrix @ um.conj().T)
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:

@@ -5,12 +5,12 @@ class SeqtomoError(Exception):
     """Base class for all seqtomo errors."""
 
 
+class ConfigError(SeqtomoError):
+    """The experiment configuration is missing fields, inconsistent or malformed."""
+
+
 class DimensionMismatch(SeqtomoError):
     """Operands have incompatible dimensions."""
-
-
-class NonUnitary(SeqtomoError):
-    """A matrix expected to be unitary fails u†u = I beyond tolerance."""
 
 
 class LengthMismatch(SeqtomoError):

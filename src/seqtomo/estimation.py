@@ -94,15 +94,16 @@ def sample_categorical_partitioned(probs, m: int, stream: RandomStream, workers:
 
     Chunk w draws from stream.substream(w); tallies add commutatively, so the
     result is independent of evaluation order and reproducible per
-    (seed, path, workers).
+    (seed, path, workers). Chunks w >= m draw nothing and leave their
+    substreams untouched, so only the first min(workers, m) are run.
     """
     if workers < 1:
         raise ParamOutOfRange(f"workers must be >= 1, got {workers}")
-    if workers == 1:
+    if workers == 1 or m <= 0:
         return sample_categorical(probs, m, stream)
     base, extra = divmod(m, workers)
     tallies = np.zeros(np.asarray(probs).size, dtype=np.int64)
-    for w in range(workers):
+    for w in range(min(workers, m)):
         chunk = base + (1 if w < extra else 0)
         tallies += sample_categorical(probs, chunk, stream.substream(w))
     return tallies

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, PureState, haar_random_state, maximally_entangled_state
+from .core import ATOL, GATES, PureState, haar_random_state, maximally_entangled_state
 from .channels import ChiMatrix, KrausChannel, choi_state
 from .errors import DimensionMismatch, IndexOutOfRange, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
-from .pauli import PauliLabel, pauli_basis
+from .pauli import PauliLabel, pauli_combination, pauli_matrix
 from .seqst import PreparationBasis, ancilla_readout, sample_readout, seqst_exact
 
 # Dense-simulation ceilings: full-matrix protocols hold a 4**n × 4**n chi;
@@ -82,13 +82,20 @@ class GateCounts:
     two_qubit: int
 
 
+def _pauli(n: int, m: int) -> np.ndarray:
+    return pauli_matrix(PauliLabel.from_index(n, m)).matrix
+
+
 def choi_basis(n: int) -> PreparationBasis:
     """The preparation basis {(P_k ⊗ I)|I>} on two n-qubit registers."""
-    d = 2**n
-    basis = pauli_basis(n)
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(2**n, dtype=complex)
     fid = maximally_entangled_state(n)
-    return PreparationBasis(2 * n, fid, lambda k: np.kron(basis[k], eye), name="choi-pauli")
+    return PreparationBasis(2 * n, fid, lambda k: np.kron(_pauli(n, k), eye), name="choi-pauli")
+
+
+def _choi_vectors(n: int) -> np.ndarray:
+    """Row k is (P_k ⊗ I)|I> = vec(P_k)/sqrt(D), the amplitudes of choi_basis(n).element(k)."""
+    return pauli_combination(np.eye(4**n)).reshape(4**n, -1) / np.sqrt(2**n)
 
 
 def choi_basis_state(n: int, k: int) -> PureState:
@@ -117,10 +124,8 @@ def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
     """
     _check_size(ch, AAPT_MAX_QUBITS, "full chi")
     rho_e = choi_state(ch).matrix
-    cb = choi_basis(ch.n)
-    vecs = np.stack([cb.element(k).amplitudes for k in range(4**ch.n)])
-    chi = vecs.conj() @ rho_e @ vecs.T
-    return ChiMatrix(ch.n, chi)
+    vecs = _choi_vectors(ch.n)
+    return ChiMatrix(ch.n, vecs.conj() @ rho_e @ vecs.T)
 
 
 def dcqd_diagonal(ch: KrausChannel, k: int) -> float:
@@ -132,10 +137,10 @@ def dcqd_diagonal(ch: KrausChannel, k: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _dcqd_distribution(ch: KrausChannel) -> np.ndarray:
+def dcqd_distribution(ch: KrausChannel) -> np.ndarray:
+    """The exact outcome probabilities chi_kk of the {(P_k ⊗ I)|I>} measurement, negatives clipped to 0."""
     rho_e = choi_state(ch).matrix
-    cb = choi_basis(ch.n)
-    vecs = np.stack([cb.element(k).amplitudes for k in range(4**ch.n)])
+    vecs = _choi_vectors(ch.n)
     probs = np.einsum("ki,ij,kj->k", vecs.conj(), rho_e, vecs).real
     return np.clip(probs, 0.0, None)
 
@@ -146,7 +151,7 @@ def dcqd_diagonal_sample(ch: KrausChannel, plan: ShotPlan, stream: RandomStream,
     The exact outcome distribution over all 4**n basis states sums to one
     for a trace-preserving channel; frequencies converge to the chi diagonal.
     """
-    probs = _dcqd_distribution(ch)
+    probs = dcqd_distribution(ch)
     tallies = sample_categorical_partitioned(probs, plan.m, stream, workers)
     out = []
     for k, t in enumerate(tallies):
@@ -184,9 +189,8 @@ def seqst_qpt_sample(
     trace = sum(np.vdot(k, k).real for k in ch.kraus_ops) / ch.dim
     if abs(trace - 1.0) > ATOL:
         raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
-    basis = pauli_basis(ch.n)
     kraus = np.stack(ch.kraus_ops)
-    ca, cb = (np.einsum("ij,kji->k", basis[m], kraus) / ch.dim for m in (a, b))
+    ca, cb = (np.einsum("ij,kji->k", _pauli(ch.n, m), kraus) / ch.dim for m in (a, b))
     block = _readout_block(ca, cb)
     _, re, se_re = sample_readout(block, "X", plan.m, stream.substream(0), workers)
     _, im, se_im = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
@@ -208,11 +212,10 @@ def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
     _check_pauli_indices(ch.n, a, b)
     if psi.dim != ch.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != channel dim {ch.dim}")
-    basis = pauli_basis(ch.n)
     v = psi.amplitudes
     kraus = np.stack(ch.kraus_ops)
     # w[k] = <psi|K_k P_m|psi> for m = a, b.
-    wa, wb = ((kraus @ (basis[m] @ v)) @ v.conj() for m in (a, b))
+    wa, wb = ((kraus @ (_pauli(ch.n, m) @ v)) @ v.conj() for m in (a, b))
     return _readout_block(wa, wb)
 
 
@@ -289,7 +292,7 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
     """
     _check_pauli_indices(ch.n, a, b)
     d = ch.dim
-    basis = pauli_basis(ch.n)
+    pa, pb = _pauli(ch.n, a), _pauli(ch.n, b)
     swap = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -297,7 +300,7 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
     two_copy = (np.eye(d * d) + swap) / (d * (d + 1))
     avg = 0j
     for k in ch.kraus_ops:
-        avg += np.einsum("ij,ji->", np.kron(k @ basis[a], basis[b] @ k.conj().T), two_copy)
+        avg += np.einsum("ij,ji->", np.kron(k @ pa, pb @ k.conj().T), two_copy)
     return float(avg.real), float(avg.imag)
 
 
@@ -316,9 +319,8 @@ def entangled_state_circuit(n: int) -> tuple:
     state[0] = 1.0
     singles = 0
     doubles = 0
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     for q in range(n):
-        state = _apply_single_qubit_gate(state, h, q, total)
+        state = _apply_single_qubit_gate(state, GATES["h"], q, total)
         singles += 1
     for q in range(n):
         state = _apply_cnot(state, q, n + q, total)

@@ -33,19 +33,15 @@ as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from .core import DensityMatrix, Operator, PureState, haar_random_unitary, unitarity_residual
+from .core import GATES, DensityMatrix, Operator, PureState, haar_random_unitary, unitarity_residual
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
-from .pauli import PauliLabel, pauli_basis
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+from .pauli import PauliLabel, pauli_coefficients
 
 class PreparationBasis:
     """A basis {V_a |psi_0>} of states prepared from a fiducial state.
@@ -93,37 +89,24 @@ class PreparationBasis:
 
     @classmethod
     def computational(cls, n: int) -> "PreparationBasis":
-        """V_a = bit flips on the set bits of a; fiducial |0...0>."""
+        """V_a = bit flips on the set bits of a, i.e. |j> -> |j XOR a>; fiducial |0...0>."""
+        d = 2**n
 
         def prep(a: int) -> np.ndarray:
-            mats = [_X if (a >> (n - 1 - q)) & 1 else np.eye(2, dtype=complex) for q in range(n)]
-            out = mats[0]
-            for m in mats[1:]:
-                out = np.kron(out, m)
-            return out
+            return np.eye(d, dtype=complex)[np.arange(d) ^ a]
 
-        fid = np.zeros(2**n, dtype=complex)
-        fid[0] = 1.0
-        return cls(n, PureState(fid), prep, name="computational")
+        return cls(n, PureState(np.eye(d)[0]), prep, name="computational")
 
     @classmethod
     def pauli_eigenbasis(cls, n: int, axis: str) -> "PreparationBasis":
         """Per-qubit eigenbases of X, Y or Z (Z is the computational basis)."""
         axis = axis.upper()
-        rot = {"X": _H, "Y": _S @ _H, "Z": np.eye(2, dtype=complex)}.get(axis)
+        rot = {"X": GATES["h"], "Y": GATES["s"] @ GATES["h"], "Z": np.eye(2, dtype=complex)}.get(axis)
         if rot is None:
             raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-
-        def prep(a: int) -> np.ndarray:
-            out = np.array([[1.0]], dtype=complex)
-            for q in range(n):
-                flip = _X if (a >> (n - 1 - q)) & 1 else np.eye(2, dtype=complex)
-                out = np.kron(out, rot @ flip)
-            return out
-
-        fid = np.zeros(2**n, dtype=complex)
-        fid[0] = 1.0
-        return cls(n, PureState(fid), prep, name=f"pauli-{axis}")
+        # rot^{⊗n} times the bit flips of a: its columns permuted by j -> j XOR a.
+        rot_n, flips = reduce(np.kron, [rot] * n), np.arange(2**n)
+        return cls(n, PureState(np.eye(2**n)[0]), lambda a: rot_n[:, flips ^ a], name=f"pauli-{axis}")
 
     @classmethod
     def random_unitary_columns(cls, n: int, rng: np.random.Generator) -> "PreparationBasis":
@@ -198,8 +181,8 @@ def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> 
     rho_f = _controlled_preparation(rho, basis, a, b)
     fid = basis.fiducial.amplitudes
     p0 = np.outer(fid, fid.conj())
-    x = np.einsum("ij,ji->", rho_f, np.kron(p0, _X))
-    y = np.einsum("ij,ji->", rho_f, np.kron(p0, _Y))
+    x = np.einsum("ij,ji->", rho_f, np.kron(p0, GATES["x"]))
+    y = np.einsum("ij,ji->", rho_f, np.kron(p0, GATES["y"]))
     return complex(x.real, y.real)
 
 
@@ -272,12 +255,6 @@ def standard_pauli_qst(rho: DensityMatrix) -> list:
 
     The state is recovered as rho = (1/D) sum_i Tr(rho P_i) P_i.
     """
-    n = int(np.log2(rho.dim))
-    if 2**n != rho.dim:
-        raise DimensionMismatch(f"dimension {rho.dim} is not a power of two")
-    basis = pauli_basis(n)
-    out = []
-    for i, p in enumerate(basis):
-        val = float(np.einsum("ij,ji->", rho.matrix, p).real)
-        out.append((PauliLabel.from_index(n, i), val))
-    return out
+    values = pauli_coefficients(rho.matrix).real
+    n = rho.dim.bit_length() - 1
+    return [(PauliLabel.from_index(n, m), float(v)) for m, v in enumerate(values)]

@@ -1,5 +1,26 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 from scipy import stats
+
+# Literal single-qubit Paulis, independent of the package's (x, z) encoding.
+SIGMA = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_pauli(letters: str) -> np.ndarray:
+    """The Pauli of a label as a kron of literal 2x2 sigmas, qubit 0 leftmost."""
+    return reduce(np.kron, [SIGMA[c] for c in letters])
+
+
+def dense_pauli_basis(n: int) -> np.ndarray:
+    """All 4**n Paulis, stacked in base-4 index order (I=0, X=1, Y=2, Z=3, qubit 0 most significant)."""
+    return np.stack([dense_pauli("".join(w)) for w in product("IXYZ", repeat=n)])
 
 
 def chi_square_pvalue(observed, probs) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_pauli_basis
 
 from seqtomo import (
     ChiMatrix,
@@ -17,7 +18,6 @@ from seqtomo import (
     kraus_to_chi,
     maximally_entangled_state,
     partial_trace,
-    pauli_basis,
     random_channel,
     random_density_matrix,
     tensor_channels,
@@ -73,7 +73,7 @@ class TestApply:
         chi[k, k] = 1.0
         rho = random_density_matrix(2, np.random.default_rng(2))
         out = apply_chi(ChiMatrix(1, chi), rho)
-        p = pauli_basis(1)[k]
+        p = dense_pauli_basis(1)[k]
         np.testing.assert_allclose(out.matrix, p @ rho.matrix @ p, atol=1e-12)
 
     def test_chi_round_trip_on_random_channel(self):
@@ -124,7 +124,7 @@ class TestConversions:
         ops = chi_to_kraus(chi).kraus_ops
         assert len(ops) == 4
         # eigendecomposition of a diagonal chi: each Kraus is proportional to one Pauli
-        basis = pauli_basis(1)
+        basis = dense_pauli_basis(1)
         for op in ops:
             overlaps = [abs(np.trace(b.conj().T @ op)) / 2 for b in basis]
             overlaps.sort()
@@ -175,7 +175,7 @@ class TestChoiState:
         chi = kraus_to_chi(ch).entries
         phi = maximally_entangled_state(1).amplitudes
         proj = np.outer(phi, phi.conj())
-        basis = pauli_basis(1)
+        basis = dense_pauli_basis(1)
         want = np.zeros((4, 4), dtype=complex)
         for m in range(4):
             for n in range(4):

@@ -294,6 +294,7 @@ class TestConfigHandling:
             '{"kraus": [[1]]}',
             "bit_flip:p=0.1,n=3",
             "bit_flip:p=0.1,q=3",
+            "unitary:gate=h,n=3",
         ],
     )
     def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
@@ -303,6 +304,45 @@ class TestConfigHandling:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("spec, n", [("unitary:gate=cnot,n=2", 2), ("unitary:gate=h,n=1", 1)])
+    def test_unitary_with_matching_n_runs(self, tmp_path, spec, n):
+        out = tmp_path / "report.json"
+        assert run_cli(["validate", "--channel", spec], out) == 0
+        assert load_json(out)["results"]["n"] == n
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind": "matrix", "values": [[1]]}',
+            '{"kind": "amplitudes", "values": [1, 0]}',
+            '{"kind": "zero", "n": -1}',
+            '{"kind": "zero", "n": 0}',
+            '{"kind": "zero", "n": 1, "q": 4}',
+            '{"kind": "plus", "n": 1.7}',
+        ],
+    )
+    def test_malformed_state_spec_exits_two_without_traceback(self, spec):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", "run", "--protocol", "standard-qst", "--state", spec],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_huge_worker_count_finishes_quickly(self):
+        # only the min(workers, m) chunks that get draws are visited
+        args = ["run", "--protocol", "seqst-state", "--state", '{"kind":"zero","n":1}', "--a", "0", "--b", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", *args, "--workers", "100000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["config"]["workers"] == 100000000
 
     def test_size_limit_exit_code(self):
         args = ["run", "--protocol", "aapt", "--channel", '{"name": "identity", "params": {"n": 3}}']

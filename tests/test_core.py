@@ -5,8 +5,6 @@ from seqtomo import (
     DensityMatrix,
     Operator,
     PureState,
-    apply_unitary,
-    dagger,
     haar_random_state,
     haar_random_unitary,
     maximally_entangled_state,
@@ -14,13 +12,12 @@ from seqtomo import (
     random_density_matrix,
     tensor,
 )
-from seqtomo.errors import DimensionMismatch, NonUnitary
+from seqtomo.errors import DimensionMismatch
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class TestTypes:
@@ -72,43 +69,6 @@ class TestTensorAndDagger:
         left = tensor(tensor(Operator(a), Operator(b)), Operator(c)).matrix
         right = tensor(Operator(a), tensor(Operator(b), Operator(c))).matrix
         np.testing.assert_allclose(left, right, atol=1e-12)
-
-    def test_dagger(self):
-        np.testing.assert_allclose(dagger(Operator(Y)).matrix, Y, atol=1e-15)
-        np.testing.assert_allclose(dagger(Operator(np.diag([1, 1j]))).matrix, np.diag([1, -1j]), atol=1e-15)
-
-    def test_dagger_involution(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_allclose(dagger(dagger(Operator(a))).matrix, a, atol=1e-15)
-
-
-class TestApplyUnitary:
-    def test_identity(self):
-        rho = random_density_matrix(2, np.random.default_rng(2))
-        np.testing.assert_allclose(apply_unitary(Operator(I2), rho).matrix, rho.matrix, atol=1e-15)
-
-    def test_bit_flip(self):
-        out = apply_unitary(Operator(X), DensityMatrix(np.diag([1.0, 0.0])))
-        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_hadamard_on_zero(self):
-        # 2x2 multiply oracle: H|0><0|H has every entry 1/2
-        out = apply_unitary(Operator(H), DensityMatrix(np.diag([1.0, 0.0])))
-        np.testing.assert_allclose(out.matrix, np.full((2, 2), 0.5), atol=1e-15)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitary):
-            apply_unitary(Operator(1.01 * X), DensityMatrix(I2 / 2))
-
-    def test_composition(self):
-        rng = np.random.default_rng(3)
-        rho = random_density_matrix(4, rng)
-        u = haar_random_unitary(4, rng)
-        v = haar_random_unitary(4, rng)
-        stepwise = apply_unitary(u, apply_unitary(v, rho))
-        combined = apply_unitary(Operator(u.matrix @ v.matrix), rho)
-        np.testing.assert_allclose(stepwise.matrix, combined.matrix, atol=1e-9)
 
 
 class TestPartialTrace:

@@ -126,6 +126,22 @@ class TestPartitionedSampling:
         with pytest.raises(ParamOutOfRange):
             sample_categorical_partitioned([1.0], 10, RandomStream(0), workers=0)
 
+    @pytest.mark.parametrize("m", [2, 7, 50])
+    def test_workers_beyond_m_change_nothing(self, m):
+        # chunks w >= m draw nothing, so any workers >= m tallies like workers = m
+        probs = [0.2, 0.3, 0.5]
+        for seed in range(20):
+            want = sample_categorical_partitioned(probs, m, RandomStream(seed), workers=m)
+            for workers in (m + 1, m + 5, 3 * m, 10**12):
+                got = sample_categorical_partitioned(probs, m, RandomStream(seed), workers=workers)
+                np.testing.assert_array_equal(got, want)
+
+    def test_chunk_validation_survives_many_workers(self):
+        with pytest.raises(InvalidDistribution):
+            sample_categorical_partitioned([0.5, 0.6], 0, RandomStream(0), workers=4)
+        with pytest.raises(InvalidDistribution):
+            sample_categorical_partitioned([1.0], -3, RandomStream(0), workers=4)
+
 
 class TestEmpiricalChernoff:
     def test_planned_m_meets_failure_budget(self):

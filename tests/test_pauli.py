@@ -1,8 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import dense_pauli, dense_pauli_basis
 
-from seqtomo import PauliLabel, PhasedPauli, pauli_basis, pauli_matrix, pauli_product, pauli_trace_inner
-from seqtomo.errors import IndexOutOfRange, LengthMismatch
+from seqtomo import (
+    PauliLabel,
+    PhasedPauli,
+    pauli_coefficients,
+    pauli_combination,
+    pauli_matrix,
+    pauli_product,
+    random_density_matrix,
+    standard_pauli_qst,
+)
+from seqtomo.errors import IndexOutOfRange, LengthMismatch, SeqtomoError
 
 
 class TestLabels:
@@ -51,9 +63,16 @@ class TestMatrices:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hermitian_and_unitary(self, n):
-        for m in pauli_basis(n):
+        for i in range(4**n):
+            m = pauli_matrix(PauliLabel.from_index(n, i)).matrix
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
             np.testing.assert_allclose(m @ m, np.eye(2**n), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_kron_of_sigmas_entry_for_entry(self, n):
+        basis = dense_pauli_basis(n)
+        for i in range(4**n):
+            np.testing.assert_array_equal(pauli_matrix(PauliLabel.from_index(n, i)).matrix, basis[i])
 
 
 class TestProducts:
@@ -75,7 +94,7 @@ class TestProducts:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exhaustive_against_dense(self, n):
-        basis = pauli_basis(n)
+        basis = dense_pauli_basis(n)
         for i in range(4**n):
             for j in range(4**n):
                 out = pauli_product(PauliLabel.from_index(n, i), PauliLabel.from_index(n, j))
@@ -88,34 +107,64 @@ class TestProducts:
             pauli_product(PauliLabel("X"), PauliLabel("XX"))
 
 
-class TestTraceInner:
-    def test_equal_labels(self):
-        assert pauli_trace_inner(PauliLabel("XZ"), PauliLabel("XZ")) == 4.0
 
-    def test_orthogonal(self):
-        assert pauli_trace_inner(PauliLabel("X"), PauliLabel("Z")) == 0.0
+
+def random_stack(rng, count, n):
+    d = 2**n
+    return rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_traces(self, n):
+        a = random_stack(np.random.default_rng(n), 3, n)
+        want = np.einsum("mij,kji->km", dense_pauli_basis(n), a)
+        np.testing.assert_allclose(pauli_coefficients(a), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_orthogonality_exhaustive(self, n):
-        basis = pauli_basis(n)
-        d = 2**n
-        for i in range(4**n):
-            for j in range(4**n):
-                want = d if i == j else 0.0
-                sym = pauli_trace_inner(PauliLabel.from_index(n, i), PauliLabel.from_index(n, j))
-                assert sym == want
-                dense = np.trace(basis[i].conj().T @ basis[j])
-                assert abs(dense - want) < 1e-12
+        # Tr(P_m P_k) = D when m == k else 0, so the coefficients of P_k are D e_k
+        np.testing.assert_array_equal(pauli_coefficients(dense_pauli_basis(n)), 2**n * np.eye(4**n))
 
     def test_random_pairs_match_dense_at_three_qubits(self):
         rng = np.random.default_rng(13)
-        basis = pauli_basis(3)
+        basis = dense_pauli_basis(3)
         for _ in range(200):
             i, j = rng.integers(0, 64, size=2)
-            dense = np.trace(basis[i].conj().T @ basis[j]).real
-            sym = pauli_trace_inner(PauliLabel.from_index(3, int(i)), PauliLabel.from_index(3, int(j)))
-            assert abs(dense - sym) < 1e-12
+            dense = np.trace(basis[i].conj().T @ basis[j])
+            assert abs(pauli_coefficients(basis[j])[i] - dense) < 1e-12
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pauli_trace_inner(PauliLabel("X"), PauliLabel("XX"))
+    def test_standard_qst_at_seven_qubits_without_a_dense_basis(self):
+        # The cached dense basis at n = 7 would have been 4**7 matrices of 128 x 128, 4.3 GB.
+        rng = np.random.default_rng(70)
+        rho = random_density_matrix(2**7, rng)
+        tracemalloc.start()
+        try:
+            pairs = standard_pauli_qst(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert len(pairs) == 4**7
+        for m in rng.choice(4**7, size=20, replace=False):
+            label, value = pairs[m]
+            assert label == PauliLabel.from_index(7, int(m))
+            assert abs(value - np.trace(rho.matrix @ dense_pauli(label.letters)).real) < 1e-12
+
+
+class TestCombination:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inverts_coefficients(self, n):
+        a = random_stack(np.random.default_rng(10 + n), 2, n)
+        np.testing.assert_allclose(pauli_combination(pauli_coefficients(a) / 2**n), a, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_vectors_give_the_basis_exactly(self, n):
+        np.testing.assert_array_equal(pauli_combination(np.eye(4**n)), dense_pauli_basis(n))
+
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_refuses_fewer_than_one_qubit_or_a_bad_size(self, size):
+        with pytest.raises(SeqtomoError):
+            pauli_coefficients(np.eye(size))
+        with pytest.raises(SeqtomoError):
+            pauli_combination(np.ones(size))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import chi_square_pvalue
+from conftest import chi_square_pvalue, dense_pauli_basis
 
 from seqtomo import (
     ChiEstimate,
@@ -18,7 +18,6 @@ from seqtomo import (
     haar_random_state,
     kraus_to_chi,
     maximally_entangled_state,
-    pauli_basis,
     random_channel,
     seqpt_estimate,
     seqpt_exact_average,
@@ -222,7 +221,7 @@ class TestReadoutBlockCrossChecks:
     @staticmethod
     def dense_seqpt_distribution(ch, a, b, psi, axis):
         """Controlled P_b/P_a, then the channel ⊗ I2, then the psi ⊗ |±><±| projector trace."""
-        paulis = pauli_basis(ch.n)
+        paulis = dense_pauli_basis(ch.n)
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         u = np.kron(paulis[b], p0) + np.kron(paulis[a], p1)
@@ -269,7 +268,7 @@ class TestSeqptSingleState:
         psi = haar_random_state(2, rng)
         for a in range(4):
             x, y = seqpt_single_state(ch, a, a, psi)
-            p = pauli_basis(1)[a]
+            p = dense_pauli_basis(1)[a]
             m = p @ np.outer(psi.amplitudes, psi.amplitudes.conj()) @ p
             want = sum(k @ m @ k.conj().T for k in ch.kraus_ops)
             assert abs(y) < 1e-10
@@ -280,7 +279,7 @@ class TestSeqptSingleState:
         rng = np.random.default_rng(42)
         ch = random_channel(1, 3, rng)
         psi = haar_random_state(2, rng)
-        basis = pauli_basis(1)
+        basis = dense_pauli_basis(1)
         for a in range(4):
             for b in range(4):
                 x, y = seqpt_single_state(ch, a, b, psi)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import chi_square_pvalue
+from conftest import chi_square_pvalue, dense_pauli_basis
 
 from seqtomo import (
     DensityMatrix,
@@ -8,7 +8,6 @@ from seqtomo import (
     PureState,
     RandomStream,
     chernoff_plan,
-    pauli_basis,
     random_density_matrix,
     seqst_exact,
     seqst_joint_state,
@@ -275,6 +274,6 @@ class TestStandardQst:
     def test_reconstruction_identity(self):
         rho = random_density_matrix(4, np.random.default_rng(24))
         pairs = standard_pauli_qst(rho)
-        basis = pauli_basis(2)
+        basis = dense_pauli_basis(2)
         recon = sum(v * basis[lbl.index] for lbl, v in pairs) / 4
         np.testing.assert_allclose(recon, rho.matrix, atol=1e-9)
