@@ -389,7 +389,9 @@ def channel_from_json(spec) -> KrausChannel:
     if name == "compose":
         return compose_channels(channel_from_json(params["first"]), channel_from_json(params["then"]))
     n = params.pop("n", None)
-    return channel_zoo(name, n=None if n is None else int(n), **params)
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+        raise UnknownChannel(f"channel n must be an integer >= 1, got {n!r}")
+    return channel_zoo(name, n=n, **params)
 
 
 def channel_to_json(ch: KrausChannel) -> dict:

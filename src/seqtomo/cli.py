@@ -17,11 +17,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 size-limit refusal.
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,8 +43,8 @@ from .estimation import RandomStream, chernoff_plan
 from .pauli import PauliLabel
 from .qpt import (
     aapt_full_chi,
-    dcqd_diagonal_sample,
     dcqd_distribution,
+    dcqd_sample_rows,
     seqpt_estimate,
     seqpt_exact_average,
     seqst_qpt_exact,
@@ -92,6 +94,15 @@ _STATE_KEYS = dict.fromkeys(("zero", "plus", "ghz", "maximally_mixed", "entangle
 _STATE_KEYS.update(haar=("n", "seed"), random_mixed=("n", "seed"), amplitudes=("values",), matrix=("values",))
 
 
+# Memory budget for the dense D×D complex state a spec builds (16 * 4**n bytes): n <= 10.
+STATE_MAX_BYTES = 2**24
+
+
+def _check_state_size(d: int) -> None:
+    if 16 * d * d > STATE_MAX_BYTES:
+        raise SizeLimitExceeded(f"a dense state of dimension 2^{math.log2(d):g} exceeds {STATE_MAX_BYTES} bytes")
+
+
 def _spec_int(spec: dict, key: str, default: int, lo: int) -> int:
     value = spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < lo:
@@ -105,7 +116,8 @@ def build_state(spec: dict) -> DensityMatrix:
     Kinds: zero(n), plus(n), ghz(n), maximally_mixed(n), entangled(n),
     haar(n, seed), random_mixed(n, seed), amplitudes(values),
     matrix(values) — explicit values use [re, im] pairs. n defaults to 1
-    and seed to 0; a key the kind does not take is refused.
+    and seed to 0; a key the kind does not take is refused, and a state
+    over STATE_MAX_BYTES raises SizeLimitExceeded.
     """
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _STATE_KEYS:
@@ -113,7 +125,10 @@ def build_state(spec: dict) -> DensityMatrix:
     unknown = set(spec) - {"kind", *_STATE_KEYS[kind]}
     if unknown:
         raise ConfigError(f"state kind {kind!r} takes no key(s) {sorted(unknown)}")
+    if kind == "amplitudes" and isinstance(spec.get("values"), list):
+        _check_state_size(len(spec["values"]))
     n = _spec_int(spec, "n", 1, 1)
+    _check_state_size(2 ** (2 * n if kind == "entangled" else n))  # entangled(n) spans two registers
     d = 2**n
     if kind == "zero":
         return PureState(np.eye(d)[0]).density()
@@ -236,9 +251,10 @@ def execute(cfg: ExperimentConfig) -> dict:
     if cfg.protocol == "dcqd-diag":
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
         oracle = kraus_to_chi(ch)
-        rows = dcqd_diagonal_sample(ch, plan, stream, cfg.workers)
-        # The distribution the sampler draws from, with dcqd_diagonal's clamp to [0, 1].
-        diagonal = np.minimum(dcqd_distribution(ch), 1.0)
+        probs = dcqd_distribution(ch)
+        rows = dcqd_sample_rows(probs, plan, stream, cfg.workers)
+        # The distribution the rows are drawn from, with dcqd_diagonal's clamp to [0, 1].
+        diagonal = np.minimum(probs, 1.0)
         payload = []
         for k, freq, err in rows:
             exact = float(diagonal[k])
@@ -305,7 +321,7 @@ def run_report(cfg: ExperimentConfig) -> dict:
     elapsed = time.perf_counter() - start
     return {
         "version": __version__,
-        "config": asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "protocol": cfg.protocol,
         "results": results,
         "timing_seconds": elapsed,
@@ -469,7 +485,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="seqtomo", description="Selective quantum tomography workbench.")
     parser.add_argument("--version", action="version", version=f"seqtomo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

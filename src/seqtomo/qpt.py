@@ -151,7 +151,11 @@ def dcqd_diagonal_sample(ch: KrausChannel, plan: ShotPlan, stream: RandomStream,
     The exact outcome distribution over all 4**n basis states sums to one
     for a trace-preserving channel; frequencies converge to the chi diagonal.
     """
-    probs = dcqd_distribution(ch)
+    return dcqd_sample_rows(dcqd_distribution(ch), plan, stream, workers)
+
+
+def dcqd_sample_rows(probs: np.ndarray, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
+    """(k, frequency, stderr) per index from plan.m draws of a ``dcqd_distribution``."""
     tallies = sample_categorical_partitioned(probs, plan.m, stream, workers)
     out = []
     for k, t in enumerate(tallies):

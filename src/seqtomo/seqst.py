@@ -26,7 +26,11 @@ p_plus/minus = (g_aa + g_bb ± 2 Re g_ab) / 4 (Im on axis Y), and
 p_zero = 1 - p_plus - p_minus. ``ancilla_readout`` is the one home of that
 rule; every sampler, here and in ``qpt``, draws from a block it computes
 directly. The dense (2D)-dimensional circuit (``seqst_joint_state``,
-``seqst_exact``) is kept only as the independent oracle.
+``seqst_exact``) is kept only as the independent oracle. It simulates the
+full joint state with the ancilla as the last qubit, applying the
+controlled stage blockwise: block (c, c') of rho ⊗ |+><+| becomes
+W_c rho W_c'† / 2 with W_0 = V_b†, W_1 = V_a†, a few D×D products in place
+of (2D)×(2D) ones.
 
 The conventional Pauli-expectation route (standard_pauli_qst) is included
 as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
@@ -112,10 +116,11 @@ class PreparationBasis:
     def random_unitary_columns(cls, n: int, rng: np.random.Generator) -> "PreparationBasis":
         """Basis states are the columns of one Haar-random unitary."""
         u = haar_random_unitary(2**n, rng).matrix
-        comp = cls.computational(n)
+        flips = np.arange(2**n)
 
         def prep(a: int) -> np.ndarray:
-            return u @ comp.preparator_matrix(a) @ u.conj().T
+            # u times the bit flips of a (its columns permuted by j -> j XOR a), times u†.
+            return u[:, flips ^ a] @ u.conj().T
 
         return cls(n, PureState(u[:, 0]), prep, name="random-unitary")
 
@@ -153,23 +158,24 @@ class EstimateReport:
 
 
 def _controlled_preparation(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> np.ndarray:
-    """The joint system+ancilla state after the controlled V† stage."""
+    """The joint system+ancilla state after the controlled V† stage, as a (D, 2, D, 2) array.
+
+    Blockwise, as in the module docstring: V_b† on ancilla |0>, V_a† on |1>.
+    """
     if rho.dim != basis.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
-    va = basis.preparator_matrix(a)
-    vb = basis.preparator_matrix(b)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    # b's preparator on ancilla |0>, a's on ancilla |1> (see module docstring).
-    u = np.kron(vb.conj().T, p0) + np.kron(va.conj().T, p1)
-    joint = np.kron(rho.matrix, plus)
-    return u @ joint @ u.conj().T
+    vs = [basis.preparator_matrix(i) for i in (b, a)]
+    half = [v.conj().T @ rho.matrix / 2 for v in vs]
+    joint = np.empty((rho.dim, 2, rho.dim, 2), dtype=complex)
+    for c in (0, 1):
+        for c2 in (0, 1):
+            joint[:, c, :, c2] = half[c] @ vs[c2]
+    return joint
 
 
 def seqst_joint_state(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> DensityMatrix:
-    """The pre-measurement joint state rho_F on n system qubits plus the ancilla."""
-    return DensityMatrix(_controlled_preparation(rho, basis, a, b))
+    """The pre-measurement joint state rho_F on n system qubits plus the ancilla (the last qubit)."""
+    return DensityMatrix(_controlled_preparation(rho, basis, a, b).reshape(2 * rho.dim, 2 * rho.dim))
 
 
 def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> complex:
@@ -180,9 +186,10 @@ def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> 
     """
     rho_f = _controlled_preparation(rho, basis, a, b)
     fid = basis.fiducial.amplitudes
-    p0 = np.outer(fid, fid.conj())
-    x = np.einsum("ij,ji->", rho_f, np.kron(p0, GATES["x"]))
-    y = np.einsum("ij,ji->", rho_f, np.kron(p0, GATES["y"]))
+    # t[c, c'] = Tr(block(c, c') P_0), so Tr(rho_F P_0 ⊗ s) = sum t[c, c'] s[c', c].
+    t = np.einsum("icjd,ji->cd", rho_f, np.outer(fid, fid.conj()))
+    x = np.sum(t * GATES["x"].T)
+    y = np.sum(t * GATES["y"].T)
     return complex(x.real, y.real)
 
 

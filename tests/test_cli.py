@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from seqtomo import qpt
 from seqtomo.cli import main
 
 
@@ -45,6 +47,14 @@ class TestRun:
         diag = load_json(out)["results"]["diagonal"]
         assert [d["exact"] for d in diag] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
         assert [d["frequency"] for d in diag] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
+
+    def test_dcqd_builds_the_dual_state_once(self, tmp_path, monkeypatch):
+        calls = []
+        choi_state = qpt.choi_state
+        monkeypatch.setattr(qpt, "choi_state", lambda ch: calls.append(ch) or choi_state(ch))
+        args = ["run", "--protocol", "dcqd-diag", "--channel", "depolarizing:p=0.3", "--target", "all-diagonal"]
+        assert run_cli(args, tmp_path / "report.json") == 0
+        assert len(calls) == 1
 
     def test_seqst_qpt_within_planned_precision(self, tmp_path):
         out = tmp_path / "report.json"
@@ -295,6 +305,9 @@ class TestConfigHandling:
             "bit_flip:p=0.1,n=3",
             "bit_flip:p=0.1,q=3",
             "unitary:gate=h,n=3",
+            "identity:n=1.7",
+            "identity:n=true",
+            "identity:n=-1",
         ],
     )
     def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
@@ -329,6 +342,17 @@ class TestConfigHandling:
             text=True,
         )
         assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("spec", ['{"kind": "plus", "n": 40}', '{"kind": "entangled", "n": 6}'])
+    def test_oversized_state_exits_three_without_traceback(self, spec):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", "run", "--protocol", "standard-qst", "--state", spec],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
@@ -465,6 +489,51 @@ class TestDeterminism:
             data.pop("timing_seconds")
             reports.append(json.dumps(data, sort_keys=True))
         assert reports[0] == reports[1]
+
+
+class TestParserReuse:
+    # A sampling run of each selective protocol, an argparse error and a config error.
+    CASES = [
+        ["run", "--protocol", "seqst-qpt", "--channel", "depolarizing:p=0.2", "--a", "1", "--b", "2", "--seed", "3"],
+        [
+            "run",
+            "--protocol",
+            "seqst-state",
+            "--state",
+            '{"kind": "ghz", "n": 2}',
+            "--basis",
+            '{"kind": "pauli", "axis": "Y"}',
+            "--a",
+            "0",
+            "--b",
+            "3",
+            "--seed",
+            "4",
+        ],
+        ["run", "--protocol", "bogus"],
+        ["run", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "9"],
+    ]
+
+    @staticmethod
+    def masked(text):
+        return re.sub(r'"timing_seconds": [^,\n}]+', '"timing_seconds": 0', text)
+
+    def test_repeated_calls_match_fresh_processes(self, capsys):
+        fresh = [
+            subprocess.run([sys.executable, "-m", "seqtomo.cli", *argv], capture_output=True, text=True)
+            for argv in self.CASES
+        ]
+        # Alternate the cases twice through one process and its one parser.
+        for i in [0, 2, 1, 3, 0, 3, 1, 2]:
+            try:
+                code = main(self.CASES[i])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code == fresh[i].returncode
+            assert self.masked(out) == self.masked(fresh[i].stdout)
+            assert err == fresh[i].stderr
+        assert [p.returncode for p in fresh] == [0, 0, 2, 2]
 
 
 class TestZoo:

@@ -8,6 +8,7 @@ from seqtomo import (
     PureState,
     RandomStream,
     chernoff_plan,
+    haar_random_unitary,
     random_density_matrix,
     seqst_exact,
     seqst_joint_state,
@@ -17,6 +18,7 @@ from seqtomo import (
 )
 from seqtomo.errors import IndexOutOfRange
 from seqtomo.estimation import ShotPlan
+from seqtomo.qpt import choi_basis
 
 
 def plus_state_density() -> DensityMatrix:
@@ -40,6 +42,15 @@ class TestPreparationBasis:
         unit_res, gram_res = basis.residuals()
         assert unit_res < 1e-9
         assert gram_res < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_haar_preparator_is_bit_identical_to_permutation_product(self, n):
+        basis = PreparationBasis.random_unitary_columns(n, np.random.default_rng(7))
+        u = haar_random_unitary(2**n, np.random.default_rng(7)).matrix
+        flips = PreparationBasis.computational(n)
+        for a in range(2**n):
+            want = u @ flips.preparator_matrix(a) @ u.conj().T
+            np.testing.assert_array_equal(basis.preparator_matrix(a), want)
 
     def test_computational_elements(self):
         basis = PreparationBasis.computational(2)
@@ -98,6 +109,42 @@ class TestJointState:
                     oracle[2 * s + i, 2 * t + j] = blk[s, t]
         got = seqst_joint_state(rho, basis, a, b).matrix
         np.testing.assert_allclose(got, oracle, atol=1e-12)
+
+
+def kron_circuit(rho: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The literal circuit U (rho ⊗ |+><+|) U† with U = V_b† ⊗ |0><0| + V_a† ⊗ |1><1|, ancilla last."""
+    u = np.kron(vb.conj().T, np.diag([1.0, 0.0])) + np.kron(va.conj().T, np.diag([0.0, 1.0]))
+    return u @ np.kron(rho, np.full((2, 2), 0.5)) @ u.conj().T
+
+
+_CROSS_CHECK_BASES = {
+    "computational": PreparationBasis.computational,
+    "pauliX": lambda n: PreparationBasis.pauli_eigenbasis(n, "X"),
+    "pauliY": lambda n: PreparationBasis.pauli_eigenbasis(n, "Y"),
+    "pauliZ": lambda n: PreparationBasis.pauli_eigenbasis(n, "Z"),
+    "haar": lambda n: PreparationBasis.random_unitary_columns(n, np.random.default_rng(40 + n)),
+    "choi": choi_basis,
+}
+
+
+class TestKronCircuitOracle:
+    """The blockwise joint state against the circuit written out with np.kron."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(_CROSS_CHECK_BASES))
+    def test_joint_state_and_exact_match_kron_circuit(self, kind, n):
+        basis = _CROSS_CHECK_BASES[kind](n)
+        d = basis.dim
+        rng = np.random.default_rng(50 + n)
+        rho = random_density_matrix(d, rng)
+        pairs = [(0, 0), (d - 1, d - 1), (0, d - 1), (d - 1, 1 % d)]
+        pairs += [tuple(int(v) for v in rng.integers(0, d, size=2)) for _ in range(2)]
+        for a, b in pairs:
+            va, vb = basis.preparator_matrix(a), basis.preparator_matrix(b)
+            want = kron_circuit(rho.matrix, va, vb)
+            np.testing.assert_allclose(seqst_joint_state(rho, basis, a, b).matrix, want, rtol=0, atol=1e-13)
+            direct = np.vdot(basis.element(a).amplitudes, rho.matrix @ basis.element(b).amplitudes)
+            assert abs(seqst_exact(rho, basis, a, b) - direct) <= 1e-13
 
 
 class TestExact:
