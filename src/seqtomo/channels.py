@@ -12,16 +12,18 @@ Only trace-preserving, dimension-preserving qubit channels are in scope.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GATES, DensityMatrix, as_matrix, maximally_entangled_state
+from .core import MATRIX_MAX_BYTES, GATES, DensityMatrix, as_matrix, maximally_entangled_state, unitarity_residual
 from .errors import (
     ConfigError,
     DimensionMismatch,
     NotCompletelyPositive,
     ParamOutOfRange,
+    SizeLimitExceeded,
     UnknownChannel,
 )
 from .pauli import PauliLabel, pauli_coefficients, pauli_combination
@@ -31,6 +33,11 @@ from .pauli import PauliLabel, pauli_coefficients, pauli_combination
 # below the lower cutoff is a genuine negativity.
 CHI_EIG_ZERO_LO = -1e-7
 CHI_EIG_ZERO_HI = 1e-9
+
+# Memory budget for a channel's dense Kraus stack, rank * 16 * 4**n bytes,
+# on top of core.MATRIX_MAX_BYTES per operator. Every channel of Kraus rank
+# at most 4**n fits up to n = 6 (depolarizing⊗6 takes 256 MiB).
+KRAUS_MAX_BYTES = 2**30
 
 
 class KrausChannel:
@@ -222,6 +229,17 @@ _ZOO_PARAMS = {"identity": (), "unitary": ("gate", "u"), "depolarizing": ("p",),
 _ZOO_PARAMS.update(dict.fromkeys(_FLIPS, ("p",)))
 
 
+def _check_kraus_size(n: int, rank: int) -> None:
+    """Refuse, before it is allocated, a Kraus stack over the dense budgets."""
+    # Past n = 32 the verdict no longer changes; the cap keeps the integers small.
+    matrix = 16 * 4 ** min(n, 32)
+    if matrix > MATRIX_MAX_BYTES or rank * matrix > KRAUS_MAX_BYTES:
+        raise SizeLimitExceeded(
+            f"{rank} Kraus operator(s) on {n} qubits exceed the dense budgets of "
+            f"{MATRIX_MAX_BYTES} bytes per operator and {KRAUS_MAX_BYTES} bytes in all"
+        )
+
+
 def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
     value = float(value)
     if not 0.0 <= value <= hi:
@@ -237,8 +255,9 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     depolarizing(p), amplitude_damping(gamma). The flip and damping channels
     are single-qubit; build multi-qubit ones with ``tensor_channels``.
     ``n`` defaults to 1, or to the gate's qubit count for unitary. Unknown
-    parameters, n != 1 for a single-qubit family, and an n that differs
-    from the gate's qubit count are refused.
+    parameters, n != 1 for a single-qubit family, an n that differs from
+    the gate's qubit count and a ``u`` that is not unitary to 1e-9 are
+    refused, and a channel over the Kraus budgets raises SizeLimitExceeded.
     """
     if name not in _ZOO_PARAMS:
         raise UnknownChannel(f"unknown channel {name!r}; see zoo_descriptions()")
@@ -250,6 +269,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     eye2 = np.eye(2, dtype=complex)
     if name == "identity":
         n = 1 if n is None else n
+        _check_kraus_size(n, 1)
         return KrausChannel(n, [np.eye(2**n, dtype=complex)])
     if name == "unitary":
         if "u" in params:
@@ -261,11 +281,17 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
             u = _GATES[gate]
         else:
             raise ParamOutOfRange("unitary channel needs a 'gate' name or matrix 'u'")
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
+            raise DimensionMismatch(f"u must be a square matrix of dimension >= 2, got shape {u.shape}")
         nq = int(np.log2(u.shape[0]))
         if 2**nq != u.shape[0]:
             raise DimensionMismatch(f"unitary dimension {u.shape[0]} is not a power of two")
         if n is not None and n != nq:
             raise DimensionMismatch(f"the unitary acts on {nq} qubit(s), got n={n}")
+        _check_kraus_size(nq, 1)
+        residual = unitarity_residual(u)
+        if not residual <= 1e-9:  # written so that a NaN residual fails too
+            raise ParamOutOfRange(f"u is not unitary: max |u†u - I| = {residual:.3e} exceeds 1e-9")
         return KrausChannel(nq, [u])
     if name in _FLIPS:
         p = _check_prob("p", params["p"])
@@ -293,12 +319,17 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     """Sequential composition: apply `first`, then `then` (all pairwise products)."""
     if first.n != then.n:
         raise DimensionMismatch(f"cannot compose channels on {first.n} and {then.n} qubits")
+    _check_kraus_size(first.n, len(first.kraus_ops) * len(then.kraus_ops))
     return KrausChannel(first.n, [b @ a for b in then.kraus_ops for a in first.kraus_ops])
 
 
-def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Per-register tensor product, `a` on the leading qubits."""
-    return KrausChannel(a.n + b.n, [np.kron(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops])
+def tensor_channels(*factors: KrausChannel) -> KrausChannel:
+    """Per-register tensor product, the first factor on the leading qubits."""
+    _check_kraus_size(sum(f.n for f in factors), math.prod(len(f.kraus_ops) for f in factors))
+    out = factors[0]
+    for f in factors[1:]:
+        out = KrausChannel(out.n + f.n, [np.kron(ka, kb) for ka in out.kraus_ops for kb in f.kraus_ops])
+    return out
 
 
 def random_channel(n: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
@@ -381,11 +412,7 @@ def channel_from_json(spec) -> KrausChannel:
         raise UnknownChannel(f"channel spec needs 'name' or 'kraus': {spec!r}")
     params = dict(spec.get("params") or {})
     if name == "tensor":
-        factors = [channel_from_json(f) for f in _nonempty_list(params["factors"], "factors")]
-        out = factors[0]
-        for f in factors[1:]:
-            out = tensor_channels(out, f)
-        return out
+        return tensor_channels(*(channel_from_json(f) for f in _nonempty_list(params["factors"], "factors")))
     if name == "compose":
         return compose_channels(channel_from_json(params["first"]), channel_from_json(params["then"]))
     n = params.pop("n", None)

@@ -37,7 +37,14 @@ from .channels import (
     validate_channel,
     zoo_descriptions,
 )
-from .core import DensityMatrix, PureState, haar_random_state, maximally_entangled_state, random_density_matrix
+from .core import (
+    MATRIX_MAX_BYTES,
+    DensityMatrix,
+    PureState,
+    haar_random_state,
+    maximally_entangled_state,
+    random_density_matrix,
+)
 from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
 from .estimation import RandomStream, chernoff_plan
 from .pauli import PauliLabel
@@ -94,13 +101,9 @@ _STATE_KEYS = dict.fromkeys(("zero", "plus", "ghz", "maximally_mixed", "entangle
 _STATE_KEYS.update(haar=("n", "seed"), random_mixed=("n", "seed"), amplitudes=("values",), matrix=("values",))
 
 
-# Memory budget for the dense D×D complex state a spec builds (16 * 4**n bytes): n <= 10.
-STATE_MAX_BYTES = 2**24
-
-
 def _check_state_size(d: int) -> None:
-    if 16 * d * d > STATE_MAX_BYTES:
-        raise SizeLimitExceeded(f"a dense state of dimension 2^{math.log2(d):g} exceeds {STATE_MAX_BYTES} bytes")
+    if 16 * d * d > MATRIX_MAX_BYTES:
+        raise SizeLimitExceeded(f"a dense state of dimension 2^{math.log2(d):g} exceeds {MATRIX_MAX_BYTES} bytes")
 
 
 def _spec_int(spec: dict, key: str, default: int, lo: int) -> int:
@@ -117,7 +120,7 @@ def build_state(spec: dict) -> DensityMatrix:
     haar(n, seed), random_mixed(n, seed), amplitudes(values),
     matrix(values) — explicit values use [re, im] pairs. n defaults to 1
     and seed to 0; a key the kind does not take is refused, and a state
-    over STATE_MAX_BYTES raises SizeLimitExceeded.
+    over ``core.MATRIX_MAX_BYTES`` raises SizeLimitExceeded.
     """
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _STATE_KEYS:

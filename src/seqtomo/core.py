@@ -20,6 +20,9 @@ from .errors import DimensionMismatch
 ATOL = 1e-10
 # Eigenvalue floor below which a matrix is no longer accepted as a state.
 EIG_FLOOR = -1e-9
+# Memory budget for one dense D×D complex matrix, 16 * 4**n bytes on n
+# qubits: n <= 10. States and Kraus operators are refused above it.
+MATRIX_MAX_BYTES = 2**24
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ direct Kraus-to-chi conversion:
 - dcqd_diagonal: the diagonal chi_kk as outcome probabilities of a
   measurement in the {(P_k ⊗ I)|I>} basis.
 - seqst_qpt_*: the selective circuit from ``seqst`` run on rho_E with that
-  basis, giving any single chi_ab exactly or by shot sampling.
+  basis, giving any single chi_ab exactly or by shot sampling. The exact
+  route runs the circuit gate by gate on the purified dual state
+  sum_k |k> ⊗ (K_k ⊗ I)|I>, never on the D²×D² matrix rho_E.
 - seqpt_*: an ancilla-controlled Pauli pair around the channel with the
   system state averaged over the Haar measure; the averages obey
       avg_x = (D Re(chi_ab) + delta_ab) / (D + 1),
@@ -27,10 +29,13 @@ direct Kraus-to-chi conversion:
 Both selective samplers draw from the readout block of
 ``seqst.ancilla_readout`` built from the Kraus operators: for SEQST-QPT
 g_ij = chi_ij = sum_k c_ki conj(c_kj) with c_km = Tr(P_m K_k)/D, and for
-SEQPT g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The dense
-circuit on rho_E and the closed-form Haar integral stay as the oracles.
+SEQPT g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The
+gate-level circuit on the purified dual state and the closed-form Haar
+integral stay as the oracles. The dense rho_E of ``channels.choi_state``
+now serves only aapt and DCQD.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +45,7 @@ from .channels import ChiMatrix, KrausChannel, choi_state
 from .errors import DimensionMismatch, IndexOutOfRange, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
 from .pauli import PauliLabel, pauli_combination, pauli_matrix
-from .seqst import PreparationBasis, ancilla_readout, sample_readout, seqst_exact
+from .seqst import PreparationBasis, ancilla_readout, sample_readout
 
 # Dense-simulation ceilings: full-matrix protocols hold a 4**n × 4**n chi;
 # selective ones simulate 2n+1 qubits.
@@ -170,10 +175,40 @@ def _readout_block(wa: np.ndarray, wb: np.ndarray) -> tuple:
 
 
 def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
-    """One chi_ab coefficient via the selective circuit on the dual state."""
+    """One chi_ab coefficient via the selective circuit, run gate by gate on the purified dual state.
+
+    The dual state sum_k v_k v_k†, v_k = (K_k ⊗ I)|Phi>, is held as the
+    r pure branches of a (r, 2, 2, ..., 2) tensor: Kraus index, ancilla, 2n
+    qubits. The circuit prepares |Phi> with ``entangled_state_circuit``,
+    applies each K_k to the first register and puts the ancilla in |+>;
+    then P_b acts on ancilla branch 0 and P_a on branch 1, as per-qubit
+    gates (the controlled V† stage, since V_k = (P_k ⊗ I) U_Phi), and the
+    reversed U_Phi gate list, U_Phi†, on both. With A[k, c] the branch
+    amplitudes at |0...0>, t[c, c'] = sum_k A[k, c] conj(A[k, c']) / 2 is
+    the fiducial block of the final state, from which
+    Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) is read as in ``seqst_exact``.
+    A dual state whose trace Tr(sum_k K_k† K_k)/D differs from 1 raises
+    ValueError.
+    """
     _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
-    return seqst_exact(choi_state(ch), choi_basis(ch.n), a, b)
+    n, d = ch.n, ch.dim
+    phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
+    dual = (np.stack(ch.kraus_ops) @ phi).reshape((-1,) + (2,) * (2 * n))
+    trace = np.vdot(dual, dual).real
+    if abs(trace - 1.0) > ATOL:
+        raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
+    branches = []
+    for m in (b, a):
+        paulis = [(p.lower(), (q,)) for q, p in enumerate(str(PauliLabel.from_index(n, m))) if p != "I"]
+        branches.append(_apply_gates(dual, paulis, 1))
+    final = _apply_gates(np.stack(branches, axis=1), _entangling_gates(n)[::-1], 2)
+    amps = final.reshape(final.shape[0], 2, -1)[:, :, 0]
+    # The ancilla's |+> contributes the factor 1/2 of every entry.
+    t = amps.T @ amps.conj() / 2
+    x = np.sum(t * GATES["x"].T)
+    y = np.sum(t * GATES["y"].T)
+    return complex(x.real, y.real)
 
 
 def seqst_qpt_sample(
@@ -308,42 +343,54 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
     return float(avg.real), float(avg.imag)
 
 
-def entangled_state_circuit(n: int) -> tuple:
-    """Prepare the maximally entangled state by an audited gate sequence.
+def _entangling_gates(n: int) -> list:
+    """U_Phi, which maps |0...0> of 2n qubits to the maximally entangled state, as a gate list.
 
-    One Hadamard per first-register qubit and one CNOT per qubit pair, acting
-    on |0...0> of 2n qubits; returns (state, GateCounts). The gate count is
-    linear in n, unlike the 2**n nonzero amplitudes written out directly.
+    One Hadamard per first-register qubit, then CNOT(q, n + q) for each
+    qubit q; entries are (gate name, qubits). Both gates are self-inverse,
+    so the reversed list is U_Phi†.
+    """
+    return [("h", (q,)) for q in range(n)] + [("cnot", (q, n + q)) for q in range(n)]
+
+
+def _apply_gates(state: np.ndarray, gates: list, first: int) -> np.ndarray:
+    """Run a gate list on a (..., 2, ..., 2) tensor whose qubit q is axis first + q."""
+    for name, qubits in gates:
+        axes = [first + q for q in qubits]
+        if name == "cnot":
+            state = _apply_cnot(state, *axes)
+        else:
+            state = _apply_single_qubit_gate(state, GATES[name], axes[0])
+    return state
+
+
+def _apply_single_qubit_gate(state: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
+    pre = math.prod(state.shape[:axis])
+    return (gate @ state.reshape(pre, 2, -1)).reshape(state.shape)
+
+
+def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Flip the target axis of the half where the control axis reads 1."""
+    out = state.copy()
+    ones = (slice(None),) * control + (1,)
+    out[ones] = np.flip(state[ones], axis=target - (target > control))
+    return out
+
+
+def entangled_state_circuit(n: int) -> tuple:
+    """Prepare the maximally entangled state by running the audited gate list.
+
+    Runs the U_Phi list that ``seqst_qpt_exact`` also runs on |0...0> of 2n
+    qubits; returns (state, GateCounts) with the counts taken from that
+    list. The gate count is linear in n, unlike the 2**n nonzero amplitudes
+    written out directly.
     """
     if n < 1:
         raise DimensionMismatch("need at least one qubit")
-    total = 2 * n
-    dim = 2**total
-    state = np.zeros(dim, dtype=complex)
-    state[0] = 1.0
-    singles = 0
-    doubles = 0
-    for q in range(n):
-        state = _apply_single_qubit_gate(state, GATES["h"], q, total)
-        singles += 1
-    for q in range(n):
-        state = _apply_cnot(state, q, n + q, total)
-        doubles += 1
-    return PureState(state), GateCounts(single_qubit=singles, two_qubit=doubles)
+    gates = _entangling_gates(n)
+    state = np.zeros((2,) * (2 * n), dtype=complex)
+    state[(0,) * (2 * n)] = 1.0
+    state = _apply_gates(state, gates, 0)
+    singles = sum(len(qubits) == 1 for _, qubits in gates)
+    return PureState(state.reshape(-1)), GateCounts(single_qubit=singles, two_qubit=len(gates) - singles)
 
-
-def _apply_single_qubit_gate(state: np.ndarray, gate: np.ndarray, qubit: int, total: int) -> np.ndarray:
-    pre = 2**qubit
-    post = 2 ** (total - qubit - 1)
-    t = state.reshape(pre, 2, post)
-    return np.einsum("ab,ibj->iaj", gate, t).reshape(-1)
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int, total: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    cbit = (idx >> (total - 1 - control)) & 1
-    flipped = idx ^ (1 << (total - 1 - target))
-    out = state.copy()
-    mask = cbit == 1
-    out[idx[mask]] = state[flipped[mask]]
-    return out

@@ -28,6 +28,7 @@ from seqtomo.errors import (
     DimensionMismatch,
     NotCompletelyPositive,
     ParamOutOfRange,
+    SizeLimitExceeded,
     UnknownChannel,
 )
 
@@ -253,6 +254,34 @@ class TestZoo:
         ch = tensor_channels(channel_zoo("bit_flip", p=0.2), channel_zoo("identity"))
         assert ch.n == 2
         assert ch.completeness_residual() < 1e-12
+
+    def test_tensor_of_many_factors_matches_pairwise_folds(self):
+        f = [channel_zoo("bit_flip", p=0.2), channel_zoo("depolarizing", p=0.4), channel_zoo("unitary", gate="h")]
+        folded = tensor_channels(tensor_channels(f[0], f[1]), f[2])
+        for got, want in zip(tensor_channels(*f).kraus_ops, folded.kraus_ops, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_identity_size_ceiling(self):
+        assert channel_zoo("identity", n=10).n == 10  # one 16 MiB operator
+        with pytest.raises(SizeLimitExceeded):
+            channel_zoo("identity", n=11)
+
+    def test_tensor_and_compose_refuse_large_stacks_before_building(self):
+        flip = channel_zoo("bit_flip", p=0.1)
+        with pytest.raises(SizeLimitExceeded):
+            tensor_channels(*[flip] * 20)
+        # depolarizing^⊗5 holds 1024 operators of 16 KiB; composed with itself, 16 GiB.
+        depol5 = tensor_channels(*[channel_zoo("depolarizing", p=0.1)] * 5)
+        with pytest.raises(SizeLimitExceeded):
+            compose_channels(depol5, depol5)
+
+    def test_explicit_unitary_is_checked(self):
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        np.testing.assert_array_equal(channel_zoo("unitary", u=h.tolist()).kraus_ops[0], h)
+        with pytest.raises(ParamOutOfRange):
+            channel_zoo("unitary", u=[[1, 0], [0, 2]])
+        with pytest.raises(ParamOutOfRange):
+            channel_zoo("unitary", u=(h * (1 + 1e-8)).tolist())
 
     def test_random_channel_is_valid(self):
         for rank in (1, 2, 4):

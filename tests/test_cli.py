@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from seqtomo import qpt
+from seqtomo import core, qpt
 from seqtomo.cli import main
 
 
@@ -55,6 +55,24 @@ class TestRun:
         args = ["run", "--protocol", "dcqd-diag", "--channel", "depolarizing:p=0.3", "--target", "all-diagonal"]
         assert run_cli(args, tmp_path / "report.json") == 0
         assert len(calls) == 1
+
+    def test_seqst_qpt_runs_without_the_dense_dual_state(self, tmp_path, monkeypatch):
+        def spy(owner, name):
+            calls, original = [], getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+            return calls
+
+        choi_calls, density_inits = spy(qpt, "choi_state"), spy(core.DensityMatrix, "__init__")
+        gate_lists = spy(qpt, "_entangling_gates")
+        spec = json.dumps({"name": "tensor", "params": {"factors": [{"name": "depolarizing", "params": {"p": 0.3}}] * 3}})
+        args = ["run", "--protocol", "seqst-qpt", "--channel", spec, "--a", "27", "--b", "6"]
+        assert run_cli(args, tmp_path / "report.json") == 0
+        assert choi_calls == [] and density_inits == []
+        # The oracle prepares |Phi> and undoes it with the one U_Phi list that
+        # entangled_state_circuit runs and counts.
+        assert gate_lists == [(3,), (3,)]
+        res = load_json(tmp_path / "report.json")["results"]
+        assert res["circuit_exact"] == pytest.approx(res["exact"], abs=1e-13)
 
     def test_seqst_qpt_within_planned_precision(self, tmp_path):
         out = tmp_path / "report.json"
@@ -308,6 +326,8 @@ class TestConfigHandling:
             "identity:n=1.7",
             "identity:n=true",
             "identity:n=-1",
+            '{"name": "unitary", "params": {"u": [[1, 0], [0, 2]]}}',
+            '{"name": "unitary", "params": {"u": []}}',
         ],
     )
     def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
@@ -318,11 +338,37 @@ class TestConfigHandling:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("spec, n", [("unitary:gate=cnot,n=2", 2), ("unitary:gate=h,n=1", 1)])
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            ("unitary:gate=cnot,n=2", 2),
+            ("unitary:gate=h,n=1", 1),
+            (json.dumps({"name": "unitary", "params": {"u": [[0.5**0.5, 0.5**0.5], [0.5**0.5, -(0.5**0.5)]]}}), 1),
+        ],
+    )
     def test_unitary_with_matching_n_runs(self, tmp_path, spec, n):
         out = tmp_path / "report.json"
         assert run_cli(["validate", "--channel", spec], out) == 0
         assert load_json(out)["results"]["n"] == n
+        assert load_json(out)["results"]["all_valid"] is True
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "identity:n=20",
+            json.dumps({"name": "tensor", "params": {"factors": [{"name": "bit_flip", "params": {"p": 0.1}}] * 20}}),
+        ],
+    )
+    def test_oversized_channel_exits_three_without_traceback(self, spec):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", "validate", "--channel", spec],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "spec",

@@ -23,11 +23,14 @@ from seqtomo import (
     seqpt_exact_average,
     seqpt_outcome_distribution,
     seqpt_single_state,
+    seqst_exact,
     seqst_qpt_exact,
     seqst_qpt_sample,
     seqst_sample,
+    tensor_channels,
     zoo_catalog,
 )
+from seqtomo.cli import main
 from seqtomo.errors import IndexOutOfRange, SizeLimitExceeded
 from seqtomo.estimation import ShotPlan
 
@@ -164,6 +167,10 @@ class TestSeqstQpt:
                 channel_zoo("identity", n=4), 0, 0, ShotPlan(0.1, 0.05, 10), RandomStream(0)
             )
 
+    def test_cli_run_at_four_qubits_exits_three(self):
+        args = ["run", "--protocol", "seqst-qpt", "--channel", "identity:n=4", "--a", "0", "--b", "0"]
+        assert main(args) == 3
+
     def test_sample_identity_is_deterministic(self):
         est = seqst_qpt_sample(channel_zoo("identity"), 0, 0, ShotPlan(0.1, 0.05, 64), RandomStream(0))
         assert est.value.real == 1.0
@@ -199,6 +206,47 @@ class TestSeqstQpt:
         assert data["protocol"] == "SEQST-QPT"
         assert data["a"] == "I" and data["b"] == "Z"
         assert data["shots"] == 64 and data["seed"] == 5
+
+
+def oracle_channels(n, rng):
+    """Ginibre channels of rank 1-4, flip and depolarizing products, and a CNOT-based unitary."""
+    flips = ["bit_flip", "phase_flip", "bit_phase_flip"]
+    chans = [random_channel(n, rank, rng) for rank in (1, 2, 3, 4)]
+    chans.append(tensor_channels(*(channel_zoo(flips[q % 3], p=0.1 + 0.2 * q) for q in range(n))))
+    chans.append(tensor_channels(*(channel_zoo("depolarizing", p=0.2 + 0.3 * q) for q in range(n))))
+    if n == 2:
+        chans.append(channel_zoo("unitary", gate="cnot"))
+    if n == 3:
+        chans.append(tensor_channels(channel_zoo("unitary", gate="cnot"), channel_zoo("unitary", gate="h")))
+    return chans
+
+
+class TestGateLevelOracle:
+    """seqst_qpt_exact against the dense dual-state circuit and the Kraus-to-chi conversion."""
+
+    @staticmethod
+    def dense_route(ch, a, b):
+        """The selective circuit on the D²×D² matrix rho_E with the kron(P_k, I) preparators."""
+        return seqst_exact(choi_state(ch), choi_basis(ch.n), a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_route_and_conversion(self, n):
+        rng = np.random.default_rng(80 + n)
+        d2 = 4**n
+        for ch in oracle_channels(n, rng):
+            chi = kraus_to_chi(ch).entries
+            diag = int(rng.integers(d2))
+            pairs = [(0, 0), (diag, diag), (d2 - 1, 1)]
+            pairs += [tuple(int(v) for v in rng.integers(0, d2, size=2)) for _ in range(4)]
+            for a, b in pairs:
+                got = seqst_qpt_exact(ch, a, b)
+                assert abs(got - self.dense_route(ch, a, b)) < 1e-13, (ch, a, b)
+                assert abs(got - chi[a, b]) < 1e-13, (ch, a, b)
+
+    @pytest.mark.parametrize("scale", [0.8, 1.2])
+    def test_refuses_non_trace_preserving_channel(self, scale):
+        with pytest.raises(ValueError):
+            seqst_qpt_exact(KrausChannel(1, [scale * np.eye(2)]), 0, 0)
 
 
 class TestReadoutBlockCrossChecks:
