@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownChannel,
 )
-from .pauli import PauliLabel, pauli_coefficients, pauli_combination
+from .pauli import pauli_coefficients, pauli_combination, pauli_labels
 
 # Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
 # treated as numerical zeros when extracting Kraus operators; anything
@@ -36,7 +36,8 @@ CHI_EIG_ZERO_HI = 1e-9
 
 # Memory budget for a channel's dense Kraus stack, rank * 16 * 4**n bytes,
 # on top of core.MATRIX_MAX_BYTES per operator. Every channel of Kraus rank
-# at most 4**n fits up to n = 6 (depolarizing⊗6 takes 256 MiB).
+# at most 4**n fits up to n = 6 (depolarizing⊗6 takes 256 MiB). The same
+# budget bounds the 16 * 16**n bytes of a chi matrix: n <= 6.
 KRAUS_MAX_BYTES = 2**30
 
 
@@ -154,8 +155,11 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     """Expand each Kraus operator over the Pauli basis and form chi.
 
     K_k = sum_m c_km P_m with c_km = Tr(P_m† K_k) / D, and
-    chi_mn = sum_k c_km conj(c_kn).
+    chi_mn = sum_k c_km conj(c_kn). A chi over the dense budget of
+    ``KRAUS_MAX_BYTES`` (so n >= 7) raises SizeLimitExceeded.
     """
+    if 16 * 16**ch.n > KRAUS_MAX_BYTES:
+        raise SizeLimitExceeded(f"a chi matrix on {ch.n} qubits exceeds the dense budget of {KRAUS_MAX_BYTES} bytes")
     # c[k, m] = Tr(P_m K_k) / D  (Pauli matrices are Hermitian)
     c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
     chi = np.einsum("km,kn->mn", c, c.conj())
@@ -429,7 +433,7 @@ def channel_to_json(ch: KrausChannel) -> dict:
 def chi_csv_rows(chi: ChiMatrix) -> list:
     """Rows (m, n, label_m, label_n, re, im) for every chi entry."""
     d2 = 4**chi.n
-    labels = [str(PauliLabel.from_index(chi.n, i)) for i in range(d2)]
+    labels = pauli_labels(chi.n)
     rows = []
     for m in range(d2):
         for k in range(d2):

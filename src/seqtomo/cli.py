@@ -24,6 +24,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .core import (
 )
 from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
 from .estimation import RandomStream, chernoff_plan
-from .pauli import PauliLabel
+from .pauli import pauli_labels
 from .qpt import (
     aapt_full_chi,
     dcqd_distribution,
@@ -223,7 +226,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         pairs = standard_pauli_qst(rho)
         return {
             "n": int(np.log2(rho.dim)),
-            "expectations": [{"label": str(lbl), "value": val} for lbl, val in pairs],
+            "expectations": [{"label": lbl.letters, "value": val} for lbl, val in pairs],
         }
 
     if cfg.protocol == "seqst-state":
@@ -252,19 +255,21 @@ def execute(cfg: ExperimentConfig) -> dict:
         }
 
     if cfg.protocol == "dcqd-diag":
+        _validate_indices(cfg, 4**ch.n, "the Pauli basis")
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
         oracle = kraus_to_chi(ch)
         probs = dcqd_distribution(ch)
         rows = dcqd_sample_rows(probs, plan, stream, cfg.workers)
         # The distribution the rows are drawn from, with dcqd_diagonal's clamp to [0, 1].
         diagonal = np.minimum(probs, 1.0)
+        labels = pauli_labels(ch.n)
         payload = []
         for k, freq, err in rows:
             exact = float(diagonal[k])
             payload.append(
                 {
                     "k": k,
-                    "label": str(PauliLabel.from_index(ch.n, k)),
+                    "label": labels[k],
                     "exact": exact,
                     "frequency": freq,
                     "stderr": err,
@@ -276,11 +281,7 @@ def execute(cfg: ExperimentConfig) -> dict:
             "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle.entries.diagonal().real))),
             "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
         }
-        if cfg.target == "all-diagonal":
-            result["diagonal"] = payload
-        else:
-            _validate_indices(cfg, 4**ch.n, "the Pauli basis")
-            result["diagonal"] = [payload[cfg.a]]
+        result["diagonal"] = payload if cfg.target == "all-diagonal" else [payload[cfg.a]]
         return result
 
     if cfg.protocol == "seqst-qpt":
@@ -336,9 +337,57 @@ def run_report(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# json's spelling of the scalars of each exact type; floats then respell NaN and ±inf.
+_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+_SCALARS.update(dict.fromkeys((bool, type(None)), {True: "true", False: "false", None: "null"}.__getitem__))
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@functools.lru_cache(maxsize=256)
+def _template(level: int, keys) -> str:
+    """The ``%`` template of a list of ``keys`` items or of a dict with these sorted str keys."""
+    inner = "\n" + "  " * (level + 1)
+    if type(keys) is int:
+        return "[" + inner + ("," + inner).join(["%s"] * keys) + "\n" + "  " * level + "]"
+    items = (encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+
+
+def _json_values(values: list, level: int) -> list:
+    """``json.dumps(v, indent=2, sort_keys=True)`` of each value, nested ``level`` deep.
+
+    Siblings are rendered together: scalars of one exact type in one C-level
+    map; same-length lists flattened, rendered as one batch and regrouped by
+    a ``%`` template; dicts with the same str keys one sorted key column at a
+    time. Anything else goes through json one value at a time; as strings
+    hold no raw newline, json's output is indented by prefixing its newlines.
+    """
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _SCALARS:
+        out = list(map(_SCALARS[kind], values))
+        return list(map(_FLOAT_WORDS.get, out, out)) if kind is float else out
+    if kind is list or kind is tuple:
+        lengths = set(map(len, values))
+        k = lengths.pop() if len(lengths) == 1 else 0
+        if k:
+            flat = _json_values(list(chain.from_iterable(values)), level + 1)
+            return list(map(_template(level, k).__mod__, zip(*[iter(flat)] * k)))
+    if kind is dict:
+        keysets = set(map(frozenset, values))
+        keys = keysets.pop() if len(keysets) == 1 else ()
+        if keys and all(type(key) is str for key in keys):
+            keys = tuple(sorted(keys))
+            columns = [_json_values(list(map(itemgetter(key), values)), level + 1) for key in keys]
+            return list(map(_template(level, keys).__mod__, zip(*columns)))
+    if len(values) > 1:
+        return [_json_values([v], level)[0] for v in values]
+    return [json.dumps(values[0], indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)]
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_values([report], 0)[0] + "\n"
     buf = io.StringIO()
     buf.write(f"# seqtomo {report['version']}\n")
     buf.write(f"# config: {json.dumps(report['config'], sort_keys=True)}\n")

@@ -19,6 +19,7 @@ O(4**n) index tables and the sign matrix are cached, never a dense Pauli.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class PauliLabel:
     letters: str
 
     def __post_init__(self):
-        if not self.letters or any(c not in LETTERS for c in self.letters):
+        if not self.letters or self.letters.strip(LETTERS):
             raise ValueError(f"letters must be a nonempty word over {LETTERS}, got {self.letters!r}")
 
     @property
@@ -65,6 +66,13 @@ class PauliLabel:
 
     def __str__(self):
         return self.letters
+
+
+def pauli_labels(n: int) -> list:
+    """The 4**n label words, in index order."""
+    if n < 1:
+        raise DimensionMismatch(f"need at least one qubit, got n={n}")
+    return list(map("".join, product(LETTERS, repeat=n)))
 
 
 @dataclass(frozen=True)

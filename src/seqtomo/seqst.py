@@ -45,7 +45,7 @@ import numpy as np
 from .core import GATES, DensityMatrix, Operator, PureState, haar_random_unitary, unitarity_residual
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
-from .pauli import PauliLabel, pauli_coefficients
+from .pauli import PauliLabel, pauli_coefficients, pauli_labels
 
 class PreparationBasis:
     """A basis {V_a |psi_0>} of states prepared from a fiducial state.
@@ -263,5 +263,4 @@ def standard_pauli_qst(rho: DensityMatrix) -> list:
     The state is recovered as rho = (1/D) sum_i Tr(rho P_i) P_i.
     """
     values = pauli_coefficients(rho.matrix).real
-    n = rho.dim.bit_length() - 1
-    return [(PauliLabel.from_index(n, m), float(v)) for m, v in enumerate(values)]
+    return list(zip(map(PauliLabel, pauli_labels(rho.dim.bit_length() - 1)), values.tolist()))

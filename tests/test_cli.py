@@ -1,13 +1,18 @@
 import csv
+import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqtomo import core, qpt
-from seqtomo.cli import main
+from seqtomo import cli, core, qpt
+from seqtomo.cli import main, render_report
 
 
 def run_cli(args, out_path=None):
@@ -414,9 +419,92 @@ class TestConfigHandling:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["config"]["workers"] == 100000000
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate", "--channel", "identity:n=7"],
+            ["validate", "--channel", "identity:n=9"],
+            ["run", "--protocol", "dcqd-diag", "--target", "all-diagonal", "--channel", "identity:n=7"],
+        ],
+    )
+    def test_chi_over_the_dense_budget_exits_three_without_traceback(self, args):
+        # a 4 GiB (n = 7) or 1 TiB (n = 9) chi is refused before it is allocated
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", *args], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "chi matrix on" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_dcqd_index_checked_before_the_dual_state(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the index must be checked first")
+
+        monkeypatch.setattr(cli, "kraus_to_chi", refuse)
+        monkeypatch.setattr(cli, "dcqd_distribution", refuse)
+        spec = json.dumps({"name": "tensor", "params": {"factors": [{"name": "depolarizing", "params": {"p": 0.3}}] * 4}})
+        assert main(["run", "--protocol", "dcqd-diag", "--channel", spec, "--a", "100000"]) == 2
+        assert capsys.readouterr().err == "error: index a=100000 outside [0, 256) for the Pauli basis\n"
+
     def test_size_limit_exit_code(self):
         args = ["run", "--protocol", "aapt", "--channel", '{"name": "identity", "params": {"n": 3}}']
         assert main(args) == 3
+
+
+def json_reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# Strings with the characters json escapes or that a % template would read.
+_TEXT = st.text(st.sampled_from('%s"\\/\n\t\x00\x1f\x7fé€😀 aZ')) | st.text(max_size=8)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | _TEXT
+)
+
+
+def _containers(children):
+    same_length = st.integers(0, 3).flatmap(
+        lambda k: st.lists(st.lists(children, min_size=k, max_size=k), max_size=4)
+    )
+    same_keys = st.lists(_TEXT, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({key: children for key in keys}), max_size=4)
+    )
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=5)
+        | same_length
+        | same_keys
+        | st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=6)
+    )
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(_LEAVES, _containers, max_leaves=40))
+    def test_matches_json_dumps(self, value):
+        assert render_report(value, "json") == json_reference(value)
+
+    def test_int_keys_sort_as_json_does(self):
+        value = {"rows": [{2: 0.5, 10: None}, {2: 1.5, 10: True}], "x": {}}
+        assert render_report(value, "json") == json_reference(value)
+
+    @pytest.mark.parametrize(
+        "case", json.loads((Path(__file__).parent / "data" / "reports.json").read_text()), ids=lambda c: c["id"]
+    )
+    def test_golden_reports_match_json_dumps(self, case, monkeypatch):
+        reports = []
+        monkeypatch.setattr(cli, "render_report", lambda r, fmt: reports.append(r) or render_report(r, fmt))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert main(case["argv"]) == 0
+        assert render_report(reports[0], "json") == json_reference(reports[0])
 
 
 class TestSweep:

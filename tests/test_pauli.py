@@ -14,7 +14,8 @@ from seqtomo import (
     random_density_matrix,
     standard_pauli_qst,
 )
-from seqtomo.errors import IndexOutOfRange, LengthMismatch, SeqtomoError
+from seqtomo.errors import DimensionMismatch, IndexOutOfRange, LengthMismatch, SeqtomoError
+from seqtomo.pauli import pauli_labels
 
 
 class TestLabels:
@@ -34,11 +35,19 @@ class TestLabels:
         assert PauliLabel("XI").index == 4
         assert PauliLabel("IX").index == 1
 
-    def test_bad_letters_rejected(self):
+    @pytest.mark.parametrize("letters", ["XQ", "", "IA", "xI", "I\n", " X"])
+    def test_bad_letters_rejected(self, letters):
         with pytest.raises(ValueError):
-            PauliLabel("XQ")
-        with pytest.raises(ValueError):
-            PauliLabel("")
+            PauliLabel(letters)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_label_words_in_index_order(self, n):
+        assert pauli_labels(n) == [str(PauliLabel.from_index(n, m)) for m in range(4**n)]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_label_words_need_a_qubit(self, n):
+        with pytest.raises(DimensionMismatch):
+            pauli_labels(n)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
