@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MATRIX_MAX_BYTES, GATES, DensityMatrix, as_matrix, maximally_entangled_state, unitarity_residual
+from .core import MATRIX_MAX_BYTES, GATES, DensityMatrix, as_matrix, unitarity_residual
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -39,6 +39,10 @@ CHI_EIG_ZERO_HI = 1e-9
 # at most 4**n fits up to n = 6 (depolarizing⊗6 takes 256 MiB). The same
 # budget bounds the 16 * 16**n bytes of a chi matrix: n <= 6.
 KRAUS_MAX_BYTES = 2**30
+
+# Tolerance of the ``validate_channel`` predicates and of the dual-state
+# trace check in ``qpt``, so both call the same channels trace-preserving.
+VALIDITY_ATOL = 1e-9
 
 
 class KrausChannel:
@@ -180,21 +184,7 @@ def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     return KrausChannel(chi.n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
 
 
-def choi_state(ch: KrausChannel) -> DensityMatrix:
-    """The state isomorphic to the channel: (E ⊗ I) applied to the projector
-    onto the maximally entangled state of two n-qubit registers."""
-    d = ch.dim
-    phi = maximally_entangled_state(ch.n).amplitudes
-    proj = np.outer(phi, phi.conj())
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus_ops:
-        big = np.kron(k, eye)
-        out += big @ proj @ big.conj().T
-    return DensityMatrix(out)
-
-
-def validate_channel(chi: ChiMatrix, atol: float = 1e-9) -> ValidityReport:
+def validate_channel(chi: ChiMatrix, atol: float = VALIDITY_ATOL) -> ValidityReport:
     """Report hermiticity, trace preservation and complete positivity.
 
     Positivity is assessed on the Hermitian part (chi + chi†)/2, so a purely

@@ -260,7 +260,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         oracle = kraus_to_chi(ch)
         probs = dcqd_distribution(ch)
         rows = dcqd_sample_rows(probs, plan, stream, cfg.workers)
-        # The distribution the rows are drawn from, with dcqd_diagonal's clamp to [0, 1].
+        # The distribution the rows are drawn from, with dcqd_diagonal's clamp at 1.
         diagonal = np.minimum(probs, 1.0)
         labels = pauli_labels(ch.n)
         payload = []

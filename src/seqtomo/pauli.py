@@ -13,8 +13,9 @@ That fixes the sign convention of the package: Y = iXZ = [[0, -i], [i, 0]].
 Products are an XOR of the masks and a popcount phase. Dense work goes
 through the D×D sign matrix (-1)^{|j∧k|}: ``pauli_matrix`` scatters one
 Pauli, ``pauli_coefficients`` takes every Tr(P_m A) with a gather and one
-product by it, and ``pauli_combination`` builds sum_m v_m P_m. Only the
-O(4**n) index tables and the sign matrix are cached, never a dense Pauli.
+product by it, ``pauli_combination`` builds sum_m v_m P_m, and
+``pauli_masks`` hands out (x, z, phase). Only the O(4**n) index tables and
+the sign matrix are cached, never a dense Pauli.
 """
 
 from dataclasses import dataclass
@@ -114,6 +115,11 @@ def _tables(n: int) -> tuple:
     for t in tables:
         t.setflags(write=False)
     return tables
+
+
+def pauli_masks(n: int) -> tuple:
+    """(x, z, phase) over the 4**n indices: P_m = phase[m] X^x[m] Z^z[m], phase = i^{|x∧z|}."""
+    return _tables(n)[:3]
 
 
 def _qubits(size: int, base: int) -> int:

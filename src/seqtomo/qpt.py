@@ -7,17 +7,20 @@ in the orthonormal basis {(P_k ⊗ I)|I>}:
 
     chi_mn = <r_m| rho_E |r_n>.
 
+No route builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
+purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and the exact routes run gates on it.
+U_Phi† turns the Bell-type measurement in {(P_m ⊗ I)|I>} into a
+computational one with amplitudes A[k, m] = <r_m|(K_k ⊗ I)|I> = Tr(P_m K_k)/D.
+
 Four routes to chi coefficients are implemented, each checkable against the
 direct Kraus-to-chi conversion:
 
-- aapt_full_chi: full state tomography of rho_E, as an exact matrix-element
-  computation (dense, size-limited).
-- dcqd_diagonal: the diagonal chi_kk as outcome probabilities of a
-  measurement in the {(P_k ⊗ I)|I>} basis.
-- seqst_qpt_*: the selective circuit from ``seqst`` run on rho_E with that
-  basis, giving any single chi_ab exactly or by shot sampling. The exact
-  route runs the circuit gate by gate on the purified dual state
-  sum_k |k> ⊗ (K_k ⊗ I)|I>, never on the D²×D² matrix rho_E.
+- aapt_full_chi: full state tomography of rho_E, chi = Aᵀ conj(A) (size-limited).
+- dcqd_diagonal: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
+  probabilities of the Bell-type measurement (DCQD).
+- seqst_qpt_*: the selective circuit from ``seqst`` with that basis, giving
+  any single chi_ab exactly or by shot sampling; the exact route runs it
+  gate by gate on the dual branches.
 - seqpt_*: an ancilla-controlled Pauli pair around the channel with the
   system state averaged over the Haar measure; the averages obey
       avg_x = (D Re(chi_ab) + delta_ab) / (D + 1),
@@ -31,8 +34,7 @@ Both selective samplers draw from the readout block of
 g_ij = chi_ij = sum_k c_ki conj(c_kj) with c_km = Tr(P_m K_k)/D, and for
 SEQPT g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The
 gate-level circuit on the purified dual state and the closed-form Haar
-integral stay as the oracles. The dense rho_E of ``channels.choi_state``
-now serves only aapt and DCQD.
+integral stay as the oracles.
 """
 
 import math
@@ -40,12 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, GATES, PureState, haar_random_state, maximally_entangled_state
-from .channels import ChiMatrix, KrausChannel, choi_state
+from .core import GATES, PureState, haar_random_state
+from .channels import VALIDITY_ATOL, ChiMatrix, KrausChannel
 from .errors import DimensionMismatch, IndexOutOfRange, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
-from .pauli import PauliLabel, pauli_combination, pauli_matrix
-from .seqst import PreparationBasis, ancilla_readout, sample_readout
+from .pauli import PauliLabel, pauli_masks, pauli_matrix
+from .seqst import ancilla_readout, sample_readout
 
 # Dense-simulation ceilings: full-matrix protocols hold a 4**n × 4**n chi;
 # selective ones simulate 2n+1 qubits.
@@ -91,25 +93,6 @@ def _pauli(n: int, m: int) -> np.ndarray:
     return pauli_matrix(PauliLabel.from_index(n, m)).matrix
 
 
-def choi_basis(n: int) -> PreparationBasis:
-    """The preparation basis {(P_k ⊗ I)|I>} on two n-qubit registers."""
-    eye = np.eye(2**n, dtype=complex)
-    fid = maximally_entangled_state(n)
-    return PreparationBasis(2 * n, fid, lambda k: np.kron(_pauli(n, k), eye), name="choi-pauli")
-
-
-def _choi_vectors(n: int) -> np.ndarray:
-    """Row k is (P_k ⊗ I)|I> = vec(P_k)/sqrt(D), the amplitudes of choi_basis(n).element(k)."""
-    return pauli_combination(np.eye(4**n)).reshape(4**n, -1) / np.sqrt(2**n)
-
-
-def choi_basis_state(n: int, k: int) -> PureState:
-    """Element k of the basis: (P_k ⊗ I) applied to the maximally entangled state."""
-    if not 0 <= k < 4**n:
-        raise IndexOutOfRange(f"index {k} outside [0, {4**n})")
-    return choi_basis(n).element(k)
-
-
 def _check_pauli_indices(n: int, *indices) -> None:
     for idx in indices:
         if not 0 <= idx < 4**n:
@@ -121,33 +104,51 @@ def _check_size(ch: KrausChannel, limit: int, what: str) -> None:
         raise SizeLimitExceeded(f"{what} for n={ch.n} exceeds the limit of {limit} qubits")
 
 
-def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
-    """The full process matrix as exact matrix elements of the dual state.
+def _check_dual_trace(ch: KrausChannel) -> None:
+    """ValueError unless the dual state's trace Tr(sum_k K_k† K_k)/D is within VALIDITY_ATOL of 1.
 
-    Builds rho_E once and projects it onto the {(P_k ⊗ I)|I>} basis; agrees
-    with kraus_to_chi entrywise.
+    That deviation is at most ``validate_channel``'s trace-preservation residual.
     """
+    trace = sum(np.vdot(k, k).real for k in ch.kraus_ops) / ch.dim
+    if abs(trace - 1.0) > VALIDITY_ATOL:
+        raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
+
+
+def _dual_branches(ch: KrausChannel) -> np.ndarray:
+    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits."""
+    _check_dual_trace(ch)
+    n, d = ch.n, ch.dim
+    phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
+    return (np.stack(ch.kraus_ops) @ phi).reshape((-1,) + (2,) * (2 * n))
+
+
+def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
+    """A[k, m] = <r_m|(K_k ⊗ I)|Phi> for r_m = (P_m ⊗ I)|Phi>, read after U_Phi†.
+
+    U_Phi† maps r_m to conj(phase_m)|z_m>|x_m>, with (x, z, phase) from ``pauli_masks``.
+    """
+    x, z, phase = pauli_masks(ch.n)
+    bell = _apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
+    return phase * bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
+
+
+def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
+    """The full process matrix chi_mn = <r_m| rho_E |r_n> = sum_k A[k, m] conj(A[k, n]) (``_bell_amplitudes``)."""
     _check_size(ch, AAPT_MAX_QUBITS, "full chi")
-    rho_e = choi_state(ch).matrix
-    vecs = _choi_vectors(ch.n)
-    return ChiMatrix(ch.n, vecs.conj() @ rho_e @ vecs.T)
+    amps = _bell_amplitudes(ch)
+    return ChiMatrix(ch.n, amps.T @ amps.conj())
 
 
 def dcqd_diagonal(ch: KrausChannel, k: int) -> float:
-    """chi_kk as the probability of finding the dual state in (P_k ⊗ I)|I>."""
+    """chi_kk as the probability of finding the dual state in (P_k ⊗ I)|I>, at most 1."""
     _check_pauli_indices(ch.n, k)
-    rho_e = choi_state(ch).matrix
-    r = choi_basis_state(ch.n, k).amplitudes
-    p = float((r.conj() @ rho_e @ r).real)
-    return min(max(p, 0.0), 1.0)
+    return min(float(dcqd_distribution(ch)[k]), 1.0)
 
 
 def dcqd_distribution(ch: KrausChannel) -> np.ndarray:
-    """The exact outcome probabilities chi_kk of the {(P_k ⊗ I)|I>} measurement, negatives clipped to 0."""
-    rho_e = choi_state(ch).matrix
-    vecs = _choi_vectors(ch.n)
-    probs = np.einsum("ki,ij,kj->k", vecs.conj(), rho_e, vecs).real
-    return np.clip(probs, 0.0, None)
+    """The exact outcome probabilities chi_kk = sum_r |A[r, k]|² (never negative) of the Bell-type measurement."""
+    amps = _bell_amplitudes(ch)
+    return np.sum(amps.real**2 + amps.imag**2, axis=0)
 
 
 def dcqd_diagonal_sample(ch: KrausChannel, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
@@ -187,17 +188,12 @@ def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
     amplitudes at |0...0>, t[c, c'] = sum_k A[k, c] conj(A[k, c']) / 2 is
     the fiducial block of the final state, from which
     Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) is read as in ``seqst_exact``.
-    A dual state whose trace Tr(sum_k K_k† K_k)/D differs from 1 raises
-    ValueError.
+    A channel that is not trace-preserving raises ValueError.
     """
     _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
-    n, d = ch.n, ch.dim
-    phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
-    dual = (np.stack(ch.kraus_ops) @ phi).reshape((-1,) + (2,) * (2 * n))
-    trace = np.vdot(dual, dual).real
-    if abs(trace - 1.0) > ATOL:
-        raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
+    n = ch.n
+    dual = _dual_branches(ch)
     branches = []
     for m in (b, a):
         paulis = [(p.lower(), (q,)) for q, p in enumerate(str(PauliLabel.from_index(n, m))) if p != "I"]
@@ -221,13 +217,11 @@ def seqst_qpt_sample(
 ) -> ChiEstimate:
     """Shot-sampled chi_ab, drawn from the block (chi_aa, chi_bb, chi_ab) of the dual-state circuit.
 
-    A channel whose dual state has trace Tr(sum_k K_k† K_k)/D != 1 raises ValueError.
+    A channel that is not trace-preserving raises ValueError (``_check_dual_trace``).
     """
     _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
-    trace = sum(np.vdot(k, k).real for k in ch.kraus_ops) / ch.dim
-    if abs(trace - 1.0) > ATOL:
-        raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
+    _check_dual_trace(ch)
     kraus = np.stack(ch.kraus_ops)
     ca, cb = (np.einsum("ij,kji->k", _pauli(ch.n, m), kraus) / ch.dim for m in (a, b))
     block = _readout_block(ca, cb)
@@ -332,10 +326,8 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
     _check_pauli_indices(ch.n, a, b)
     d = ch.dim
     pa, pb = _pauli(ch.n, a), _pauli(ch.n, b)
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
+    # SWAP[i d + j, j d + i] = 1: the identity with its two row factors exchanged.
+    swap = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
     two_copy = (np.eye(d * d) + swap) / (d * (d + 1))
     avg = 0j
     for k in ch.kraus_ops:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_pauli_basis
+from conftest import choi_state, dense_pauli_basis
 
 from seqtomo import (
     ChiMatrix,
@@ -13,7 +13,6 @@ from seqtomo import (
     channel_zoo,
     chi_csv_rows,
     chi_to_kraus,
-    choi_state,
     compose_channels,
     kraus_to_chi,
     maximally_entangled_state,

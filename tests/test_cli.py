@@ -53,26 +53,30 @@ class TestRun:
         assert [d["exact"] for d in diag] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
         assert [d["frequency"] for d in diag] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
 
-    def test_dcqd_builds_the_dual_state_once(self, tmp_path, monkeypatch):
-        calls = []
-        choi_state = qpt.choi_state
-        monkeypatch.setattr(qpt, "choi_state", lambda ch: calls.append(ch) or choi_state(ch))
-        args = ["run", "--protocol", "dcqd-diag", "--channel", "depolarizing:p=0.3", "--target", "all-diagonal"]
-        assert run_cli(args, tmp_path / "report.json") == 0
-        assert len(calls) == 1
+    @staticmethod
+    def spy(monkeypatch, owner, name):
+        calls, original = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    def test_dcqd_and_aapt_run_without_the_dense_dual_state(self, tmp_path, monkeypatch):
+        density_inits = self.spy(monkeypatch, core.DensityMatrix, "__init__")
+        gate_lists = self.spy(monkeypatch, qpt, "_entangling_gates")
+        spec = json.dumps({"name": "tensor", "params": {"factors": [{"name": "depolarizing", "params": {"p": 0.3}}] * 2}})
+        for protocol, target in (("dcqd-diag", "all-diagonal"), ("aapt", "all")):
+            args = ["run", "--protocol", protocol, "--channel", spec, "--target", target]
+            assert run_cli(args, tmp_path / "report.json") == 0
+        assert density_inits == []
+        # Each run prepares |Phi> and reads the Bell basis with the one U_Phi list.
+        assert gate_lists == [(2,)] * 4
 
     def test_seqst_qpt_runs_without_the_dense_dual_state(self, tmp_path, monkeypatch):
-        def spy(owner, name):
-            calls, original = [], getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
-            return calls
-
-        choi_calls, density_inits = spy(qpt, "choi_state"), spy(core.DensityMatrix, "__init__")
-        gate_lists = spy(qpt, "_entangling_gates")
+        density_inits = self.spy(monkeypatch, core.DensityMatrix, "__init__")
+        gate_lists = self.spy(monkeypatch, qpt, "_entangling_gates")
         spec = json.dumps({"name": "tensor", "params": {"factors": [{"name": "depolarizing", "params": {"p": 0.3}}] * 3}})
         args = ["run", "--protocol", "seqst-qpt", "--channel", spec, "--a", "27", "--b", "6"]
         assert run_cli(args, tmp_path / "report.json") == 0
-        assert choi_calls == [] and density_inits == []
+        assert density_inits == []
         # The oracle prepares |Phi> and undoes it with the one U_Phi list that
         # entangled_state_circuit runs and counts.
         assert gate_lists == [(3,), (3,)]

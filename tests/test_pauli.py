@@ -15,7 +15,7 @@ from seqtomo import (
     standard_pauli_qst,
 )
 from seqtomo.errors import DimensionMismatch, IndexOutOfRange, LengthMismatch, SeqtomoError
-from seqtomo.pauli import pauli_labels
+from seqtomo.pauli import pauli_labels, pauli_masks
 
 
 class TestLabels:
@@ -82,6 +82,16 @@ class TestMatrices:
         basis = dense_pauli_basis(n)
         for i in range(4**n):
             np.testing.assert_array_equal(pauli_matrix(PauliLabel.from_index(n, i)).matrix, basis[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_masks_give_the_kron_of_sigmas(self, n):
+        # P_m = phase[m] X^x Z^z with bit n - 1 - q of each mask on qubit q.
+        x, z, phase = pauli_masks(n)
+        basis = dense_pauli_basis(n)
+        for m in range(4**n):
+            xs = dense_pauli("".join("X" if x[m] >> (n - 1 - q) & 1 else "I" for q in range(n)))
+            zs = dense_pauli("".join("Z" if z[m] >> (n - 1 - q) & 1 else "I" for q in range(n)))
+            np.testing.assert_array_equal(phase[m] * xs @ zs, basis[m])
 
 
 class TestProducts:

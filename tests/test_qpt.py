@@ -1,6 +1,9 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import chi_square_pvalue, dense_pauli_basis
+from conftest import chi_square_pvalue, choi_basis, choi_state, dense_pauli_basis
 
 from seqtomo import (
     ChiEstimate,
@@ -8,12 +11,11 @@ from seqtomo import (
     RandomStream,
     aapt_full_chi,
     chernoff_plan,
-    choi_basis,
-    choi_basis_state,
+    channel_to_json,
     channel_zoo,
-    choi_state,
     dcqd_diagonal,
     dcqd_diagonal_sample,
+    dcqd_distribution,
     entangled_state_circuit,
     haar_random_state,
     kraus_to_chi,
@@ -36,21 +38,14 @@ from seqtomo.estimation import ShotPlan
 
 
 class TestChoiBasis:
+    """The dense test reference: {(P_k ⊗ I)|Phi>} is an orthonormal basis."""
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_gram_matrix_is_identity(self, n):
         cb = choi_basis(n)
         vecs = np.stack([cb.element(k).amplitudes for k in range(4**n)])
         gram = vecs.conj() @ vecs.T
         np.testing.assert_allclose(gram, np.eye(4**n), atol=1e-10)
-
-    def test_element_zero_is_maximally_entangled(self):
-        np.testing.assert_allclose(
-            choi_basis_state(2, 0).amplitudes, maximally_entangled_state(2).amplitudes, atol=1e-12
-        )
-
-    def test_index_validation(self):
-        with pytest.raises(IndexOutOfRange):
-            choi_basis_state(1, 4)
 
 
 class TestAapt:
@@ -249,6 +244,96 @@ class TestGateLevelOracle:
             seqst_qpt_exact(KrausChannel(1, [scale * np.eye(2)]), 0, 0)
 
 
+class TestBellRoute:
+    """aapt and DCQD, read from the purified dual state through U_Phi†, against
+    the dense rho_E projected on the kron(P_k, I) basis and against kraus_to_chi."""
+
+    @staticmethod
+    def dense_chi(ch):
+        """<r_m| rho_E |r_n> with the dense D²×D² rho_E and r_m = kron(P_m, I)|Phi>."""
+        basis = choi_basis(ch.n)
+        vecs = np.stack([basis.element(k).amplitudes for k in range(4**ch.n)])
+        return vecs.conj() @ choi_state(ch).matrix @ vecs.T
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_aapt_matches_dense_route_and_conversion(self, n):
+        for ch in oracle_channels(n, np.random.default_rng(90 + n)):
+            got = aapt_full_chi(ch).entries
+            np.testing.assert_allclose(got, self.dense_chi(ch), rtol=0, atol=1e-13, err_msg=repr(ch))
+            np.testing.assert_allclose(got, kraus_to_chi(ch).entries, rtol=0, atol=1e-13, err_msg=repr(ch))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dcqd_matches_dense_route_and_conversion(self, n):
+        for ch in oracle_channels(n, np.random.default_rng(95 + n)):
+            got = dcqd_distribution(ch)
+            dense = self.dense_chi(ch).diagonal().real
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13, err_msg=repr(ch))
+            np.testing.assert_allclose(got, kraus_to_chi(ch).entries.diagonal().real, rtol=0, atol=1e-13)
+
+    def test_dcqd_at_six_qubits_without_the_dense_dual_state(self):
+        ch = random_channel(6, 2, np.random.default_rng(97))
+        tracemalloc.start()
+        try:
+            probs = dcqd_distribution(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The dense rho_E alone would take 16 * 4**12 bytes = 268 MB.
+        assert peak < 64 * 2**20
+        assert abs(probs.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [0.8, 1.2])
+    def test_refuses_non_trace_preserving_channel(self, scale):
+        ch = KrausChannel(1, [scale * np.eye(2)])
+        with pytest.raises(ValueError):
+            dcqd_distribution(ch)
+        with pytest.raises(ValueError):
+            aapt_full_chi(ch)
+
+
+class TestTraceTolerance:
+    """The dual-state routes accept every channel that ``validate`` calls trace-preserving."""
+
+    @staticmethod
+    def off_by(off):
+        ch = random_channel(2, 2, np.random.default_rng(98))
+        return KrausChannel(2, [np.sqrt(1.0 + off) * k for k in ch.kraus_ops])
+
+    EXTRA_ARGS = {
+        "dcqd-diag": ["--target", "all-diagonal"],
+        "aapt": ["--target", "all"],
+        "seqst-qpt": ["--a", "5", "--b", "9"],
+        "validate": [],
+    }
+
+    def run(self, capsys, protocol, ch):
+        code = main(["run", "--protocol", protocol, "--channel", json.dumps(channel_to_json(ch))] + self.EXTRA_ARGS[protocol])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("protocol", ["dcqd-diag", "aapt", "seqst-qpt", "validate"])
+    def test_half_a_validity_tolerance_off_runs(self, capsys, protocol):
+        code, out, err = self.run(capsys, protocol, self.off_by(5e-10))
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        if protocol == "validate":
+            assert res["all_valid"] is True
+        elif protocol == "seqst-qpt":
+            assert abs(complex(*res["circuit_exact"]) - complex(*res["exact"])) <= 1e-12
+        else:
+            assert max(v for k, v in res.items() if k.startswith("oracle_")) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", ["dcqd-diag", "aapt", "seqst-qpt"])
+    def test_ten_validity_tolerances_off_exits_two(self, capsys, protocol):
+        code, _, err = self.run(capsys, protocol, self.off_by(1e-8))
+        assert code == 2
+        assert "not trace-preserving" in err and "Traceback" not in err
+
+    def test_validate_also_refuses_ten_tolerances_off(self, capsys):
+        code, out, _ = self.run(capsys, "validate", self.off_by(1e-8))
+        assert code == 0 and json.loads(out)["results"]["all_valid"] is False
+
+
 class TestReadoutBlockCrossChecks:
     """The block samplers against dense routes they do not share code with."""
 
@@ -379,6 +464,28 @@ class TestSeqptAverages:
             delta = 1.0 if a == b else 0.0
             assert abs(avg_x - (d * chi[a, b].real + delta) / (d + 1)) < 1e-9
             assert abs(avg_y - d * chi[a, b].imag / (d + 1)) < 1e-9
+
+    @staticmethod
+    def loop_swap_average(ch, a, b):
+        """The closed form with SWAP built entry by entry, the reference for bit-identical results."""
+        d = ch.dim
+        basis = dense_pauli_basis(ch.n)
+        swap = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                swap[i * d + j, j * d + i] = 1.0
+        two_copy = (np.eye(d * d) + swap) / (d * (d + 1))
+        avg = 0j
+        for k in ch.kraus_ops:
+            avg += np.einsum("ij,ji->", np.kron(k @ basis[a], basis[b] @ k.conj().T), two_copy)
+        return float(avg.real), float(avg.imag)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_loop_built_swap_exactly(self, n):
+        rng = np.random.default_rng(47 + n)
+        ch = random_channel(n, 2, rng)
+        for a, b in [(0, 0), (4**n - 1, 1)] + [tuple(int(v) for v in rng.integers(0, 4**n, size=2)) for _ in range(3)]:
+            assert seqpt_exact_average(ch, a, b) == self.loop_swap_average(ch, a, b)
 
     def test_monte_carlo_single_state_average_converges(self):
         # Haar-sample the exact single-state values and compare to the closed form

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import chi_square_pvalue, dense_pauli_basis
+from conftest import chi_square_pvalue, choi_basis, dense_pauli_basis
 
 from seqtomo import (
     DensityMatrix,
@@ -18,7 +18,6 @@ from seqtomo import (
 )
 from seqtomo.errors import IndexOutOfRange
 from seqtomo.estimation import ShotPlan
-from seqtomo.qpt import choi_basis
 
 
 def plus_state_density() -> DensityMatrix:
