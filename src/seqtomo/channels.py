@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MATRIX_MAX_BYTES, GATES, DensityMatrix, as_matrix, unitarity_residual
+from .core import MATRIX_MAX_BYTES, GATES, as_matrix, unitarity_residual
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownChannel,
 )
-from .pauli import pauli_coefficients, pauli_combination, pauli_labels
+from .pauli import pauli_coefficients, pauli_combination
 
 # Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
 # treated as numerical zeros when extracting Kraus operators; anything
@@ -133,28 +133,6 @@ class ValidityReport:
         }
 
 
-def apply_kraus(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """E(rho) = sum_k K_k rho K_k†."""
-    if ch.dim != rho.dim:
-        raise DimensionMismatch(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops)
-    return DensityMatrix(out)
-
-
-def apply_chi(chi: ChiMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Evaluate the double sum sum_mn chi_mn P_m rho P_n† directly from chi."""
-    if chi.dim != rho.dim:
-        raise DimensionMismatch(f"channel dim {chi.dim} != state dim {rho.dim}")
-    return DensityMatrix(_pauli_sandwich(chi.entries, rho.matrix))
-
-
-def _pauli_sandwich(chi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_mn chi_mn P_m x P_n as two Pauli combinations (Paulis are Hermitian)."""
-    left = pauli_combination(chi.T) @ x  # left[n] = (sum_m chi_mn P_m) x
-    # [r, b, b', c] = sum_n left_n[r, b] P_n[b', c]; sum_n left_n P_n is its b = b' trace.
-    return np.einsum("rbbc->rc", pauli_combination(np.moveaxis(left, 0, -1)))
-
-
 def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     """Expand each Kraus operator over the Pauli basis and form chi.
 
@@ -184,7 +162,7 @@ def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     return KrausChannel(chi.n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
 
 
-def validate_channel(chi: ChiMatrix, atol: float = VALIDITY_ATOL) -> ValidityReport:
+def validate_channel(chi: ChiMatrix) -> ValidityReport:
     """Report hermiticity, trace preservation and complete positivity.
 
     Positivity is assessed on the Hermitian part (chi + chi†)/2, so a purely
@@ -192,15 +170,17 @@ def validate_channel(chi: ChiMatrix, atol: float = VALIDITY_ATOL) -> ValidityRep
     """
     m = chi.entries
     herm_res = float(np.max(np.abs(m - m.conj().T)))
-    tp = _pauli_sandwich(m.T, np.eye(chi.dim))  # sum_ab chi_ab P_b† P_a
+    # With L_a = sum_b chi_ab P_b (pauli_combination(m)), the b = b' trace of
+    # [r, b, b', c] = sum_a L_a[r, b] P_a[b', c] is sum_ab chi_ab P_b† P_a.
+    tp = np.einsum("rbbc->rc", pauli_combination(np.moveaxis(pauli_combination(m), 0, -1)))
     tp_res = float(np.max(np.abs(tp - np.eye(chi.dim))))
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
     return ValidityReport(
-        hermitian=herm_res <= atol,
+        hermitian=herm_res <= VALIDITY_ATOL,
         hermitian_residual=herm_res,
-        trace_preserving=tp_res <= atol,
+        trace_preserving=tp_res <= VALIDITY_ATOL,
         tp_residual=tp_res,
-        completely_positive=min_eig >= -atol,
+        completely_positive=min_eig >= -VALIDITY_ATOL,
         min_eigenvalue=min_eig,
     )
 
@@ -235,10 +215,9 @@ def _check_kraus_size(n: int, rank: int) -> None:
 
 
 def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
-    value = float(value)
-    if not 0.0 <= value <= hi:
-        raise ParamOutOfRange(f"{name} must be in [0, {hi}], got {value}")
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= hi:
+        raise ParamOutOfRange(f"{name} must be a number in [0, {hi}], got {value!r}")
+    return float(value)
 
 
 def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
@@ -267,7 +246,10 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
         return KrausChannel(n, [np.eye(2**n, dtype=complex)])
     if name == "unitary":
         if "u" in params:
-            u = np.asarray(params["u"], dtype=complex)
+            try:
+                u = np.asarray(params["u"], dtype=complex)
+            except (TypeError, ValueError):
+                raise ParamOutOfRange(f"u must be a square matrix of numbers, got {params['u']!r}") from None
         elif "gate" in params:
             gate = str(params["gate"]).lower()
             if gate not in _GATES:
@@ -288,11 +270,11 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
             raise ParamOutOfRange(f"u is not unitary: max |u†u - I| = {residual:.3e} exceeds 1e-9")
         return KrausChannel(nq, [u])
     if name in _FLIPS:
-        p = _check_prob("p", params["p"])
+        p = _check_prob("p", params.get("p"))
         return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * _GATES[_FLIPS[name]]])
     if name == "depolarizing":
         # Kraus weights stay nonnegative up to p = 4/3.
-        p = _check_prob("p", params["p"], hi=4.0 / 3.0)
+        p = _check_prob("p", params.get("p"), hi=4.0 / 3.0)
         return KrausChannel(
             1,
             [
@@ -303,7 +285,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
             ],
         )
     if name == "amplitude_damping":
-        g = _check_prob("gamma", params["gamma"])
+        g = _check_prob("gamma", params.get("gamma"))
         k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
         k1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
         return KrausChannel(1, [k0, k1])
@@ -399,12 +381,13 @@ def channel_from_json(spec) -> KrausChannel:
         raise UnknownChannel(f"channel spec must be an object, got {spec!r}")
     if "kraus" in spec:
         ops = [matrix_from_pairs(k) for k in _nonempty_list(spec["kraus"], "kraus")]
-        n = int(np.log2(ops[0].shape[0]))
-        return KrausChannel(n, ops)
-    name = spec.get("name")
-    if name is None:
-        raise UnknownChannel(f"channel spec needs 'name' or 'kraus': {spec!r}")
-    params = dict(spec.get("params") or {})
+        return KrausChannel(len(ops[0]).bit_length() - 1, ops)
+    name, params = spec.get("name"), spec.get("params", {})
+    if not isinstance(name, str):
+        raise UnknownChannel(f"channel spec needs a 'name' string or 'kraus': {spec!r}")
+    if not isinstance(params, dict):
+        raise UnknownChannel(f"channel params must be an object, got {params!r}")
+    params = dict(params)
     if name == "tensor":
         return tensor_channels(*(channel_from_json(f) for f in _nonempty_list(params["factors"], "factors")))
     if name == "compose":
@@ -413,23 +396,6 @@ def channel_from_json(spec) -> KrausChannel:
     if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
         raise UnknownChannel(f"channel n must be an integer >= 1, got {n!r}")
     return channel_zoo(name, n=n, **params)
-
-
-def channel_to_json(ch: KrausChannel) -> dict:
-    """Serialize to the explicit {"kraus": ...} form ([re, im] pair matrices)."""
-    return {"kraus": [_matrix_to_pairs(k) for k in ch.kraus_ops]}
-
-
-def chi_csv_rows(chi: ChiMatrix) -> list:
-    """Rows (m, n, label_m, label_n, re, im) for every chi entry."""
-    d2 = 4**chi.n
-    labels = pauli_labels(chi.n)
-    rows = []
-    for m in range(d2):
-        for k in range(d2):
-            v = chi.entries[m, k]
-            rows.append((m, k, labels[m], labels[k], float(v.real), float(v.imag)))
-    return rows
 
 
 def _nonempty_list(value, key: str) -> list:
@@ -441,10 +407,10 @@ def _nonempty_list(value, key: str) -> list:
 def matrix_from_pairs(rows) -> np.ndarray:
     """A complex matrix from rows of [re, im] number pairs, the form of every explicit matrix in a spec."""
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"explicit matrices must be rows of [re, im] number pairs: {exc}") from None
+    if not np.isfinite(m).all():
+        raise ConfigError("explicit matrices must have finite entries")
+    return m
 
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]

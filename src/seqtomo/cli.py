@@ -23,23 +23,16 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
-from .channels import (
-    ChiMatrix,
-    channel_from_json,
-    chi_csv_rows,
-    kraus_to_chi,
-    matrix_from_pairs,
-    validate_channel,
-    zoo_descriptions,
-)
+from .channels import channel_from_json, kraus_to_chi, matrix_from_pairs, validate_channel, zoo_descriptions
 from .core import (
     MATRIX_MAX_BYTES,
     DensityMatrix,
@@ -84,10 +77,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config of a JSON object whose fields each hold their annotated type (an int is a float)."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for key, value in data.items():
+            allowed = typing.get_args(types[key]) or (types[key],)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                want = getattr(types[key], "__name__", types[key])
+                raise ConfigError(f"config field {key!r} must be {want}, got {value!r}")
         return cls(**data)
 
 
@@ -102,6 +103,7 @@ _STATE_PROTOCOLS = {"seqst-state", "standard-qst"}
 # The keys each state kind takes besides "kind".
 _STATE_KEYS = dict.fromkeys(("zero", "plus", "ghz", "maximally_mixed", "entangled"), ("n",))
 _STATE_KEYS.update(haar=("n", "seed"), random_mixed=("n", "seed"), amplitudes=("values",), matrix=("values",))
+_BASIS_KEYS = {"computational": (), "pauli": ("axis",), "haar": ("seed",)}
 
 
 def _check_state_size(d: int) -> None:
@@ -109,11 +111,22 @@ def _check_state_size(d: int) -> None:
         raise SizeLimitExceeded(f"a dense state of dimension 2^{math.log2(d):g} exceeds {MATRIX_MAX_BYTES} bytes")
 
 
-def _spec_int(spec: dict, key: str, default: int, lo: int) -> int:
+def _spec_int(spec: dict, key: str, default: int, lo: int, what: str) -> int:
     value = spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-        raise ConfigError(f"state {key} must be an integer >= {lo}, got {value!r}")
+        raise ConfigError(f"{what} {key} must be an integer >= {lo}, got {value!r}")
     return value
+
+
+def _spec_kind(spec, allowed: dict, what: str) -> str:
+    """The spec's kind, after refusing a spec that is no object, an unknown kind or a key the kind does not take."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in allowed:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = set(spec) - {"kind", *allowed[kind]}
+    if unknown:
+        raise ConfigError(f"{what} kind {kind!r} takes no key(s) {sorted(unknown)}")
+    return kind
 
 
 def build_state(spec: dict) -> DensityMatrix:
@@ -125,15 +138,10 @@ def build_state(spec: dict) -> DensityMatrix:
     and seed to 0; a key the kind does not take is refused, and a state
     over ``core.MATRIX_MAX_BYTES`` raises SizeLimitExceeded.
     """
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in _STATE_KEYS:
-        raise ConfigError(f"unknown state kind {kind!r}")
-    unknown = set(spec) - {"kind", *_STATE_KEYS[kind]}
-    if unknown:
-        raise ConfigError(f"state kind {kind!r} takes no key(s) {sorted(unknown)}")
+    kind = _spec_kind(spec, _STATE_KEYS, "state")
     if kind == "amplitudes" and isinstance(spec.get("values"), list):
         _check_state_size(len(spec["values"]))
-    n = _spec_int(spec, "n", 1, 1)
+    n = _spec_int(spec, "n", 1, 1, "state")
     _check_state_size(2 ** (2 * n if kind == "entangled" else n))  # entangled(n) spans two registers
     d = 2**n
     if kind == "zero":
@@ -149,10 +157,10 @@ def build_state(spec: dict) -> DensityMatrix:
     if kind == "entangled":
         return maximally_entangled_state(n).density()
     if kind == "haar":
-        gen = RandomStream(_spec_int(spec, "seed", 0, 0), (9001,)).generator()
+        gen = RandomStream(_spec_int(spec, "seed", 0, 0, "state"), (9001,)).generator()
         return haar_random_state(d, gen).density()
     if kind == "random_mixed":
-        gen = RandomStream(_spec_int(spec, "seed", 0, 0), (9002,)).generator()
+        gen = RandomStream(_spec_int(spec, "seed", 0, 0, "state"), (9002,)).generator()
         return random_density_matrix(d, gen)
     if kind == "amplitudes":
         # A vector of pairs is the one row of a matrix of pairs.
@@ -161,17 +169,22 @@ def build_state(spec: dict) -> DensityMatrix:
 
 
 def build_basis(spec: dict | None, n: int) -> PreparationBasis:
-    """Build the preparation basis; defaults to the computational basis."""
-    spec = spec or {"kind": "computational"}
-    kind = spec.get("kind")
+    """Build the preparation basis; defaults to the computational basis.
+
+    Kinds: computational, pauli(axis), haar(seed). axis is a string naming
+    X, Y or Z (default X) and seed an integer >= 0 (default 0); a key the
+    kind does not take is refused.
+    """
+    kind = "computational" if spec is None else _spec_kind(spec, _BASIS_KEYS, "basis")
     if kind == "computational":
         return PreparationBasis.computational(n)
     if kind == "pauli":
-        return PreparationBasis.pauli_eigenbasis(n, spec.get("axis", "X"))
-    if kind == "haar":
-        gen = RandomStream(int(spec.get("seed", 0)), (9003,)).generator()
-        return PreparationBasis.random_unitary_columns(n, gen)
-    raise ConfigError(f"unknown basis kind {kind!r}")
+        axis = spec.get("axis", "X")
+        if not isinstance(axis, str):
+            raise ConfigError(f"basis axis must be a string, got {axis!r}")
+        return PreparationBasis.pauli_eigenbasis(n, axis)
+    gen = RandomStream(_spec_int(spec, "seed", 0, 0, "basis"), (9003,)).generator()
+    return PreparationBasis.random_unitary_columns(n, gen)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -226,7 +239,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         pairs = standard_pauli_qst(rho)
         return {
             "n": int(np.log2(rho.dim)),
-            "expectations": [{"label": lbl.letters, "value": val} for lbl, val in pairs],
+            "expectations": [{"label": word, "value": val} for word, val in pairs],
         }
 
     if cfg.protocol == "seqst-state":
@@ -250,7 +263,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         oracle = kraus_to_chi(ch)
         return {
             "n": ch.n,
-            "chi": [[_pair(v) for v in row] for row in chi.entries],
+            "chi": np.stack((chi.entries.real, chi.entries.imag), axis=-1).tolist(),
             "oracle_max_abs_diff": float(np.max(np.abs(chi.entries - oracle.entries))),
         }
 
@@ -395,9 +408,9 @@ def render_report(report: dict, fmt: str) -> str:
     res = report["results"]
     if "chi" in res:
         w.writerow(["m", "n", "label_m", "label_n", "re", "im"])
-        entries = np.array([[complex(re, im) for re, im in row] for row in res["chi"]])
-        for row in chi_csv_rows(ChiMatrix(res["n"], entries)):
-            w.writerow(row)
+        cells = product(enumerate(pauli_labels(res["n"])), repeat=2)
+        pairs = chain.from_iterable(res["chi"])
+        w.writerows((m, k, lm, lk, re, im) for ((m, lm), (k, lk)), (re, im) in zip(cells, pairs))
     elif "diagonal" in res:
         w.writerow(["k", "label", "exact", "frequency", "stderr"])
         for r in res["diagonal"]:
@@ -480,13 +493,15 @@ def _fmt_complex(z: complex) -> str:
 def run_sweep(cfg_data: dict, axis: str, values: list, out: str | None) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
+    integral = axis.split(".")[-1] in _INT_AXES
+    if integral and not all(v.is_integer() for v in values):
+        raise ConfigError(f"sweep axis {axis!r} takes integer values, got {values}")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["value", "estimate", "exact", "abs_error", "m", "seconds"])
     for value in values:
         data = json.loads(json.dumps(cfg_data))
-        leaf = axis.split(".")[-1]
-        _set_dotted(data, axis, int(value) if leaf in _INT_AXES else value)
+        _set_dotted(data, axis, int(value) if integral else value)
         cfg = ExperimentConfig.from_dict(data)
         start = time.perf_counter()
         results = execute(cfg)
@@ -567,6 +582,8 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config file must hold a JSON object, got {type(data).__name__}")
     overrides = {
         "protocol": args.protocol,
         "a": args.a,

@@ -75,13 +75,13 @@ class Operator:
 class PureState:
     """A normalized state vector of dimension D."""
 
-    def __init__(self, amplitudes, atol: float = ATOL):
+    def __init__(self, amplitudes):
         v = np.array(np.asarray(amplitudes, dtype=complex)).reshape(-1)
         if v.size < 1:
             raise DimensionMismatch("state vector must have dimension >= 1")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > atol:
-            raise ValueError(f"state vector norm {norm} deviates from 1 by more than {atol}")
+        if abs(norm - 1.0) > ATOL:
+            raise ValueError(f"state vector norm {norm} deviates from 1 by more than {ATOL}")
         self._v = _freeze(v)
 
     @property
@@ -103,23 +103,23 @@ class PureState:
 class DensityMatrix:
     """A D×D density matrix: Hermitian, trace one, positive semidefinite.
 
-    Invariants are checked at construction: max |rho - rho†| <= atol,
-    |tr(rho) - 1| <= atol, and all eigenvalues >= eig_floor.
+    Invariants are checked at construction: max |rho - rho†| <= ATOL,
+    |tr(rho) - 1| <= ATOL, and all eigenvalues >= EIG_FLOOR.
     """
 
-    def __init__(self, matrix, atol: float = ATOL, eig_floor: float = EIG_FLOOR):
+    def __init__(self, matrix):
         m = np.array(as_matrix(matrix), dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"density matrix must be square, got shape {m.shape}")
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > atol:
+        if herm > ATOL:
             raise ValueError(f"density matrix is not Hermitian (residual {herm:.3e})")
         tr = m.trace()
-        if abs(tr - 1.0) > atol:
+        if abs(tr - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         lo = float(np.linalg.eigvalsh(m).min())
-        if lo < eig_floor:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} below {eig_floor}")
+        if lo < EIG_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {lo:.3e} below {EIG_FLOOR}")
         self._m = _freeze(m)
 
     @property
@@ -193,9 +193,8 @@ def haar_random_unitary(d: int, rng: np.random.Generator) -> Operator:
     return Operator(q)
 
 
-def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """A random full-rank (by default) density matrix, G G† normalized to unit trace."""
-    k = d if rank is None else rank
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:
+    """A random full-rank density matrix, G G† normalized to unit trace."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())

@@ -13,10 +13,6 @@ class DimensionMismatch(SeqtomoError):
     """Operands have incompatible dimensions."""
 
 
-class LengthMismatch(SeqtomoError):
-    """Pauli labels of different qubit counts were combined."""
-
-
 class NotCompletelyPositive(SeqtomoError):
     """A process matrix has a genuinely negative eigenvalue."""
 

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDistribution, ParamOutOfRange
+from .errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
+
+# numpy draws a multinomial count as a signed 64-bit integer, so a plan's
+# shot count stays below this.
+SHOT_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -35,14 +39,18 @@ class ShotPlan:
 def chernoff_plan(epsilon: float, delta: float) -> ShotPlan:
     """Plan m = ceil(2 ln(2/delta) / epsilon**2) shots per observable.
 
-    Valid for 0 < epsilon <= 2 (outcomes live in [-1, 1]) and 0 < delta < 1.
+    Valid for 0 < epsilon <= 2 (outcomes live in [-1, 1]) and 0 < delta < 1;
+    a plan of 2**63 or more shots raises SizeLimitExceeded.
     """
     if not 0 < epsilon <= 2:
         raise ParamOutOfRange(f"epsilon must be in (0, 2], got {epsilon}")
     if not 0 < delta < 1:
         raise ParamOutOfRange(f"delta must be in (0, 1), got {delta}")
-    m = math.ceil(2.0 * math.log(2.0 / delta) / epsilon**2)
-    return ShotPlan(epsilon=epsilon, delta=delta, m=m)
+    # An epsilon**2 that underflows to 0 asks for unboundedly many shots.
+    m = 2.0 * math.log(2.0 / delta) / max(epsilon**2, math.ulp(0.0))
+    if not m < SHOT_LIMIT:
+        raise SizeLimitExceeded(f"epsilon={epsilon}, delta={delta} need {m:.3g} shots per observable, not below 2**63")
+    return ShotPlan(epsilon=epsilon, delta=delta, m=math.ceil(m))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,11 @@ Aaronson & Gottesman (quant-ph/0406196),
     P_m = i^{|x∧z|} X^x Z^z,   so   P_m|j> = i^{|x∧z|} (-1)^{|z∧j|} |j⊕x>.
 
 That fixes the sign convention of the package: Y = iXZ = [[0, -i], [i, 0]].
-Products are an XOR of the masks and a popcount phase. Dense work goes
-through the D×D sign matrix (-1)^{|j∧k|}: ``pauli_matrix`` scatters one
-Pauli, ``pauli_coefficients`` takes every Tr(P_m A) with a gather and one
-product by it, ``pauli_combination`` builds sum_m v_m P_m, and
-``pauli_masks`` hands out (x, z, phase). Only the O(4**n) index tables and
-the sign matrix are cached, never a dense Pauli.
+Dense work goes through the D×D sign matrix (-1)^{|j∧k|}: ``pauli_matrix``
+scatters one Pauli, ``pauli_coefficients`` takes every Tr(P_m A) with a
+gather and one product by it, ``pauli_combination`` builds sum_m v_m P_m,
+and ``pauli_masks`` hands out (x, z, phase). Only the O(4**n) index tables
+and the sign matrix are cached, never a dense Pauli.
 """
 
 from dataclasses import dataclass
@@ -25,11 +24,9 @@ from itertools import product
 import numpy as np
 
 from .core import Operator
-from .errors import DimensionMismatch, IndexOutOfRange, LengthMismatch
+from .errors import DimensionMismatch, IndexOutOfRange
 
 LETTERS = "IXYZ"
-
-PHASES = (1, -1, 1j, -1j)
 
 
 @dataclass(frozen=True)
@@ -74,18 +71,6 @@ def pauli_labels(n: int) -> list:
     if n < 1:
         raise DimensionMismatch(f"need at least one qubit, got n={n}")
     return list(map("".join, product(LETTERS, repeat=n)))
-
-
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli label together with a unit phase from {+1, -1, +i, -i}."""
-
-    label: PauliLabel
-    phase: complex
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
 
 
 @lru_cache(maxsize=None)
@@ -163,19 +148,3 @@ def pauli_combination(v) -> np.ndarray:
     out = np.empty_like(rows)
     out[..., j[:, None] ^ j, j] = rows
     return out
-
-
-def pauli_product(a: PauliLabel, b: PauliLabel) -> PhasedPauli:
-    """The symbolic product: pauli(a) @ pauli(b) = phase * pauli(result).
-
-    Z^z_a X^x_b = (-1)^{|z_a∧x_b|} X^x_b Z^z_a, so the result's masks are the
-    XOR of the factors' masks and the phase is a popcount.
-    """
-    if a.n != b.n:
-        raise LengthMismatch(f"labels act on {a.n} and {b.n} qubits")
-    x, z, phase, index, _ = _tables(a.n)
-    i, k = a.index, b.index
-    c = index[x[i] ^ x[k], z[i] ^ z[k]]
-    sign = (-1) ** int(z[i] & x[k]).bit_count()
-    phased = sign * phase[i] * phase[k] * phase[c].conjugate()
-    return PhasedPauli(PauliLabel.from_index(a.n, int(c)), complex(phased))

@@ -252,15 +252,6 @@ def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
     return _readout_block(wa, wb)
 
 
-def seqpt_single_state(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
-    """Ancilla X and Y expectations, conditioned on finding the system in psi.
-
-    Returns (x_val, y_val) with x_val + i y_val = <psi|E(P_a |psi><psi| P_b)|psi>.
-    """
-    g_ab = _seqpt_block(ch, a, b, psi)[2]
-    return float(g_ab.real), float(g_ab.imag)
-
-
 def seqpt_outcome_distribution(ch: KrausChannel, a: int, b: int, psi: PureState, axis: str) -> tuple:
     """Three-outcome probabilities (p_plus, p_minus, p_zero) of a single run."""
     return ancilla_readout(_seqpt_block(ch, a, b, psi), axis)

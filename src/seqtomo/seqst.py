@@ -42,10 +42,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GATES, DensityMatrix, Operator, PureState, haar_random_unitary, unitarity_residual
+from .core import GATES, DensityMatrix, PureState, haar_random_unitary, unitarity_residual
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
-from .pauli import PauliLabel, pauli_coefficients, pauli_labels
+from .pauli import pauli_coefficients, pauli_labels
 
 class PreparationBasis:
     """A basis {V_a |psi_0>} of states prepared from a fiducial state.
@@ -75,9 +75,6 @@ class PreparationBasis:
             m.setflags(write=False)
             self._cache[a] = m
         return self._cache[a]
-
-    def preparator(self, a: int) -> Operator:
-        return Operator(self.preparator_matrix(a))
 
     def element(self, a: int) -> PureState:
         """The basis state V_a |psi_0>."""
@@ -258,9 +255,9 @@ def seqst_sample(
 
 
 def standard_pauli_qst(rho: DensityMatrix) -> list:
-    """All Pauli expectations Tr(rho P_i); the conventional tomography data.
+    """All Pauli expectations Tr(rho P_i), as (label word, value) pairs in index order.
 
-    The state is recovered as rho = (1/D) sum_i Tr(rho P_i) P_i.
+    These are the conventional tomography data: rho = (1/D) sum_i Tr(rho P_i) P_i.
     """
     values = pauli_coefficients(rho.matrix).real
-    return list(zip(map(PauliLabel, pauli_labels(rho.dim.bit_length() - 1)), values.tolist()))
+    return list(zip(pauli_labels(rho.dim.bit_length() - 1), values.tolist()))

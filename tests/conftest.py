@@ -25,6 +25,16 @@ def dense_pauli_basis(n: int) -> np.ndarray:
     return np.stack([dense_pauli("".join(w)) for w in product("IXYZ", repeat=n)])
 
 
+def apply_kraus(ch, rho) -> DensityMatrix:
+    """The Kraus-sum reference E(rho) = sum_k K_k rho K_k†."""
+    return DensityMatrix(sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops))
+
+
+def channel_to_json(ch) -> dict:
+    """The explicit {"kraus": ...} channel spec of a channel, entries as [re, im] pairs."""
+    return {"kraus": [[[[float(v.real), float(v.imag)] for v in row] for row in k] for k in ch.kraus_ops]}
+
+
 def choi_state(ch) -> DensityMatrix:
     """The dense D²×D² dual state sum_k (K_k ⊗ I)|Phi><Phi|(K_k ⊗ I)†, two kron products per Kraus operator."""
     d = ch.dim

@@ -1,17 +1,19 @@
+import contextlib
 import csv
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqtomo import cli, core, qpt
+from seqtomo import channel_zoo, cli, core, kraus_to_chi, qpt
 from seqtomo.cli import main, render_report
 
 
@@ -274,6 +276,18 @@ class TestRun:
         assert rows[0] == ["k", "label", "exact", "frequency", "stderr"]
         assert len(rows) == 5
 
+    def test_aapt_csv_lists_every_chi_entry(self, tmp_path):
+        out = tmp_path / "report.csv"
+        args = ["run", "--protocol", "aapt", "--channel", "amplitude_damping:gamma=0.3", "--format", "csv"]
+        assert run_cli(args, out) == 0
+        rows = list(csv.reader(out.read_text().splitlines()[2:]))
+        assert rows[0] == ["m", "n", "label_m", "label_n", "re", "im"]
+        chi = kraus_to_chi(channel_zoo("amplitude_damping", gamma=0.3)).entries
+        cells = [[str(m), str(k), a, b] for m, a in enumerate("IXYZ") for k, b in enumerate("IXYZ")]
+        assert [row[:4] for row in rows[1:]] == cells
+        got = np.array([complex(float(re), float(im)) for *_, re, im in rows[1:]]).reshape(4, 4)
+        np.testing.assert_allclose(got, chi, rtol=0, atol=1e-12)
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -337,6 +351,12 @@ class TestConfigHandling:
             "identity:n=-1",
             '{"name": "unitary", "params": {"u": [[1, 0], [0, 2]]}}',
             '{"name": "unitary", "params": {"u": []}}',
+            '{"name": "unitary", "params": {"u": {}}}',
+            '{"name": "identity", "params": [1]}',
+            "depolarizing:p=null",
+            "depolarizing:p=true",
+            '{"name": ["identity"]}',
+            '{"kraus": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
         ],
     )
     def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
@@ -399,6 +419,62 @@ class TestConfigHandling:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "[1]",
+            '"x"',
+            "{}",
+            '{"kind": "pauli", "axis": 3}',
+            '{"kind": "pauli", "axis": "Q"}',
+            '{"kind": "haar", "seed": 1.7}',
+            '{"kind": "haar", "seed": true}',
+            '{"kind": "haar", "seed": -1}',
+            '{"kind": "computational", "axis": "Q"}',
+            '{"kind": ["pauli"]}',
+        ],
+    )
+    def test_malformed_basis_spec_exits_two_without_traceback(self, capsys, spec):
+        args = ["run", "--protocol", "seqst-state", "--state", '{"kind": "plus"}', "--a", "0", "--b", "1"]
+        assert main(args + ["--basis", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"a": "0"},
+            {"workers": "2"},
+            {"seed": "x"},
+            {"epsilon": "0.1"},
+            {"a": 0.5},
+            {"a": True},
+            {"format": 1},
+            [1, 2],
+            "run",
+        ],
+    )
+    def test_mistyped_config_file_exits_two_without_traceback(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["run", "--protocol", "seqst-qpt", "--channel", "identity", "--b", "0"]
+        assert main(args + ([] if "a" in config else ["--a", "0"]) + ["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_numbers_take_ints_for_floats(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"protocol": "validate", "channel": {"name": "identity"}, "epsilon": 1, "delta": 0}))
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--config", str(path)], out) == 0
+        assert load_json(out)["config"]["epsilon"] == 1
+
+    @pytest.mark.parametrize("epsilon", ["1e-200", "1e-10"])
+    def test_shot_plan_over_one_draw_exits_three(self, capsys, epsilon):
+        args = ["run", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0", "--epsilon", epsilon]
+        assert main(args) == 3
+        assert "2**63" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ['{"kind": "plus", "n": 40}', '{"kind": "entangled", "n": 6}'])
     def test_oversized_state_exits_three_without_traceback(self, spec):
@@ -580,6 +656,13 @@ class TestSweep:
         ]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("axis, values", [("seed", "1e400"), ("a", "0.5,1.7"), ("workers", "nan"), ("b", "1,inf")])
+    def test_integer_axis_refuses_non_integral_values(self, capsys, axis, values):
+        args = ["sweep", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0"]
+        assert main(args + ["--axis", axis, "--values", values]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: sweep axis {axis!r} takes integer values")
+
     def test_bad_axis_is_error(self):
         args = [
             "sweep",
@@ -680,3 +763,114 @@ class TestZoo:
         text = capsys.readouterr().out
         for name in ("identity", "depolarizing", "amplitude_damping", "bit_flip"):
             assert name in text
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    """The README's promises: its library quick start and every CLI example run."""
+
+    @staticmethod
+    def block(section: str, lang: str) -> str:
+        text = README.read_text()
+        return re.search(rf"```{lang}\n(.*?)```", text[text.index(section) :], re.S).group(1)
+
+    def test_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        exec(compile(self.block("## Library quick start", "python"), str(README), "exec"), {})
+        assert capsys.readouterr().out.count("\n") == 3
+
+    def test_cli_examples_exit_zero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        lines = self.block("## CLI", "sh").replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("seqtomo ")]
+        assert len(commands) == 7
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+        assert (tmp_path / "report.json").is_file()
+
+
+# Junk JSON: scalars of every JSON type, non-finite and tiny floats
+# included, nested in short lists and objects.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+SMALL_N = st.integers(-1, 2) | JUNK
+
+
+def _spec(kinds, keys):
+    """A {"kind": ...} spec with real keys and values, one with junk in them, or junk alone."""
+    real = st.fixed_dictionaries({"kind": st.sampled_from(kinds)}, optional=keys)
+    junky = st.fixed_dictionaries(
+        {"kind": st.sampled_from(kinds) | JUNK}, optional={key: value | JUNK for key, value in keys.items()}
+    )
+    return real | junky | JUNK
+
+
+STATE_SPECS = _spec(sorted(cli._STATE_KEYS), {"n": st.integers(1, 2), "seed": st.integers(0, 3), "values": JUNK})
+BASIS_SPECS = _spec(sorted(cli._BASIS_KEYS), {"axis": st.sampled_from("XYZxQ"), "seed": st.integers(0, 3)})
+PARAMS = st.dictionaries(
+    st.sampled_from(["p", "gamma", "gate", "u", "n", "factors", "first", "then"]),
+    st.floats(0, 1) | st.sampled_from(["h", "cnot", "t"]) | SMALL_N,
+    max_size=2,
+)
+ZOO_SPECS = st.sampled_from(["identity", "depolarizing:p=0.2", "amplitude_damping:gamma=0.3", "unitary:gate=cnot"]).map(
+    cli._parse_channel_arg
+)
+CHANNEL_SPECS = st.recursive(
+    ZOO_SPECS
+    | st.fixed_dictionaries(
+        {"name": st.sampled_from(sorted(cli.zoo_descriptions())) | JUNK}, optional={"params": PARAMS | JUNK}
+    )
+    | st.fixed_dictionaries({"kraus": JUNK})
+    | JUNK,
+    lambda inner: st.fixed_dictionaries(
+        {"name": st.just("tensor"), "params": st.fixed_dictionaries({"factors": st.lists(inner, max_size=2)})}
+    ),
+    max_leaves=3,
+)
+# Plausible values for every config field; loop counts (workers, n_states)
+# stay small, as their cost grows with the value by design.
+FIELDS = {
+    "basis": BASIS_SPECS,
+    "a": st.integers(0, 3),
+    "b": st.integers(0, 3),
+    "epsilon": st.floats(0.01, 2) | st.floats(),
+    "delta": st.floats(0.01, 0.99) | st.floats(),
+    "n_states": st.integers(1, 3),
+    "seed": st.integers(0, 2**64 - 1),
+    "workers": st.integers(1, 3),
+    "format": st.sampled_from(["json", "csv"]),
+}
+# A config of plausible fields, often with one field (or an unknown one)
+# replaced by junk. A junk string for `out` is wrapped in a list: as a path,
+# it would write the report wherever it points.
+CONFIGS = st.builds(
+    lambda config, key, junk: config if key is None else {**config, key: [junk] if key == "out" else junk},
+    st.fixed_dictionaries(
+        {"protocol": st.sampled_from(cli.PROTOCOLS), "channel": CHANNEL_SPECS, "state": STATE_SPECS}, optional=FIELDS
+    ),
+    st.sampled_from([None, None, "protocol", "channel", "state", "out", "target", "zzz", *FIELDS]),
+    JUNK,
+)
+
+
+class TestJunkInput:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=CONFIGS, command=st.sampled_from(["run", "validate"]))
+    def test_config_files_end_in_a_documented_exit(self, tmp_path, config, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--config", str(path)]) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(channel=CHANNEL_SPECS, state=STATE_SPECS, basis=BASIS_SPECS, protocol=st.sampled_from(cli.PROTOCOLS))
+    def test_spec_flags_end_in_a_documented_exit(self, channel, state, basis, protocol):
+        argv = ["run", "--protocol", protocol, "--a", "1", "--b", "0", "--n-states", "1"]
+        argv += [f"--channel={json.dumps(channel)}", f"--state={json.dumps(state)}", f"--basis={json.dumps(basis)}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)

@@ -6,15 +6,13 @@ from conftest import dense_pauli, dense_pauli_basis
 
 from seqtomo import (
     PauliLabel,
-    PhasedPauli,
     pauli_coefficients,
     pauli_combination,
     pauli_matrix,
-    pauli_product,
     random_density_matrix,
     standard_pauli_qst,
 )
-from seqtomo.errors import DimensionMismatch, IndexOutOfRange, LengthMismatch, SeqtomoError
+from seqtomo.errors import DimensionMismatch, IndexOutOfRange, SeqtomoError
 from seqtomo.pauli import pauli_labels, pauli_masks
 
 
@@ -53,10 +51,6 @@ class TestLabels:
         with pytest.raises(IndexOutOfRange):
             PauliLabel.from_index(1, 4)
 
-    def test_phase_must_be_unit(self):
-        with pytest.raises(ValueError):
-            PhasedPauli(PauliLabel("X"), 2.0)
-
 
 class TestMatrices:
     def test_single_qubit_convention(self):
@@ -92,40 +86,6 @@ class TestMatrices:
             xs = dense_pauli("".join("X" if x[m] >> (n - 1 - q) & 1 else "I" for q in range(n)))
             zs = dense_pauli("".join("Z" if z[m] >> (n - 1 - q) & 1 else "I" for q in range(n)))
             np.testing.assert_array_equal(phase[m] * xs @ zs, basis[m])
-
-
-class TestProducts:
-    def test_involution(self):
-        out = pauli_product(PauliLabel("X"), PauliLabel("X"))
-        assert out == PhasedPauli(PauliLabel("I"), 1)
-
-    def test_xy_gives_iz(self):
-        out = pauli_product(PauliLabel("X"), PauliLabel("Y"))
-        assert out == PhasedPauli(PauliLabel("Z"), 1j)
-
-    def test_two_qubit_against_dense_oracle(self):
-        # dense 4x4 multiply fixes the expected phase and label
-        a, b = PauliLabel("XY"), PauliLabel("YY")
-        out = pauli_product(a, b)
-        dense = pauli_matrix(a).matrix @ pauli_matrix(b).matrix
-        np.testing.assert_allclose(dense, out.phase * pauli_matrix(out.label).matrix, atol=1e-15)
-        assert out == PhasedPauli(PauliLabel("ZI"), 1j)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_exhaustive_against_dense(self, n):
-        basis = dense_pauli_basis(n)
-        for i in range(4**n):
-            for j in range(4**n):
-                out = pauli_product(PauliLabel.from_index(n, i), PauliLabel.from_index(n, j))
-                np.testing.assert_allclose(
-                    basis[i] @ basis[j], out.phase * basis[out.label.index], atol=1e-14
-                )
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pauli_product(PauliLabel("X"), PauliLabel("XX"))
-
-
 
 
 def random_stack(rng, count, n):
@@ -167,8 +127,8 @@ class TestCoefficients:
         assert len(pairs) == 4**7
         for m in rng.choice(4**7, size=20, replace=False):
             label, value = pairs[m]
-            assert label == PauliLabel.from_index(7, int(m))
-            assert abs(value - np.trace(rho.matrix @ dense_pauli(label.letters)).real) < 1e-12
+            assert label == str(PauliLabel.from_index(7, int(m)))
+            assert abs(value - np.trace(rho.matrix @ dense_pauli(label)).real) < 1e-12
 
 
 class TestCombination:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import chi_square_pvalue, choi_basis, choi_state, dense_pauli_basis
+from conftest import channel_to_json, chi_square_pvalue, choi_basis, choi_state, dense_pauli_basis
 
 from seqtomo import (
     ChiEstimate,
@@ -11,7 +11,6 @@ from seqtomo import (
     RandomStream,
     aapt_full_chi,
     chernoff_plan,
-    channel_to_json,
     channel_zoo,
     dcqd_diagonal,
     dcqd_diagonal_sample,
@@ -24,7 +23,6 @@ from seqtomo import (
     seqpt_estimate,
     seqpt_exact_average,
     seqpt_outcome_distribution,
-    seqpt_single_state,
     seqst_exact,
     seqst_qpt_exact,
     seqst_qpt_sample,
@@ -388,6 +386,13 @@ class TestReadoutBlockCrossChecks:
             seqst_qpt_sample(ch, 0, 0, ShotPlan(0.1, 0.05, 10), RandomStream(0))
 
 
+def seqpt_single_state(ch, a, b, psi) -> tuple:
+    """(x, y) = (p_plus - p_minus) on the X and Y axes: x + iy = <psi|E(P_a |psi><psi| P_b)|psi>."""
+    dx, dy = (seqpt_outcome_distribution(ch, a, b, psi, axis) for axis in "XY")
+    assert abs(sum(dx) - 1.0) < 1e-10 and abs(sum(dy) - 1.0) < 1e-10
+    return dx[0] - dx[1], dy[0] - dy[1]
+
+
 class TestSeqptSingleState:
     def test_identity_channel_trivial_pair(self):
         psi = haar_random_state(2, np.random.default_rng(40))
@@ -419,17 +424,6 @@ class TestSeqptSingleState:
                 m = basis[a] @ np.outer(psi.amplitudes, psi.amplitudes.conj()) @ basis[b]
                 c = psi.amplitudes.conj() @ sum(k @ m @ k.conj().T for k in ch.kraus_ops) @ psi.amplitudes
                 assert abs(complex(x, y) - c) < 1e-10
-
-    def test_outcome_distribution_recovers_expectations(self):
-        rng = np.random.default_rng(43)
-        ch = random_channel(1, 2, rng)
-        psi = haar_random_state(2, rng)
-        x, y = seqpt_single_state(ch, 1, 2, psi)
-        dx = seqpt_outcome_distribution(ch, 1, 2, psi, "X")
-        dy = seqpt_outcome_distribution(ch, 1, 2, psi, "Y")
-        assert abs((dx[0] - dx[1]) - x) < 1e-10
-        assert abs((dy[0] - dy[1]) - y) < 1e-10
-        assert abs(sum(dx) - 1.0) < 1e-10
 
 
 class TestSeqptAverages:

@@ -4,6 +4,7 @@ from conftest import chi_square_pvalue, choi_basis, dense_pauli_basis
 
 from seqtomo import (
     DensityMatrix,
+    PauliLabel,
     PreparationBasis,
     PureState,
     RandomStream,
@@ -61,7 +62,7 @@ class TestPreparationBasis:
     def test_index_out_of_range(self):
         basis = PreparationBasis.computational(1)
         with pytest.raises(IndexOutOfRange):
-            basis.preparator(2)
+            basis.preparator_matrix(2)
         with pytest.raises(IndexOutOfRange):
             seqst_exact(plus_state_density(), basis, 0, 5)
 
@@ -321,5 +322,5 @@ class TestStandardQst:
         rho = random_density_matrix(4, np.random.default_rng(24))
         pairs = standard_pauli_qst(rho)
         basis = dense_pauli_basis(2)
-        recon = sum(v * basis[lbl.index] for lbl, v in pairs) / 4
+        recon = sum(v * basis[PauliLabel(word).index] for word, v in pairs) / 4
         np.testing.assert_allclose(recon, rho.matrix, atol=1e-9)
