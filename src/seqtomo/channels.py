@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownChannel,
 )
-from .pauli import pauli_coefficients, pauli_combination
+from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
 
 # Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
 # treated as numerical zeros when extracting Kraus operators; anything
@@ -37,8 +37,14 @@ CHI_EIG_ZERO_HI = 1e-9
 # Memory budget for a channel's dense Kraus stack, rank * 16 * 4**n bytes,
 # on top of core.MATRIX_MAX_BYTES per operator. Every channel of Kraus rank
 # at most 4**n fits up to n = 6 (depolarizing⊗6 takes 256 MiB). The same
-# budget bounds the 16 * 16**n bytes of a chi matrix: n <= 6.
+# budget bounds the 16 * 16**n bytes of a chi matrix (n <= 6) and the
+# working set of each route that holds a few Kraus stacks at once.
 KRAUS_MAX_BYTES = 2**30
+
+# Peak working set of ``chi_diagonal`` in Kraus stacks, budgeted with one
+# operator more for index arrays: tracemalloc measures 3.0 to 3.5 stacks
+# (n = 6..9, rank 2..16); tests/test_qpt.py checks the bound.
+DIAGONAL_STACKS = 4
 
 # Tolerance of the ``validate_channel`` predicates and of the dual-state
 # trace check in ``qpt``, so both call the same channels trace-preserving.
@@ -148,6 +154,22 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     return ChiMatrix(ch.n, chi)
 
 
+def chi_block(ch: KrausChannel, a: int, b: int) -> tuple:
+    """(chi_aa, chi_bb, chi_ab) from c_km = Tr(P_m K_k) / D, gathered as D entries of each Kraus operator."""
+    ca, cb = (pauli_coefficient(ch.kraus_ops, (a, b)) / ch.dim).T
+    return np.vdot(ca, ca).real, np.vdot(cb, cb).real, np.vdot(cb, ca)
+
+
+def chi_diagonal(ch: KrausChannel) -> np.ndarray:
+    """chi_mm = sum_k |c_km|² over every m, in r * 4**n memory; over its byte estimate, SizeLimitExceeded.
+
+    One ``pauli_coefficients`` call on the Kraus stack: DIAGONAL_STACKS bounds its peak.
+    """
+    check_kraus_bytes(ch.n, DIAGONAL_STACKS * len(ch.kraus_ops) + 1, "the chi diagonal")
+    c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
+    return np.sum(c.real**2 + c.imag**2, axis=0)
+
+
 def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     """Extract Kraus operators from a positive chi matrix by eigendecomposition.
 
@@ -203,13 +225,18 @@ _ZOO_PARAMS = {"identity": (), "unitary": ("gate", "u"), "depolarizing": ("p",),
 _ZOO_PARAMS.update(dict.fromkeys(_FLIPS, ("p",)))
 
 
-def _check_kraus_size(n: int, rank: int) -> None:
-    """Refuse, before it is allocated, a Kraus stack over the dense budgets."""
+def check_kraus_bytes(n: int, operators: int, what: str = "a Kraus stack") -> None:
+    """Refuse, before it is allocated, a working set of ``operators`` dense D×D operators over the dense budgets.
+
+    A channel's Kraus stack, and equally the purified dual state in ``qpt``,
+    is rank such operators of 16 * 4**n bytes; a route that holds s stacks
+    at its peak asks for s * rank + 1, the one for |Phi> and index arrays.
+    """
     # Past n = 32 the verdict no longer changes; the cap keeps the integers small.
     matrix = 16 * 4 ** min(n, 32)
-    if matrix > MATRIX_MAX_BYTES or rank * matrix > KRAUS_MAX_BYTES:
+    if matrix > MATRIX_MAX_BYTES or operators * matrix > KRAUS_MAX_BYTES:
         raise SizeLimitExceeded(
-            f"{rank} Kraus operator(s) on {n} qubits exceed the dense budgets of "
+            f"{what} of {operators} operator(s) on {n} qubits exceeds the dense budgets of "
             f"{MATRIX_MAX_BYTES} bytes per operator and {KRAUS_MAX_BYTES} bytes in all"
         )
 
@@ -242,7 +269,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     eye2 = np.eye(2, dtype=complex)
     if name == "identity":
         n = 1 if n is None else n
-        _check_kraus_size(n, 1)
+        check_kraus_bytes(n, 1)
         return KrausChannel(n, [np.eye(2**n, dtype=complex)])
     if name == "unitary":
         if "u" in params:
@@ -264,7 +291,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
             raise DimensionMismatch(f"unitary dimension {u.shape[0]} is not a power of two")
         if n is not None and n != nq:
             raise DimensionMismatch(f"the unitary acts on {nq} qubit(s), got n={n}")
-        _check_kraus_size(nq, 1)
+        check_kraus_bytes(nq, 1)
         residual = unitarity_residual(u)
         if not residual <= 1e-9:  # written so that a NaN residual fails too
             raise ParamOutOfRange(f"u is not unitary: max |u†u - I| = {residual:.3e} exceeds 1e-9")
@@ -295,16 +322,17 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     """Sequential composition: apply `first`, then `then` (all pairwise products)."""
     if first.n != then.n:
         raise DimensionMismatch(f"cannot compose channels on {first.n} and {then.n} qubits")
-    _check_kraus_size(first.n, len(first.kraus_ops) * len(then.kraus_ops))
-    return KrausChannel(first.n, [b @ a for b in then.kraus_ops for a in first.kraus_ops])
+    check_kraus_bytes(first.n, len(first.kraus_ops) * len(then.kraus_ops))
+    return KrausChannel(first.n, (b @ a for b in then.kraus_ops for a in first.kraus_ops))
 
 
 def tensor_channels(*factors: KrausChannel) -> KrausChannel:
     """Per-register tensor product, the first factor on the leading qubits."""
-    _check_kraus_size(sum(f.n for f in factors), math.prod(len(f.kraus_ops) for f in factors))
+    check_kraus_bytes(sum(f.n for f in factors), math.prod(len(f.kraus_ops) for f in factors))
     out = factors[0]
     for f in factors[1:]:
-        out = KrausChannel(out.n + f.n, [np.kron(ka, kb) for ka in out.kraus_ops for kb in f.kraus_ops])
+        # A generator, so that each product is freed once KrausChannel has copied it.
+        out = KrausChannel(out.n + f.n, (np.kron(ka, kb) for ka in out.kraus_ops for kb in f.kraus_ops))
     return out
 
 
@@ -369,7 +397,7 @@ def zoo_catalog(n: int = 1) -> dict:
 
 
 def channel_from_json(spec) -> KrausChannel:
-    """Build a channel from {"name", "params"} or {"kraus": [...]}.
+    """Build a channel from {"name", "params"} or {"kraus": [...]}, refusing any other key.
 
     Combinators: {"name": "tensor", "params": {"factors": [spec, ...]}} and
     {"name": "compose", "params": {"first": spec, "then": spec}}. Explicit
@@ -379,6 +407,9 @@ def channel_from_json(spec) -> KrausChannel:
         spec = json.loads(spec)
     if not isinstance(spec, dict):
         raise UnknownChannel(f"channel spec must be an object, got {spec!r}")
+    unknown = set(spec) - ({"kraus"} if "kraus" in spec else {"name", "params"})
+    if unknown:
+        raise UnknownChannel(f"channel spec takes no key(s) {sorted(unknown)}")
     if "kraus" in spec:
         ops = [matrix_from_pairs(k) for k in _nonempty_list(spec["kraus"], "kraus")]
         return KrausChannel(len(ops[0]).bit_length() - 1, ops)

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .channels import channel_from_json, kraus_to_chi, matrix_from_pairs, validate_channel, zoo_descriptions
+from .channels import chi_block, chi_diagonal
 from .core import (
     MATRIX_MAX_BYTES,
     DensityMatrix,
@@ -43,7 +44,7 @@ from .core import (
 )
 from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
 from .estimation import RandomStream, chernoff_plan
-from .pauli import pauli_labels
+from .pauli import PauliLabel, pauli_labels
 from .qpt import (
     aapt_full_chi,
     dcqd_distribution,
@@ -55,7 +56,18 @@ from .qpt import (
 )
 from .seqst import PreparationBasis, seqst_exact, seqst_sample, standard_pauli_qst
 
-PROTOCOLS = ("seqst-state", "standard-qst", "aapt", "dcqd-diag", "seqst-qpt", "seqpt", "validate")
+# The spec and index fields each protocol reads. epsilon, delta, seed,
+# workers, out and format are run-wide; target is checked on its own.
+_READS = {
+    "seqst-state": ("state", "basis", "a", "b"),
+    "standard-qst": ("state",),
+    "aapt": ("channel",),
+    "dcqd-diag": ("channel", "a"),
+    "seqst-qpt": ("channel", "a", "b"),
+    "seqpt": ("channel", "a", "b", "n_states"),
+    "validate": ("channel",),
+}
+PROTOCOLS = tuple(_READS)
 
 
 @dataclass
@@ -95,10 +107,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Config resolution
 # ---------------------------------------------------------------------------
-
-_CHANNEL_PROTOCOLS = {"aapt", "dcqd-diag", "seqst-qpt", "seqpt", "validate"}
-_STATE_PROTOCOLS = {"seqst-state", "standard-qst"}
-
 
 # The keys each state kind takes besides "kind".
 _STATE_KEYS = dict.fromkeys(("zero", "plus", "ghz", "maximally_mixed", "entangled"), ("n",))
@@ -220,14 +228,19 @@ def execute(cfg: ExperimentConfig) -> dict:
         _require(cfg.protocol == "aapt", "target=all applies to aapt only")
     elif cfg.target == "all-diagonal":
         _require(cfg.protocol == "dcqd-diag", "target=all-diagonal applies to dcqd-diag only")
+        _require(cfg.a is None, "target=all-diagonal reads no index a")
     else:
         _require(cfg.target is None, f"target must be all, all-diagonal or omitted, got {cfg.target!r}")
+    reads = _READS[cfg.protocol]
+    given = [key for key in ("channel", "state", "basis", "a", "b", "n_states") if getattr(cfg, key) is not None]
+    unread = [key for key in given if key not in reads]
+    _require(not unread, f"protocol {cfg.protocol} reads no {', '.join(unread)}")
     stream = RandomStream(cfg.seed)
 
-    if cfg.protocol in _CHANNEL_PROTOCOLS:
+    if "channel" in reads:
         _require(cfg.channel is not None, f"protocol {cfg.protocol} needs a channel spec")
         ch = channel_from_json(cfg.channel)
-    if cfg.protocol in _STATE_PROTOCOLS:
+    else:
         _require(cfg.state is not None, f"protocol {cfg.protocol} needs a state spec")
         rho = build_state(cfg.state)
 
@@ -270,14 +283,17 @@ def execute(cfg: ExperimentConfig) -> dict:
     if cfg.protocol == "dcqd-diag":
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
-        oracle = kraus_to_chi(ch)
+        # The oracle first: its byte estimate is the larger, so a refusal comes before any work.
+        oracle = chi_diagonal(ch)
         probs = dcqd_distribution(ch)
-        rows = dcqd_sample_rows(probs, plan, stream, cfg.workers)
         # The distribution the rows are drawn from, with dcqd_diagonal's clamp at 1.
         diagonal = np.minimum(probs, 1.0)
-        labels = pauli_labels(ch.n)
+        if cfg.target == "all-diagonal":
+            ks, labels = range(probs.size), pauli_labels(ch.n)
+        else:
+            ks, labels = [cfg.a], {cfg.a: str(PauliLabel.from_index(ch.n, cfg.a))}
         payload = []
-        for k, freq, err in rows:
+        for k, freq, err in dcqd_sample_rows(probs, ks, plan, stream, cfg.workers):
             exact = float(diagonal[k])
             payload.append(
                 {
@@ -289,20 +305,19 @@ def execute(cfg: ExperimentConfig) -> dict:
                     "abs_error": abs(freq - exact),
                 }
             )
-        result = {
+        return {
             "n": ch.n,
-            "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle.entries.diagonal().real))),
+            "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle))),
             "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
+            "diagonal": payload,
         }
-        result["diagonal"] = payload if cfg.target == "all-diagonal" else [payload[cfg.a]]
-        return result
 
     if cfg.protocol == "seqst-qpt":
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
-        est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
-        exact = kraus_to_chi(ch).entries[cfg.a, cfg.b]
         circuit_exact = seqst_qpt_exact(ch, cfg.a, cfg.b)
+        est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
+        exact = chi_block(ch, cfg.a, cfg.b)[2]
         return {
             "n": ch.n,
             "estimate": est.to_json(),
@@ -316,9 +331,9 @@ def execute(cfg: ExperimentConfig) -> dict:
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
         _require(cfg.n_states is not None and cfg.n_states >= 1, "protocol seqpt needs n_states >= 1")
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
-        est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
-        exact = kraus_to_chi(ch).entries[cfg.a, cfg.b]
         avg_x, avg_y = seqpt_exact_average(ch, cfg.a, cfg.b)
+        est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
+        exact = chi_block(ch, cfg.a, cfg.b)[2]
         return {
             "n": ch.n,
             "estimate": est.to_json(),

@@ -26,6 +26,9 @@ from .errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
 # shot count stays below this.
 SHOT_LIMIT = 2**63
 
+# The most chunks, each with its own generator, that one partitioned draw runs.
+CHUNK_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class ShotPlan:
@@ -103,15 +106,19 @@ def sample_categorical_partitioned(probs, m: int, stream: RandomStream, workers:
     Chunk w draws from stream.substream(w); tallies add commutatively, so the
     result is independent of evaluation order and reproducible per
     (seed, path, workers). Chunks w >= m draw nothing and leave their
-    substreams untouched, so only the first min(workers, m) are run.
+    substreams untouched, so only the first min(workers, m) are run; more
+    than CHUNK_LIMIT of them raise SizeLimitExceeded before any draw.
     """
     if workers < 1:
         raise ParamOutOfRange(f"workers must be >= 1, got {workers}")
     if workers == 1 or m <= 0:
         return sample_categorical(probs, m, stream)
+    chunks = min(workers, m)
+    if chunks > CHUNK_LIMIT:
+        raise SizeLimitExceeded(f"{chunks} worker chunks exceed the limit of {CHUNK_LIMIT}")
     base, extra = divmod(m, workers)
     tallies = np.zeros(np.asarray(probs).size, dtype=np.int64)
-    for w in range(min(workers, m)):
+    for w in range(chunks):
         chunk = base + (1 if w < extra else 0)
         tallies += sample_categorical(probs, chunk, stream.substream(w))
     return tallies

@@ -11,10 +11,11 @@ Aaronson & Gottesman (quant-ph/0406196),
 
 That fixes the sign convention of the package: Y = iXZ = [[0, -i], [i, 0]].
 Dense work goes through the D×D sign matrix (-1)^{|j∧k|}: ``pauli_matrix``
-scatters one Pauli, ``pauli_coefficients`` takes every Tr(P_m A) with a
-gather and one product by it, ``pauli_combination`` builds sum_m v_m P_m,
-and ``pauli_masks`` hands out (x, z, phase). Only the O(4**n) index tables
-and the sign matrix are cached, never a dense Pauli.
+scatters one Pauli, ``pauli_coefficient`` takes chosen Tr(P_m A) with a
+gather of D entries each, ``pauli_coefficients`` takes every Tr(P_m A) with
+a gather and one product by it, ``pauli_combination`` builds
+sum_m v_m P_m, and ``pauli_masks`` hands out (x, z, phase). Only the
+O(4**n) index tables and the sign matrix are cached, never a dense Pauli.
 """
 
 from dataclasses import dataclass
@@ -125,6 +126,26 @@ def pauli_matrix(label: PauliLabel) -> Operator:
     return Operator(out)
 
 
+def pauli_coefficient(mats, m) -> np.ndarray:
+    """Tr(P_m A) for each D×D matrix A of ``mats`` and an index m, or an array of them.
+
+    Tr(P_m A) = i^{|x∧z|} sum_j (-1)^{|z∧j|} A[j, j⊕x]: a gather of D entries
+    per matrix and index. ``mats`` is a sequence of matrices or a stack along
+    its first axis, read one matrix at a time and never copied whole; the
+    result is shaped (len(mats), m...). An index outside [0, 4**n) raises
+    IndexOutOfRange.
+    """
+    d = np.shape(mats[0])[-1]
+    x, z, phase, _, sign = _tables(_qubits(d, 2))
+    m = np.asarray(m)
+    if np.any((m < 0) | (m >= x.size)):
+        raise IndexOutOfRange(f"Pauli index {m} outside [0, {x.size})")
+    j = np.arange(d)
+    flat = j * d + (j ^ x[m][..., None])  # A[j, j⊕x] in the flattened A
+    entries = np.array([np.ravel(a)[flat] for a in mats])
+    return phase[m] * np.sum(entries * sign[z[m]], axis=-1)
+
+
 def pauli_coefficients(a) -> np.ndarray:
     """Tr(P_m A) for every index m, over the last two axes of a stack of D×D matrices.
 
@@ -135,7 +156,11 @@ def pauli_coefficients(a) -> np.ndarray:
     x, z, phase, _, sign = _tables(_qubits(a.shape[-1], 2))
     j = np.arange(sign.shape[0])
     shifted = a[..., j, j[:, None] ^ j]  # shifted[..., x, j] = A[j, j⊕x]
-    return phase * (shifted @ sign)[..., x, z]
+    rows = shifted @ sign
+    del shifted
+    out = rows[..., x, z]
+    out *= phase
+    return out
 
 
 def pauli_combination(v) -> np.ndarray:

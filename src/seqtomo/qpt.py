@@ -30,11 +30,18 @@ direct Kraus-to-chi conversion:
   ∫ |psi><psi|⊗|psi><psi| dpsi = (I + SWAP) / (D(D+1)).
 
 Both selective samplers draw from the readout block of
-``seqst.ancilla_readout`` built from the Kraus operators: for SEQST-QPT
-g_ij = chi_ij = sum_k c_ki conj(c_kj) with c_km = Tr(P_m K_k)/D, and for
-SEQPT g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The
-gate-level circuit on the purified dual state and the closed-form Haar
-integral stay as the oracles.
+``seqst.ancilla_readout`` built from the Kraus operators. For SEQST-QPT it
+is ``channels.chi_block``, g_ij = chi_ij = sum_k c_ki conj(c_kj) with
+c_km = Tr(P_m K_k)/D gathered from D entries of each K_k, which also gives
+the CLI's exact chi_ab of SEQST-QPT and SEQPT. For SEQPT
+g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The gate-level
+circuit on the purified dual state and the closed-form Haar integral stay
+as the oracles; the circuit shares nothing with the gather.
+
+The dual-state routes have no qubit ceiling: before allocating, each
+refuses a channel whose working set, CIRCUIT_STACKS or BELL_STACKS dual
+states of rank * 16 * 4**n bytes plus one operator, exceeds
+``channels.KRAUS_MAX_BYTES``.
 """
 
 import math
@@ -43,16 +50,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GATES, PureState, haar_random_state
-from .channels import VALIDITY_ATOL, ChiMatrix, KrausChannel
+from .channels import KRAUS_MAX_BYTES, VALIDITY_ATOL, ChiMatrix, KrausChannel, check_kraus_bytes, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
 from .pauli import PauliLabel, pauli_masks, pauli_matrix
-from .seqst import ancilla_readout, sample_readout
+from .seqst import ancilla_readout, fiducial_readout, sample_readout
 
-# Dense-simulation ceilings: full-matrix protocols hold a 4**n × 4**n chi;
-# selective ones simulate 2n+1 qubits.
+# aapt holds a 4**n × 4**n chi and writes all of it.
 AAPT_MAX_QUBITS = 2
-SELECTIVE_MAX_QUBITS = 3
+
+# Peak working sets, in Kraus stacks (rank * 16 * 4**n bytes, the size of
+# the purified dual state), of the gate-level SEQST-QPT circuit and of the
+# Bell-basis amplitudes of DCQD; each route budgets one operator more for
+# |Phi> and index arrays. tracemalloc measures 5.0 and 2.0 to 2.6 stacks
+# (n = 6..9, rank 1..16); tests/test_qpt.py checks the bounds.
+CIRCUIT_STACKS = 6
+BELL_STACKS = 3
 
 
 @dataclass(frozen=True)
@@ -99,11 +112,6 @@ def _check_pauli_indices(n: int, *indices) -> None:
             raise IndexOutOfRange(f"Pauli index {idx} outside [0, {4**n}) for n={n}")
 
 
-def _check_size(ch: KrausChannel, limit: int, what: str) -> None:
-    if ch.n > limit:
-        raise SizeLimitExceeded(f"{what} for n={ch.n} exceeds the limit of {limit} qubits")
-
-
 def _check_dual_trace(ch: KrausChannel) -> None:
     """ValueError unless the dual state's trace Tr(sum_k K_k† K_k)/D is within VALIDITY_ATOL of 1.
 
@@ -114,8 +122,13 @@ def _check_dual_trace(ch: KrausChannel) -> None:
         raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
 
 
-def _dual_branches(ch: KrausChannel) -> np.ndarray:
-    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits."""
+def _dual_branches(ch: KrausChannel, stacks: int, what: str) -> np.ndarray:
+    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits.
+
+    A route that holds ``stacks`` copies of it at its peak and would exceed
+    ``KRAUS_MAX_BYTES`` raises SizeLimitExceeded first.
+    """
+    check_kraus_bytes(ch.n, stacks * len(ch.kraus_ops) + 1, what)
     _check_dual_trace(ch)
     n, d = ch.n, ch.dim
     phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
@@ -127,14 +140,17 @@ def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
 
     U_Phi† maps r_m to conj(phase_m)|z_m>|x_m>, with (x, z, phase) from ``pauli_masks``.
     """
+    bell = _apply_gates(_dual_branches(ch, BELL_STACKS, "the Bell-basis readout"), _entangling_gates(ch.n)[::-1], 1)
     x, z, phase = pauli_masks(ch.n)
-    bell = _apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
-    return phase * bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
+    amps = bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
+    amps *= phase  # in place: no third copy of the dual state
+    return amps
 
 
 def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
     """The full process matrix chi_mn = <r_m| rho_E |r_n> = sum_k A[k, m] conj(A[k, n]) (``_bell_amplitudes``)."""
-    _check_size(ch, AAPT_MAX_QUBITS, "full chi")
+    if ch.n > AAPT_MAX_QUBITS:
+        raise SizeLimitExceeded(f"full chi for n={ch.n} exceeds the limit of {AAPT_MAX_QUBITS} qubits")
     amps = _bell_amplitudes(ch)
     return ChiMatrix(ch.n, amps.T @ amps.conj())
 
@@ -157,22 +173,15 @@ def dcqd_diagonal_sample(ch: KrausChannel, plan: ShotPlan, stream: RandomStream,
     The exact outcome distribution over all 4**n basis states sums to one
     for a trace-preserving channel; frequencies converge to the chi diagonal.
     """
-    return dcqd_sample_rows(dcqd_distribution(ch), plan, stream, workers)
+    probs = dcqd_distribution(ch)
+    return dcqd_sample_rows(probs, range(probs.size), plan, stream, workers)
 
 
-def dcqd_sample_rows(probs: np.ndarray, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
-    """(k, frequency, stderr) per index from plan.m draws of a ``dcqd_distribution``."""
-    tallies = sample_categorical_partitioned(probs, plan.m, stream, workers)
-    out = []
-    for k, t in enumerate(tallies):
-        f = t / plan.m
-        out.append((k, float(f), float(np.sqrt(f * (1.0 - f) / plan.m))))
-    return out
-
-
-def _readout_block(wa: np.ndarray, wb: np.ndarray) -> tuple:
-    """The block (sum |wa_k|², sum |wb_k|², sum wa_k conj(wb_k)) over Kraus index k."""
-    return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
+def dcqd_sample_rows(probs: np.ndarray, indices, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
+    """(k, frequency, stderr) for each index k in ``indices``, from plan.m draws of a ``dcqd_distribution``."""
+    ks = np.asarray(indices, dtype=int)
+    f = sample_categorical_partitioned(probs, plan.m, stream, workers)[ks] / plan.m
+    return list(zip(ks.tolist(), f.tolist(), np.sqrt(f * (1.0 - f) / plan.m).tolist()))
 
 
 def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
@@ -187,24 +196,26 @@ def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
     reversed U_Phi gate list, U_Phi†, on both. With A[k, c] the branch
     amplitudes at |0...0>, t[c, c'] = sum_k A[k, c] conj(A[k, c']) / 2 is
     the fiducial block of the final state, from which
-    Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) is read as in ``seqst_exact``.
-    A channel that is not trace-preserving raises ValueError.
+    Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) is read by ``fiducial_readout``.
+    A channel that is not trace-preserving raises ValueError, and one whose
+    circuit would exceed ``KRAUS_MAX_BYTES`` raises SizeLimitExceeded.
     """
-    _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
-    n = ch.n
-    dual = _dual_branches(ch)
-    branches = []
-    for m in (b, a):
-        paulis = [(p.lower(), (q,)) for q, p in enumerate(str(PauliLabel.from_index(n, m))) if p != "I"]
-        branches.append(_apply_gates(dual, paulis, 1))
-    final = _apply_gates(np.stack(branches, axis=1), _entangling_gates(n)[::-1], 2)
+    # The controlled stage's output is a temporary, so U_Phi†'s first gate frees it.
+    final = _apply_gates(_controlled_paulis(ch, a, b), _entangling_gates(ch.n)[::-1], 2)
     amps = final.reshape(final.shape[0], 2, -1)[:, :, 0]
     # The ancilla's |+> contributes the factor 1/2 of every entry.
-    t = amps.T @ amps.conj() / 2
-    x = np.sum(t * GATES["x"].T)
-    y = np.sum(t * GATES["y"].T)
-    return complex(x.real, y.real)
+    return fiducial_readout(amps.T @ amps.conj() / 2)
+
+
+def _controlled_paulis(ch: KrausChannel, a: int, b: int) -> np.ndarray:
+    """The dual state after the controlled stage, P_b on ancilla branch 0 and P_a on 1: (r, 2, 2, ..., 2)."""
+    dual = _dual_branches(ch, CIRCUIT_STACKS, "the SEQST-QPT circuit")
+    branches = []
+    for m in (b, a):
+        paulis = [(p.lower(), (q,)) for q, p in enumerate(str(PauliLabel.from_index(ch.n, m))) if p != "I"]
+        branches.append(_apply_gates(dual, paulis, 1))
+    return np.stack(branches, axis=1)
 
 
 def seqst_qpt_sample(
@@ -217,14 +228,12 @@ def seqst_qpt_sample(
 ) -> ChiEstimate:
     """Shot-sampled chi_ab, drawn from the block (chi_aa, chi_bb, chi_ab) of the dual-state circuit.
 
+    The block is ``channels.chi_block``: r gathers of D entries, whatever n.
     A channel that is not trace-preserving raises ValueError (``_check_dual_trace``).
     """
-    _check_size(ch, SELECTIVE_MAX_QUBITS, "selective tomography")
     _check_pauli_indices(ch.n, a, b)
     _check_dual_trace(ch)
-    kraus = np.stack(ch.kraus_ops)
-    ca, cb = (np.einsum("ij,kji->k", _pauli(ch.n, m), kraus) / ch.dim for m in (a, b))
-    block = _readout_block(ca, cb)
+    block = chi_block(ch, a, b)
     _, re, se_re = sample_readout(block, "X", plan.m, stream.substream(0), workers)
     _, im, se_im = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
     return ChiEstimate(
@@ -249,7 +258,7 @@ def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
     kraus = np.stack(ch.kraus_ops)
     # w[k] = <psi|K_k P_m|psi> for m = a, b.
     wa, wb = ((kraus @ (_pauli(ch.n, m) @ v)) @ v.conj() for m in (a, b))
-    return _readout_block(wa, wb)
+    return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
 
 
 def seqpt_outcome_distribution(ch: KrausChannel, a: int, b: int, psi: PureState, axis: str) -> tuple:
@@ -312,9 +321,12 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
 
     Evaluated in closed form: the average of <psi|A|psi><psi|B|psi> equals
     Tr((A ⊗ B)(I + SWAP)) / (D(D+1)), applied to A = K_k P_a, B = P_b K_k†
-    and summed over the Kraus operators.
+    and summed over the Kraus operators. A D²×D² operator of 16 * 16**n
+    bytes over ``KRAUS_MAX_BYTES`` (n >= 7) raises SizeLimitExceeded.
     """
     _check_pauli_indices(ch.n, a, b)
+    if 16 * 16**ch.n > KRAUS_MAX_BYTES:
+        raise SizeLimitExceeded(f"the two-copy operator on {ch.n} qubits exceeds the budget of {KRAUS_MAX_BYTES} bytes")
     d = ch.dim
     pa, pb = _pauli(ch.n, a), _pauli(ch.n, b)
     # SWAP[i d + j, j d + i] = 1: the identity with its two row factors exchanged.

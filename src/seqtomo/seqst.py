@@ -183,8 +183,14 @@ def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> 
     """
     rho_f = _controlled_preparation(rho, basis, a, b)
     fid = basis.fiducial.amplitudes
-    # t[c, c'] = Tr(block(c, c') P_0), so Tr(rho_F P_0 ⊗ s) = sum t[c, c'] s[c', c].
-    t = np.einsum("icjd,ji->cd", rho_f, np.outer(fid, fid.conj()))
+    return fiducial_readout(np.einsum("icjd,ji->cd", rho_f, np.outer(fid, fid.conj())))
+
+
+def fiducial_readout(t: np.ndarray) -> complex:
+    """Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) from the ancilla block t[c, c'] = Tr(block(c, c') P_0).
+
+    Tr(rho_F P_0 ⊗ s) = sum t[c, c'] s[c', c] for each ancilla Pauli s.
+    """
     x = np.sum(t * GATES["x"].T)
     y = np.sum(t * GATES["y"].T)
     return complex(x.real, y.real)

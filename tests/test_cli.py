@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqtomo import channel_zoo, cli, core, kraus_to_chi, qpt
+from seqtomo import channel_zoo, channels, cli, core, kraus_to_chi, qpt
 from seqtomo.cli import main, render_report
 
 
@@ -357,6 +357,9 @@ class TestConfigHandling:
             "depolarizing:p=true",
             '{"name": ["identity"]}',
             '{"kraus": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+            '{"name": "identity", "foo": 1}',
+            '{"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "params": {}}',
+            '{"params": {}}',
         ],
     )
     def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
@@ -453,6 +456,11 @@ class TestConfigHandling:
             {"format": 1},
             [1, 2],
             "run",
+            # values seqst-qpt never reads
+            {"state": {"kind": "plus"}},
+            {"basis": {"kind": "computational"}},
+            {"n_states": 3},
+            {"target": "all-diagonal"},
         ],
     )
     def test_mistyped_config_file_exits_two_without_traceback(self, tmp_path, capsys, config):
@@ -469,6 +477,29 @@ class TestConfigHandling:
         out = tmp_path / "report.json"
         assert run_cli(["run", "--config", str(path)], out) == 0
         assert load_json(out)["config"]["epsilon"] == 1
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            ("run --protocol standard-qst --state {PLUS} --epsilon 5 --channel warp", 2),
+            ('validate --channel {"name":"identity","foo":1} --state {PLUS} --a 3', 2),
+            ('validate --channel {"name":"identity","foo":1}', 2),
+            ("run --protocol aapt --channel identity --b 7 --n-states 3", 2),
+            ('run --protocol aapt --channel identity --basis {"kind":"computational"}', 2),
+            ("run --protocol seqst-state --state {PLUS} --a 0 --b 1 --n-states 1", 2),
+            ("run --protocol dcqd-diag --channel identity --target all-diagonal --a 1", 2),
+            ("run --protocol seqst-qpt --channel identity --a 0 --b 0 --epsilon 0.01 --workers 1000000", 3),
+        ],
+    )
+    def test_unread_values_and_chunk_counts_end_in_their_exit(self, args, code):
+        # a value the protocol never reads is an invalid config; over CHUNK_LIMIT worker chunks, a refusal
+        argv = args.replace("{PLUS}", '{"kind":"plus"}').split()
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", *argv], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-10"])
     def test_shot_plan_over_one_draw_exits_three(self, capsys, epsilon):
@@ -504,7 +535,6 @@ class TestConfigHandling:
         [
             ["validate", "--channel", "identity:n=7"],
             ["validate", "--channel", "identity:n=9"],
-            ["run", "--protocol", "dcqd-diag", "--target", "all-diagonal", "--channel", "identity:n=7"],
         ],
     )
     def test_chi_over_the_dense_budget_exits_three_without_traceback(self, args):
@@ -516,6 +546,39 @@ class TestConfigHandling:
         assert "Traceback" not in proc.stderr
         assert "chi matrix on" in proc.stderr
         assert proc.stdout == ""
+
+    def test_dual_state_over_the_byte_bound_exits_three_without_traceback(self):
+        # depolarizing(0.3)⊗3 ⊗ identity(7): a 1 GiB Kraus stack of rank 64 on 10 qubits,
+        # which the channel budget admits and the DCQD oracle, at four such stacks, refuses
+        factors = [{"name": "depolarizing", "params": {"p": 0.3}}] * 3 + [{"name": "identity", "params": {"n": 7}}]
+        spec = json.dumps({"name": "tensor", "params": {"factors": factors}})
+        args = ["run", "--protocol", "dcqd-diag", "--target", "all-diagonal", "--channel", spec]
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", *args], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert f"the chi diagonal of {channels.DIAGONAL_STACKS * 64 + 1} operator(s) on 10 qubits" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--protocol", "seqst-qpt", "--a", "5", "--b", "7"],
+            ["--protocol", "seqpt", "--a", "5", "--b", "7", "--n-states", "2"],
+            ["--protocol", "dcqd-diag", "--a", "5"],
+            ["--protocol", "dcqd-diag", "--target", "all-diagonal"],
+        ],
+    )
+    def test_single_entry_protocols_build_no_chi(self, monkeypatch, capsys, args):
+        def refuse(*args):
+            raise AssertionError("a single-entry protocol built a whole chi")
+
+        monkeypatch.setattr(cli, "kraus_to_chi", refuse)
+        monkeypatch.setattr(channels, "kraus_to_chi", refuse)
+        factors = [{"name": "depolarizing", "params": {"p": 0.2}}, {"name": "bit_flip", "params": {"p": 0.3}}]
+        assert main(["run", "--channel", json.dumps({"name": "tensor", "params": {"factors": factors}}), *args]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_dcqd_index_checked_before_the_dual_state(self, monkeypatch, capsys):
         def refuse(*args):
@@ -845,14 +908,25 @@ FIELDS = {
     "workers": st.integers(1, 3),
     "format": st.sampled_from(["json", "csv"]),
 }
-# A config of plausible fields, often with one field (or an unknown one)
-# replaced by junk. A junk string for `out` is wrapped in a list: as a path,
-# it would write the report wherever it points.
+# The spec and index fields, which a protocol refuses unless it reads them.
+PROTOCOL_FIELDS = ("channel", "state", "basis", "a", "b", "n_states")
+
+
+def _read_fields(config: dict) -> dict:
+    """The config without the spec and index fields its protocol does not read, so its specs get parsed."""
+    reads = cli._READS.get(config["protocol"], ())
+    return {key: value for key, value in config.items() if key in reads or key not in PROTOCOL_FIELDS}
+
+
+# A config of plausible fields, half the time cut to those its protocol
+# reads, often with one field (or an unknown one) replaced by junk. A junk
+# string for `out` is wrapped in a list: as a path, it would write the
+# report wherever it points.
 CONFIGS = st.builds(
     lambda config, key, junk: config if key is None else {**config, key: [junk] if key == "out" else junk},
     st.fixed_dictionaries(
         {"protocol": st.sampled_from(cli.PROTOCOLS), "channel": CHANNEL_SPECS, "state": STATE_SPECS}, optional=FIELDS
-    ),
+    ).flatmap(lambda config: st.sampled_from([config, _read_fields(config)])),
     st.sampled_from([None, None, "protocol", "channel", "state", "out", "target", "zzz", *FIELDS]),
     JUNK,
 )
@@ -870,7 +944,9 @@ class TestJunkInput:
     @settings(max_examples=150, deadline=None)
     @given(channel=CHANNEL_SPECS, state=STATE_SPECS, basis=BASIS_SPECS, protocol=st.sampled_from(cli.PROTOCOLS))
     def test_spec_flags_end_in_a_documented_exit(self, channel, state, basis, protocol):
-        argv = ["run", "--protocol", protocol, "--a", "1", "--b", "0", "--n-states", "1"]
-        argv += [f"--channel={json.dumps(channel)}", f"--state={json.dumps(state)}", f"--basis={json.dumps(basis)}"]
+        # Only the flags the protocol reads, so that its specs get parsed.
+        flags = {"channel": channel, "state": state, "basis": basis, "a": 1, "b": 0, "n_states": 1}
+        argv = ["run", "--protocol", protocol]
+        argv += [f"--{key.replace('_', '-')}={json.dumps(flags[key])}" for key in cli._READS[protocol]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3)

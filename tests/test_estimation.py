@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from seqtomo import RandomStream, chernoff_plan, sample_categorical, sample_categorical_partitioned
-from seqtomo.errors import InvalidDistribution, ParamOutOfRange
+from seqtomo.errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
+from seqtomo.estimation import CHUNK_LIMIT
 
 
 class TestChernoffPlan:
@@ -135,6 +136,22 @@ class TestPartitionedSampling:
             for workers in (m + 1, m + 5, 3 * m, 10**12):
                 got = sample_categorical_partitioned(probs, m, RandomStream(seed), workers=workers)
                 np.testing.assert_array_equal(got, want)
+
+    def test_chunks_over_the_limit_are_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no chunk may be drawn")
+
+        monkeypatch.setattr(RandomStream, "generator", refuse)
+        for workers in (CHUNK_LIMIT + 1, 10**12):
+            with pytest.raises(SizeLimitExceeded):
+                sample_categorical_partitioned([0.5, 0.5], CHUNK_LIMIT + 1, RandomStream(0), workers=workers)
+
+    def test_chunks_at_the_limit_run(self):
+        tallies = sample_categorical_partitioned([0.5, 0.5], 10**6, RandomStream(0), workers=CHUNK_LIMIT)
+        assert tallies.sum() == 10**6
+        # min(workers, m) counts, so a small m runs under any worker count
+        tallies = sample_categorical_partitioned([0.5, 0.5], CHUNK_LIMIT, RandomStream(0), workers=10**12)
+        assert tallies.sum() == CHUNK_LIMIT
 
     def test_chunk_validation_survives_many_workers(self):
         with pytest.raises(InvalidDistribution):

@@ -13,7 +13,7 @@ from seqtomo import (
     standard_pauli_qst,
 )
 from seqtomo.errors import DimensionMismatch, IndexOutOfRange, SeqtomoError
-from seqtomo.pauli import pauli_labels, pauli_masks
+from seqtomo.pauli import pauli_coefficient, pauli_labels, pauli_masks
 
 
 class TestLabels:
@@ -129,6 +129,28 @@ class TestCoefficients:
             label, value = pairs[m]
             assert label == str(PauliLabel.from_index(7, int(m)))
             assert abs(value - np.trace(rho.matrix @ dense_pauli(label)).real) < 1e-12
+
+
+class TestSingleCoefficient:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_full_row_for_every_index(self, n):
+        a = random_stack(np.random.default_rng(20 + n), 3, n)
+        full = pauli_coefficients(a)
+        np.testing.assert_allclose(pauli_coefficient(a, np.arange(4**n)), full, rtol=0, atol=1e-13)
+        for m in range(4**n):
+            np.testing.assert_allclose(pauli_coefficient(a, m), full[:, m], rtol=0, atol=1e-13)
+
+    def test_shape_follows_the_matrices_and_the_indices(self):
+        a = random_stack(np.random.default_rng(3), 4, 2)
+        assert pauli_coefficient(a, 5).shape == (4,)
+        assert pauli_coefficient(tuple(a), (5, 7)).shape == (4, 2)
+        np.testing.assert_array_equal(pauli_coefficient(list(a), [[1, 2, 3]]), pauli_coefficient(a, [[1, 2, 3]]))
+        assert pauli_coefficient(a, [[1, 2, 3]]).shape == (4, 1, 3)
+
+    @pytest.mark.parametrize("m", [-1, 16, [0, 16]])
+    def test_refuses_an_index_outside_the_basis(self, m):
+        with pytest.raises(IndexOutOfRange):
+            pauli_coefficient([np.eye(4)], m)
 
 
 class TestCombination:

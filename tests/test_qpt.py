@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,9 +32,24 @@ from seqtomo import (
     tensor_channels,
     zoo_catalog,
 )
+from seqtomo import channels, qpt
+from seqtomo.channels import chi_block, chi_diagonal
 from seqtomo.cli import main
 from seqtomo.errors import IndexOutOfRange, SizeLimitExceeded
 from seqtomo.estimation import ShotPlan
+from seqtomo.pauli import pauli_masks
+
+# depolarizing(0.3)⊗3 ⊗ identity(7): n = 10 at Kraus rank 64, a 1 GiB Kraus
+# stack that the channel budget admits and every dual-state route refuses.
+RANK_64_AT_TEN_QUBITS = json.dumps(
+    {
+        "name": "tensor",
+        "params": {
+            "factors": [{"name": "depolarizing", "params": {"p": 0.3}}] * 3
+            + [{"name": "identity", "params": {"n": 7}}]
+        },
+    }
+)
 
 
 class TestChoiBasis:
@@ -152,17 +169,33 @@ class TestSeqstQpt:
                 a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
                 assert abs(seqst_qpt_exact(ch, a, b) - chi[a, b]) < 1e-8
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        # The circuit's estimate: CIRCUIT_STACKS dual states of rank 2 plus one operator.
+        ch = random_channel(3, 2, np.random.default_rng(31))
+        need = (qpt.CIRCUIT_STACKS * 2 + 1) * 16 * 4**3
+        monkeypatch.setattr(channels, "KRAUS_MAX_BYTES", need)
+        seqst_qpt_exact(ch, 5, 7)
+        monkeypatch.setattr(channels, "KRAUS_MAX_BYTES", need - 1)
         with pytest.raises(SizeLimitExceeded):
-            seqst_qpt_exact(channel_zoo("identity", n=4), 0, 0)
-        with pytest.raises(SizeLimitExceeded):
-            seqst_qpt_sample(
-                channel_zoo("identity", n=4), 0, 0, ShotPlan(0.1, 0.05, 10), RandomStream(0)
-            )
+            seqst_qpt_exact(ch, 5, 7)
+        # The sampler's block is r gathers of D entries, which no budget bounds.
+        seqst_qpt_sample(ch, 5, 7, ShotPlan(0.1, 0.05, 10), RandomStream(0))
 
-    def test_cli_run_at_four_qubits_exits_three(self):
-        args = ["run", "--protocol", "seqst-qpt", "--channel", "identity:n=4", "--a", "0", "--b", "0"]
-        assert main(args) == 3
+    def test_cli_run_over_the_byte_bound_exits_three(self):
+        args = ["run", "--protocol", "seqst-qpt", "--channel", RANK_64_AT_TEN_QUBITS, "--a", "0", "--b", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", *args], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert f"the SEQST-QPT circuit of {qpt.CIRCUIT_STACKS * 64 + 1} operator(s) on 10 qubits" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_cli_run_at_eight_qubits(self, capsys):
+        args = ["run", "--protocol", "seqst-qpt", "--channel", "identity:n=8", "--a", "5", "--b", "7"]
+        assert main(args) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert abs(complex(*res["exact"]) - complex(*res["circuit_exact"])) <= 1e-9
 
     def test_sample_identity_is_deterministic(self):
         est = seqst_qpt_sample(channel_zoo("identity"), 0, 0, ShotPlan(0.1, 0.05, 64), RandomStream(0))
@@ -240,6 +273,75 @@ class TestGateLevelOracle:
     def test_refuses_non_trace_preserving_channel(self, scale):
         with pytest.raises(ValueError):
             seqst_qpt_exact(KrausChannel(1, [scale * np.eye(2)]), 0, 0)
+
+
+class TestCoefficientRoute:
+    """chi_block and chi_diagonal, the Pauli-coefficient oracles, against the
+    gate-level circuit and the Bell route, which share no more than the
+    (x, z, phase) tables with them, and against kraus_to_chi."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_matches_conversion(self, n):
+        rng = np.random.default_rng(60 + n)
+        for ch in oracle_channels(n, rng):
+            chi = kraus_to_chi(ch).entries
+            pairs = [(0, 0), (4**n - 1, 1)] + [tuple(int(v) for v in rng.integers(0, 4**n, 2)) for _ in range(4)]
+            for a, b in pairs:
+                got = chi_block(ch, a, b)
+                np.testing.assert_allclose(got, (chi[a, a], chi[b, b], chi[a, b]), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_exact_matches_the_gate_route(self, n):
+        rng = np.random.default_rng(70 + n)
+        ch = random_channel(n, 2, rng)
+        for _ in range(3):
+            a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
+            g_aa, g_bb, g_ab = chi_block(ch, a, b)
+            assert abs(g_ab - seqst_qpt_exact(ch, a, b)) <= 1e-10
+            assert abs(g_aa - seqst_qpt_exact(ch, a, a)) <= 1e-10
+            assert abs(g_bb - seqst_qpt_exact(ch, b, b)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_diagonal_matches_the_bell_route(self, n):
+        ch = random_channel(n, 2, np.random.default_rng(75 + n))
+        np.testing.assert_allclose(chi_diagonal(ch), dcqd_distribution(ch), rtol=0, atol=1e-10)
+
+    @staticmethod
+    def peak(route) -> int:
+        tracemalloc.start()
+        try:
+            route()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n, rank", [(6, 4), (8, 2)])
+    def test_working_sets_stay_within_their_estimates(self, n, rank):
+        # Each route's estimate is stacks * rank + 1 operators of 16 * 4**n bytes.
+        ch = random_channel(n, rank, np.random.default_rng(n))
+        pauli_masks(n)  # the cached index tables are no part of a route
+        routes = [
+            (qpt.CIRCUIT_STACKS, lambda: seqst_qpt_exact(ch, 5, 7)),
+            (qpt.BELL_STACKS, lambda: dcqd_distribution(ch)),
+            (channels.DIAGONAL_STACKS, lambda: chi_diagonal(ch)),
+        ]
+        for stacks, route in routes:
+            assert self.peak(route) <= (stacks * rank + 1) * 16 * 4**n
+
+    def test_every_route_refuses_the_rank_64_channel_at_ten_qubits(self, monkeypatch):
+        # The same verdicts as for depolarizing⊗3 ⊗ identity(7), without its 1 GiB stack:
+        # the estimates read only n and the rank.
+        ch = KrausChannel(1, [np.eye(2)])
+        monkeypatch.setattr(ch, "n", 10)
+        monkeypatch.setattr(ch, "kraus_ops", [np.eye(2)] * 64)
+        for route in (lambda: seqst_qpt_exact(ch, 0, 0), lambda: dcqd_distribution(ch), lambda: chi_diagonal(ch)):
+            with pytest.raises(SizeLimitExceeded):
+                route()
+
+    def test_seqpt_refuses_its_two_copy_operator_before_allocating_it(self):
+        # At n = 7 the D²×D² operator would take 4 GiB.
+        ch = channel_zoo("identity", n=7)
+        assert self.peak(lambda: pytest.raises(SizeLimitExceeded, seqpt_exact_average, ch, 0, 0)) < 2**20
 
 
 class TestBellRoute:
