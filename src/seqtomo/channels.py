@@ -5,8 +5,14 @@ E(rho) = sum_mn chi_mn P_m rho P_n† over the n-qubit Pauli basis {P_m}.
 The chi matrix of a physical channel is Hermitian (hermiticity
 preservation), satisfies sum_mn chi_mn P_n† P_m = I (trace preservation),
 and is positive semidefinite (complete positivity); ``validate_channel``
-reports all three predicates with their numerical residuals and never
-throws, so malformed matrices can be diagnosed.
+reports all three predicates with their numerical residuals and does
+not throw on a malformed matrix, so it can be diagnosed.
+
+Sizes follow the one policy of ``core.check_size``: a Kraus stack is rank
+dense D×D operators, a chi matrix 4**n of them, and each route states its
+peak in these units beside it. Building a channel over the budgets, or
+running a route whose peak would exceed them, raises SizeLimitExceeded
+before anything is allocated.
 
 Only trace-preserving, dimension-preserving qubit channels are in scope.
 """
@@ -17,15 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MATRIX_MAX_BYTES, GATES, as_matrix, unitarity_residual
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NotCompletelyPositive,
-    ParamOutOfRange,
-    SizeLimitExceeded,
-    UnknownChannel,
-)
+from .core import GATES, as_matrix, check_size, unitarity_residual
+from .errors import ConfigError, DimensionMismatch, NotCompletelyPositive, ParamOutOfRange, UnknownChannel
 from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
 
 # Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
@@ -34,17 +33,17 @@ from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
 CHI_EIG_ZERO_LO = -1e-7
 CHI_EIG_ZERO_HI = 1e-9
 
-# Memory budget for a channel's dense Kraus stack, rank * 16 * 4**n bytes,
-# on top of core.MATRIX_MAX_BYTES per operator. Every channel of Kraus rank
-# at most 4**n fits up to n = 6 (depolarizing⊗6 takes 256 MiB). The same
-# budget bounds the 16 * 16**n bytes of a chi matrix (n <= 6) and the
-# working set of each route that holds a few Kraus stacks at once.
-KRAUS_MAX_BYTES = 2**30
-
-# Peak working set of ``chi_diagonal`` in Kraus stacks, budgeted with one
-# operator more for index arrays: tracemalloc measures 3.0 to 3.5 stacks
-# (n = 6..9, rank 2..16); tests/test_qpt.py checks the bound.
+# Peak working sets, checked by ``core.check_size`` with one operator more
+# for index arrays; tests/test_qpt.py checks each bound. ``chi_diagonal``
+# holds DIAGONAL_STACKS Kraus stacks (tracemalloc: 3.0 to 3.5, n = 6..9,
+# rank 2..16). ``kraus_to_chi`` holds CHI_COPIES chi matrices, as ChiMatrix
+# copies its input, besides the coefficients' stacks (2.0, n = 4..5).
+# ``validate_channel`` holds VALIDITY_CHIS, the chi it is given included,
+# and two operators more, for its index tables and D×D trace (4.0 chi and
+# 1.6 to 2.1 operators, n = 4..5): so n <= 5.
 DIAGONAL_STACKS = 4
+CHI_COPIES = 2
+VALIDITY_CHIS = 4
 
 # Tolerance of the ``validate_channel`` predicates and of the dual-state
 # trace check in ``qpt``, so both call the same channels trace-preserving.
@@ -143,11 +142,10 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     """Expand each Kraus operator over the Pauli basis and form chi.
 
     K_k = sum_m c_km P_m with c_km = Tr(P_m† K_k) / D, and
-    chi_mn = sum_k c_km conj(c_kn). A chi over the dense budget of
-    ``KRAUS_MAX_BYTES`` (so n >= 7) raises SizeLimitExceeded.
+    chi_mn = sum_k c_km conj(c_kn). Over its byte estimate (n >= 7),
+    SizeLimitExceeded.
     """
-    if 16 * 16**ch.n > KRAUS_MAX_BYTES:
-        raise SizeLimitExceeded(f"a chi matrix on {ch.n} qubits exceeds the dense budget of {KRAUS_MAX_BYTES} bytes")
+    check_size("a chi matrix", ch.n, CHI_COPIES * 4**ch.n + DIAGONAL_STACKS * len(ch.kraus_ops) + 1)
     # c[k, m] = Tr(P_m K_k) / D  (Pauli matrices are Hermitian)
     c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
     chi = np.einsum("km,kn->mn", c, c.conj())
@@ -165,7 +163,7 @@ def chi_diagonal(ch: KrausChannel) -> np.ndarray:
 
     One ``pauli_coefficients`` call on the Kraus stack: DIAGONAL_STACKS bounds its peak.
     """
-    check_kraus_bytes(ch.n, DIAGONAL_STACKS * len(ch.kraus_ops) + 1, "the chi diagonal")
+    check_size("the chi diagonal", ch.n, DIAGONAL_STACKS * len(ch.kraus_ops) + 1)
     c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
     return np.sum(c.real**2 + c.imag**2, axis=0)
 
@@ -188,8 +186,10 @@ def validate_channel(chi: ChiMatrix) -> ValidityReport:
     """Report hermiticity, trace preservation and complete positivity.
 
     Positivity is assessed on the Hermitian part (chi + chi†)/2, so a purely
-    anti-Hermitian defect shows up only in the hermiticity predicate.
+    anti-Hermitian defect shows up only in the hermiticity predicate. Over
+    its byte estimate (n >= 6), SizeLimitExceeded.
     """
+    check_size("the validity check", chi.n, VALIDITY_CHIS * 4**chi.n + 2)
     m = chi.entries
     herm_res = float(np.max(np.abs(m - m.conj().T)))
     # With L_a = sum_b chi_ab P_b (pauli_combination(m)), the b = b' trace of
@@ -225,22 +225,6 @@ _ZOO_PARAMS = {"identity": (), "unitary": ("gate", "u"), "depolarizing": ("p",),
 _ZOO_PARAMS.update(dict.fromkeys(_FLIPS, ("p",)))
 
 
-def check_kraus_bytes(n: int, operators: int, what: str = "a Kraus stack") -> None:
-    """Refuse, before it is allocated, a working set of ``operators`` dense D×D operators over the dense budgets.
-
-    A channel's Kraus stack, and equally the purified dual state in ``qpt``,
-    is rank such operators of 16 * 4**n bytes; a route that holds s stacks
-    at its peak asks for s * rank + 1, the one for |Phi> and index arrays.
-    """
-    # Past n = 32 the verdict no longer changes; the cap keeps the integers small.
-    matrix = 16 * 4 ** min(n, 32)
-    if matrix > MATRIX_MAX_BYTES or operators * matrix > KRAUS_MAX_BYTES:
-        raise SizeLimitExceeded(
-            f"{what} of {operators} operator(s) on {n} qubits exceeds the dense budgets of "
-            f"{MATRIX_MAX_BYTES} bytes per operator and {KRAUS_MAX_BYTES} bytes in all"
-        )
-
-
 def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= hi:
         raise ParamOutOfRange(f"{name} must be a number in [0, {hi}], got {value!r}")
@@ -269,7 +253,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     eye2 = np.eye(2, dtype=complex)
     if name == "identity":
         n = 1 if n is None else n
-        check_kraus_bytes(n, 1)
+        check_size("a Kraus stack", n, 1)
         return KrausChannel(n, [np.eye(2**n, dtype=complex)])
     if name == "unitary":
         if "u" in params:
@@ -291,7 +275,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
             raise DimensionMismatch(f"unitary dimension {u.shape[0]} is not a power of two")
         if n is not None and n != nq:
             raise DimensionMismatch(f"the unitary acts on {nq} qubit(s), got n={n}")
-        check_kraus_bytes(nq, 1)
+        check_size("a Kraus stack", nq, 1)
         residual = unitarity_residual(u)
         if not residual <= 1e-9:  # written so that a NaN residual fails too
             raise ParamOutOfRange(f"u is not unitary: max |u†u - I| = {residual:.3e} exceeds 1e-9")
@@ -302,15 +286,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     if name == "depolarizing":
         # Kraus weights stay nonnegative up to p = 4/3.
         p = _check_prob("p", params.get("p"), hi=4.0 / 3.0)
-        return KrausChannel(
-            1,
-            [
-                np.sqrt(1 - 3 * p / 4) * eye2,
-                np.sqrt(p / 4) * _GATES["x"],
-                np.sqrt(p / 4) * _GATES["y"],
-                np.sqrt(p / 4) * _GATES["z"],
-            ],
-        )
+        return KrausChannel(1, [np.sqrt(1 - 3 * p / 4) * eye2] + [np.sqrt(p / 4) * _GATES[g] for g in "xyz"])
     if name == "amplitude_damping":
         g = _check_prob("gamma", params.get("gamma"))
         k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
@@ -322,13 +298,13 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     """Sequential composition: apply `first`, then `then` (all pairwise products)."""
     if first.n != then.n:
         raise DimensionMismatch(f"cannot compose channels on {first.n} and {then.n} qubits")
-    check_kraus_bytes(first.n, len(first.kraus_ops) * len(then.kraus_ops))
+    check_size("a Kraus stack", first.n, len(first.kraus_ops) * len(then.kraus_ops))
     return KrausChannel(first.n, (b @ a for b in then.kraus_ops for a in first.kraus_ops))
 
 
 def tensor_channels(*factors: KrausChannel) -> KrausChannel:
     """Per-register tensor product, the first factor on the leading qubits."""
-    check_kraus_bytes(sum(f.n for f in factors), math.prod(len(f.kraus_ops) for f in factors))
+    check_size("a Kraus stack", sum(f.n for f in factors), math.prod(len(f.kraus_ops) for f in factors))
     out = factors[0]
     for f in factors[1:]:
         # A generator, so that each product is freed once KrausChannel has copied it.

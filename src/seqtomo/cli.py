@@ -20,7 +20,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 import time
 import typing
@@ -33,17 +32,17 @@ import numpy as np
 
 from . import __version__
 from .channels import channel_from_json, kraus_to_chi, matrix_from_pairs, validate_channel, zoo_descriptions
-from .channels import chi_block, chi_diagonal
+from .channels import VALIDITY_CHIS, chi_block, chi_diagonal
 from .core import (
-    MATRIX_MAX_BYTES,
     DensityMatrix,
     PureState,
+    check_size,
     haar_random_state,
     maximally_entangled_state,
     random_density_matrix,
 )
 from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
-from .estimation import RandomStream, chernoff_plan
+from .estimation import RandomStream, ShotPlan, chernoff_plan
 from .pauli import PauliLabel, pauli_labels
 from .qpt import (
     aapt_full_chi,
@@ -114,11 +113,6 @@ _STATE_KEYS.update(haar=("n", "seed"), random_mixed=("n", "seed"), amplitudes=("
 _BASIS_KEYS = {"computational": (), "pauli": ("axis",), "haar": ("seed",)}
 
 
-def _check_state_size(d: int) -> None:
-    if 16 * d * d > MATRIX_MAX_BYTES:
-        raise SizeLimitExceeded(f"a dense state of dimension 2^{math.log2(d):g} exceeds {MATRIX_MAX_BYTES} bytes")
-
-
 def _spec_int(spec: dict, key: str, default: int, lo: int, what: str) -> int:
     value = spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < lo:
@@ -144,13 +138,14 @@ def build_state(spec: dict) -> DensityMatrix:
     haar(n, seed), random_mixed(n, seed), amplitudes(values),
     matrix(values) — explicit values use [re, im] pairs. n defaults to 1
     and seed to 0; a key the kind does not take is refused, and a state
-    over ``core.MATRIX_MAX_BYTES`` raises SizeLimitExceeded.
+    over the budgets of ``core.check_size`` raises SizeLimitExceeded.
     """
     kind = _spec_kind(spec, _STATE_KEYS, "state")
     if kind == "amplitudes" and isinstance(spec.get("values"), list):
-        _check_state_size(len(spec["values"]))
+        # The qubits a matrix of that dimension would need, rounded up.
+        check_size("a dense state", (len(spec["values"]) - 1).bit_length(), 1)
     n = _spec_int(spec, "n", 1, 1, "state")
-    _check_state_size(2 ** (2 * n if kind == "entangled" else n))  # entangled(n) spans two registers
+    check_size("a dense state", 2 * n if kind == "entangled" else n, 1)  # entangled(n) spans two registers
     d = 2**n
     if kind == "zero":
         return PureState(np.eye(d)[0]).density()
@@ -205,7 +200,7 @@ def _validate_indices(cfg: ExperimentConfig, size: int, what: str) -> None:
         return
     _require(cfg.a is not None, f"protocol {cfg.protocol} needs index a (or target=all-diagonal)")
     _require(0 <= cfg.a < size, f"index a={cfg.a} outside [0, {size}) for {what}")
-    if cfg.protocol in ("seqst-state", "seqst-qpt", "seqpt"):
+    if "b" in _READS[cfg.protocol]:
         _require(cfg.b is not None, f"protocol {cfg.protocol} needs index b")
         _require(0 <= cfg.b < size, f"index b={cfg.b} outside [0, {size}) for {what}")
 
@@ -217,6 +212,10 @@ def _validate_indices(cfg: ExperimentConfig, size: int, what: str) -> None:
 
 def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
+
+
+def _plan_json(plan: ShotPlan, seed: int) -> dict:
+    return {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": seed}
 
 
 def execute(cfg: ExperimentConfig) -> dict:
@@ -245,13 +244,17 @@ def execute(cfg: ExperimentConfig) -> dict:
         rho = build_state(cfg.state)
 
     if cfg.protocol == "validate":
+        # validate_channel's own estimate, checked before kraus_to_chi builds the chi it judges.
+        check_size("the validity check", ch.n, VALIDITY_CHIS * 4**ch.n + 2)
         report = validate_channel(kraus_to_chi(ch))
         return {"n": ch.n, "validity": report.to_json(), "all_valid": report.all_valid}
 
     if cfg.protocol == "standard-qst":
+        n = int(np.log2(rho.dim))
+        check_size("the standard-qst report", n, rows=4**n)
         pairs = standard_pauli_qst(rho)
         return {
-            "n": int(np.log2(rho.dim)),
+            "n": n,
             "expectations": [{"label": word, "value": val} for word, val in pairs],
         }
 
@@ -268,10 +271,11 @@ def execute(cfg: ExperimentConfig) -> dict:
             "estimate": rep.to_json(),
             "exact": _pair(exact),
             "abs_error": abs(rep.estimate - exact),
-            "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
+            "plan": _plan_json(plan, cfg.seed),
         }
 
     if cfg.protocol == "aapt":
+        check_size("the aapt report", ch.n, rows=16**ch.n)
         chi = aapt_full_chi(ch)
         oracle = kraus_to_chi(ch)
         return {
@@ -282,16 +286,15 @@ def execute(cfg: ExperimentConfig) -> dict:
 
     if cfg.protocol == "dcqd-diag":
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
+        ks = range(4**ch.n) if cfg.target else [cfg.a]  # target is all-diagonal or None here
+        check_size("the dcqd-diag report", ch.n, rows=len(ks))
         plan = chernoff_plan(cfg.epsilon, cfg.delta)
         # The oracle first: its byte estimate is the larger, so a refusal comes before any work.
         oracle = chi_diagonal(ch)
         probs = dcqd_distribution(ch)
         # The distribution the rows are drawn from, with dcqd_diagonal's clamp at 1.
         diagonal = np.minimum(probs, 1.0)
-        if cfg.target == "all-diagonal":
-            ks, labels = range(probs.size), pauli_labels(ch.n)
-        else:
-            ks, labels = [cfg.a], {cfg.a: str(PauliLabel.from_index(ch.n, cfg.a))}
+        labels = pauli_labels(ch.n) if cfg.target else {cfg.a: str(PauliLabel.from_index(ch.n, cfg.a))}
         payload = []
         for k, freq, err in dcqd_sample_rows(probs, ks, plan, stream, cfg.workers):
             exact = float(diagonal[k])
@@ -308,7 +311,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         return {
             "n": ch.n,
             "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle))),
-            "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
+            "plan": _plan_json(plan, cfg.seed),
             "diagonal": payload,
         }
 
@@ -324,7 +327,7 @@ def execute(cfg: ExperimentConfig) -> dict:
             "exact": _pair(exact),
             "circuit_exact": _pair(circuit_exact),
             "abs_error": abs(est.value - exact),
-            "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
+            "plan": _plan_json(plan, cfg.seed),
         }
 
     if cfg.protocol == "seqpt":
@@ -340,7 +343,7 @@ def execute(cfg: ExperimentConfig) -> dict:
             "exact": _pair(exact),
             "exact_average": {"x": avg_x, "y": avg_y},
             "abs_error": abs(est.value - exact),
-            "plan": {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": cfg.seed},
+            "plan": _plan_json(plan, cfg.seed),
         }
 
     raise ConfigError(f"unhandled protocol {cfg.protocol!r}")
@@ -599,19 +602,8 @@ def _config_from_args(args: argparse.Namespace) -> dict:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError(f"a config file must hold a JSON object, got {type(data).__name__}")
-    overrides = {
-        "protocol": args.protocol,
-        "a": args.a,
-        "b": args.b,
-        "target": args.target,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "n_states": args.n_states,
-        "seed": args.seed,
-        "workers": args.workers,
-        "out": args.out,
-        "format": args.format,
-    }
+    scalars = ("protocol", "a", "b", "target", "epsilon", "delta", "n_states", "seed", "workers", "out", "format")
+    overrides = {key: getattr(args, key) for key in scalars}
     if args.channel is not None:
         overrides["channel"] = _parse_channel_arg(args.channel)
     if args.state is not None:

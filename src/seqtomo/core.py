@@ -13,16 +13,40 @@ puts ``a`` on the leading qubits.
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SizeLimitExceeded
 
 # Default absolute tolerance for algebraic identities; statistical tests
 # use explicit sigma multipliers instead.
 ATOL = 1e-10
 # Eigenvalue floor below which a matrix is no longer accepted as a state.
 EIG_FLOOR = -1e-9
-# Memory budget for one dense D×D complex matrix, 16 * 4**n bytes on n
-# qubits: n <= 10. States and Kraus operators are refused above it.
+
+# The one size policy, applied by ``check_size``: a dense D×D complex
+# operator, 16 * 4**n bytes on n qubits, fits MATRIX_MAX_BYTES (n <= 10), and
+# a route's working set of such operators (a chi matrix is 4**n of them) plus
+# its report's rows fits WORKING_SET_MAX_BYTES. ROW_BYTES is the max RSS of a
+# report row, rounded up from the largest measured: 1.27 KB per dcqd-diag row
+# (JSON, n = 9), against 0.69 KB for standard-qst and 0.40 KB for aapt (n = 4).
 MATRIX_MAX_BYTES = 2**24
+WORKING_SET_MAX_BYTES = 2**30
+ROW_BYTES = 1536
+
+
+def check_size(what: str, n: int, operators: int = 0, rows: int = 0) -> None:
+    """SizeLimitExceeded unless ``operators`` D×D operators on n qubits and ``rows`` report rows fit the budgets.
+
+    Called before anything is allocated. A route that holds s copies of a
+    rank-r Kraus stack asks for s * r + 1 operators, the one for |Phi> and
+    index arrays.
+    """
+    # Past n = 32 the verdict no longer changes; the cap keeps the integers small.
+    matrix = 16 * 4 ** min(n, 32)
+    if matrix > MATRIX_MAX_BYTES or operators * matrix + rows * ROW_BYTES > WORKING_SET_MAX_BYTES:
+        report = f" and {rows} report rows of {ROW_BYTES} bytes" if rows else ""
+        raise SizeLimitExceeded(
+            f"{what} of {operators} operator(s){report} on {n} qubits exceeds the dense budgets of "
+            f"{MATRIX_MAX_BYTES} bytes per operator and {WORKING_SET_MAX_BYTES} bytes in all"
+        )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from .errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
 # shot count stays below this.
 SHOT_LIMIT = 2**63
 
-# The most chunks, each with its own generator, that one partitioned draw runs.
+# The most chunks, each with its own generator, that one estimate draws from:
+# a partitioned draw, or every state's draws in a SEQPT estimate.
 CHUNK_LIMIT = 4096
 
 
@@ -100,6 +101,12 @@ def sample_categorical(probs, m: int, stream: RandomStream) -> np.ndarray:
     return stream.generator().multinomial(m, p / total).astype(np.int64)
 
 
+def check_chunks(chunks: int) -> None:
+    """Refuse more than CHUNK_LIMIT generator chunks with SizeLimitExceeded, before any draw."""
+    if chunks > CHUNK_LIMIT:
+        raise SizeLimitExceeded(f"{chunks} worker chunks exceed the limit of {CHUNK_LIMIT}")
+
+
 def sample_categorical_partitioned(probs, m: int, stream: RandomStream, workers: int = 1) -> np.ndarray:
     """Tally m draws split across `workers` derived substreams.
 
@@ -114,8 +121,7 @@ def sample_categorical_partitioned(probs, m: int, stream: RandomStream, workers:
     if workers == 1 or m <= 0:
         return sample_categorical(probs, m, stream)
     chunks = min(workers, m)
-    if chunks > CHUNK_LIMIT:
-        raise SizeLimitExceeded(f"{chunks} worker chunks exceed the limit of {CHUNK_LIMIT}")
+    check_chunks(chunks)
     base, extra = divmod(m, workers)
     tallies = np.zeros(np.asarray(probs).size, dtype=np.int64)
     for w in range(chunks):

@@ -15,7 +15,7 @@ computational one with amplitudes A[k, m] = <r_m|(K_k ⊗ I)|I> = Tr(P_m K_k)/D.
 Four routes to chi coefficients are implemented, each checkable against the
 direct Kraus-to-chi conversion:
 
-- aapt_full_chi: full state tomography of rho_E, chi = Aᵀ conj(A) (size-limited).
+- aapt_full_chi: full state tomography of rho_E, chi = Aᵀ conj(A).
 - dcqd_diagonal: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
   probabilities of the Bell-type measurement (DCQD).
 - seqst_qpt_*: the selective circuit from ``seqst`` with that basis, giving
@@ -38,10 +38,10 @@ g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The gate-level
 circuit on the purified dual state and the closed-form Haar integral stay
 as the oracles; the circuit shares nothing with the gather.
 
-The dual-state routes have no qubit ceiling: before allocating, each
-refuses a channel whose working set, CIRCUIT_STACKS or BELL_STACKS dual
-states of rank * 16 * 4**n bytes plus one operator, exceeds
-``channels.KRAUS_MAX_BYTES``.
+No route has a qubit ceiling of its own. Each states its peak working set
+in dense D×D operators beside it (the dual state is rank of them, a chi
+matrix 4**n), and ``core.check_size`` refuses it, before anything is
+allocated, when that peak would exceed the budgets.
 """
 
 import math
@@ -49,23 +49,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GATES, PureState, haar_random_state
-from .channels import KRAUS_MAX_BYTES, VALIDITY_ATOL, ChiMatrix, KrausChannel, check_kraus_bytes, chi_block
-from .errors import DimensionMismatch, IndexOutOfRange, SizeLimitExceeded
-from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
+from .core import GATES, PureState, check_size, haar_random_state
+from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
+from .errors import DimensionMismatch, IndexOutOfRange
+from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical_partitioned
 from .pauli import PauliLabel, pauli_masks, pauli_matrix
 from .seqst import ancilla_readout, fiducial_readout, sample_readout
 
-# aapt holds a 4**n × 4**n chi and writes all of it.
-AAPT_MAX_QUBITS = 2
-
-# Peak working sets, in Kraus stacks (rank * 16 * 4**n bytes, the size of
-# the purified dual state), of the gate-level SEQST-QPT circuit and of the
+# Peak working sets, in Kraus stacks (rank operators, the size of the
+# purified dual state), of the gate-level SEQST-QPT circuit and of the
 # Bell-basis amplitudes of DCQD; each route budgets one operator more for
 # |Phi> and index arrays. tracemalloc measures 5.0 and 2.0 to 2.6 stacks
-# (n = 6..9, rank 1..16); tests/test_qpt.py checks the bounds.
+# (n = 6..9, rank 1..16). ``aapt_full_chi`` adds channels.CHI_COPIES chi
+# matrices (2.0), and ``seqpt_exact_average`` holds TWO_COPY_CHIS chi-sized
+# operators (2.0 to 2.3, n = 4..5). tests/test_qpt.py checks the bounds.
 CIRCUIT_STACKS = 6
 BELL_STACKS = 3
+TWO_COPY_CHIS = 3
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ def _dual_branches(ch: KrausChannel, stacks: int, what: str) -> np.ndarray:
     """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits.
 
     A route that holds ``stacks`` copies of it at its peak and would exceed
-    ``KRAUS_MAX_BYTES`` raises SizeLimitExceeded first.
+    the budgets of ``check_size`` raises SizeLimitExceeded first.
     """
-    check_kraus_bytes(ch.n, stacks * len(ch.kraus_ops) + 1, what)
+    check_size(what, ch.n, stacks * len(ch.kraus_ops) + 1)
     _check_dual_trace(ch)
     n, d = ch.n, ch.dim
     phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
@@ -149,8 +149,7 @@ def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
 
 def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
     """The full process matrix chi_mn = <r_m| rho_E |r_n> = sum_k A[k, m] conj(A[k, n]) (``_bell_amplitudes``)."""
-    if ch.n > AAPT_MAX_QUBITS:
-        raise SizeLimitExceeded(f"full chi for n={ch.n} exceeds the limit of {AAPT_MAX_QUBITS} qubits")
+    check_size("the full chi", ch.n, CHI_COPIES * 4**ch.n + BELL_STACKS * len(ch.kraus_ops) + 1)
     amps = _bell_amplitudes(ch)
     return ChiMatrix(ch.n, amps.T @ amps.conj())
 
@@ -198,7 +197,7 @@ def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
     the fiducial block of the final state, from which
     Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) is read by ``fiducial_readout``.
     A channel that is not trace-preserving raises ValueError, and one whose
-    circuit would exceed ``KRAUS_MAX_BYTES`` raises SizeLimitExceeded.
+    circuit would exceed the budgets of ``check_size`` raises SizeLimitExceeded.
     """
     _check_pauli_indices(ch.n, a, b)
     # The controlled stage's output is a temporary, so U_Phi†'s first gate frees it.
@@ -236,17 +235,7 @@ def seqst_qpt_sample(
     block = chi_block(ch, a, b)
     _, re, se_re = sample_readout(block, "X", plan.m, stream.substream(0), workers)
     _, im, se_im = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
-    return ChiEstimate(
-        a=a,
-        b=b,
-        n=ch.n,
-        value=complex(re, im),
-        se_re=se_re,
-        se_im=se_im,
-        protocol="SEQST-QPT",
-        shots=2 * plan.m,
-        seed=stream.seed,
-    )
+    return ChiEstimate(a, b, ch.n, complex(re, im), se_re, se_im, "SEQST-QPT", shots=2 * plan.m, seed=stream.seed)
 
 
 def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
@@ -279,10 +268,13 @@ def seqpt_estimate(
 
     Pools plan.m outcomes per axis per state, then inverts the Haar-average
     relations: Re = ((D+1) avg_x - delta_ab)/D, Im = (D+1) avg_y / D.
+    Over ``estimation.CHUNK_LIMIT`` chunks, n_states * min(workers, plan.m), raise
+    SizeLimitExceeded before any draw.
     """
     if n_states < 1:
         raise IndexOutOfRange(f"n_states must be >= 1, got {n_states}")
     _check_pauli_indices(ch.n, a, b)
+    check_chunks(n_states * min(workers, plan.m))
     d = ch.dim
     means_x = np.empty(n_states)
     means_y = np.empty(n_states)
@@ -303,17 +295,8 @@ def seqpt_estimate(
     total = n_states * plan.m
     delta = 1.0 if a == b else 0.0
     scale = (d + 1) / d
-    return ChiEstimate(
-        a=a,
-        b=b,
-        n=ch.n,
-        value=complex(scale * avg_x - delta / d, scale * avg_y),
-        se_re=scale * se_x,
-        se_im=scale * se_y,
-        protocol="SEQPT",
-        shots=2 * total,
-        seed=stream.seed,
-    )
+    value = complex(scale * avg_x - delta / d, scale * avg_y)
+    return ChiEstimate(a, b, ch.n, value, scale * se_x, scale * se_y, "SEQPT", shots=2 * total, seed=stream.seed)
 
 
 def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
@@ -321,12 +304,11 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
 
     Evaluated in closed form: the average of <psi|A|psi><psi|B|psi> equals
     Tr((A ⊗ B)(I + SWAP)) / (D(D+1)), applied to A = K_k P_a, B = P_b K_k†
-    and summed over the Kraus operators. A D²×D² operator of 16 * 16**n
-    bytes over ``KRAUS_MAX_BYTES`` (n >= 7) raises SizeLimitExceeded.
+    and summed over the Kraus operators. TWO_COPY_CHIS D²×D² operators over
+    the budgets of ``check_size`` (n >= 7) raise SizeLimitExceeded.
     """
     _check_pauli_indices(ch.n, a, b)
-    if 16 * 16**ch.n > KRAUS_MAX_BYTES:
-        raise SizeLimitExceeded(f"the two-copy operator on {ch.n} qubits exceeds the budget of {KRAUS_MAX_BYTES} bytes")
+    check_size("the two-copy operator", ch.n, TWO_COPY_CHIS * 4**ch.n + 1)
     d = ch.dim
     pa, pb = _pauli(ch.n, a), _pauli(ch.n, b)
     # SWAP[i d + j, j d + i] = 1: the identity with its two row factors exchanged.

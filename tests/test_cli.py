@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -542,17 +543,19 @@ class TestConfigHandling:
         proc = subprocess.run(
             [sys.executable, "-m", "seqtomo.cli", *args], capture_output=True, text=True, timeout=30
         )
+        n = int(args[-1].split("=")[1])
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert "chi matrix on" in proc.stderr
+        assert f"the validity check of {channels.VALIDITY_CHIS * 4**n + 2} operator(s) on {n} qubits" in proc.stderr
         assert proc.stdout == ""
 
     def test_dual_state_over_the_byte_bound_exits_three_without_traceback(self):
         # depolarizing(0.3)⊗3 ⊗ identity(7): a 1 GiB Kraus stack of rank 64 on 10 qubits,
-        # which the channel budget admits and the DCQD oracle, at four such stacks, refuses
+        # which the channel budget admits and the DCQD oracle, at four such stacks, refuses;
+        # one index, as the report of all 4**10 rows is refused before the oracle
         factors = [{"name": "depolarizing", "params": {"p": 0.3}}] * 3 + [{"name": "identity", "params": {"n": 7}}]
         spec = json.dumps({"name": "tensor", "params": {"factors": factors}})
-        args = ["run", "--protocol", "dcqd-diag", "--target", "all-diagonal", "--channel", spec]
+        args = ["run", "--protocol", "dcqd-diag", "--a", "0", "--channel", spec]
         proc = subprocess.run(
             [sys.executable, "-m", "seqtomo.cli", *args], capture_output=True, text=True, timeout=60
         )
@@ -590,9 +593,56 @@ class TestConfigHandling:
         assert main(["run", "--protocol", "dcqd-diag", "--channel", spec, "--a", "100000"]) == 2
         assert capsys.readouterr().err == "error: index a=100000 outside [0, 256) for the Pauli basis\n"
 
-    def test_size_limit_exit_code(self):
-        args = ["run", "--protocol", "aapt", "--channel", '{"name": "identity", "params": {"n": 3}}']
+    def test_seqpt_state_loop_over_the_chunk_limit_exits_three_quickly(self, capsys):
+        args = "run --protocol seqpt --channel depolarizing:p=0.2 --a 0 --b 0 --n-states 1000000000".split()
+        start = time.perf_counter()
         assert main(args) == 3
+        assert time.perf_counter() - start < 2
+        assert "1000000000 worker chunks exceed the limit of 4096" in capsys.readouterr().err
+
+    def test_size_limit_exit_code(self):
+        # 16**5 chi entries, one report row each
+        args = ["run", "--protocol", "aapt", "--channel", '{"name": "identity", "params": {"n": 5}}']
+        assert main(args) == 3
+
+
+class Reached(Exception):
+    """Raised by a stubbed route: every check before it passed."""
+
+    @classmethod
+    def stub(cls, *args):
+        raise cls
+
+
+# The ceilings that a report's rows or a chi-sized working set set: each
+# protocol's argv on n qubits, its largest n, and the route the CLI must
+# not reach past it.
+CEILINGS = {
+    "aapt": ("run --protocol aapt --channel identity:n={n}", 4, "aapt_full_chi"),
+    "validate": ("validate --channel identity:n={n}", 5, "kraus_to_chi"),
+    "standard-qst": ('run --protocol standard-qst --state {"kind":"zero","n":{n}}', 9, "standard_pauli_qst"),
+    "dcqd-diag": ("run --protocol dcqd-diag --target all-diagonal --channel identity:n={n}", 9, "chi_diagonal"),
+}
+
+
+class TestCeilings:
+    @staticmethod
+    def argv(protocol: str, n: int) -> list:
+        return CEILINGS[protocol][0].replace("{n}", str(n)).split()
+
+    @pytest.mark.parametrize("protocol", sorted(CEILINGS))
+    def test_one_qubit_past_the_ceiling_is_refused_before_the_route(self, monkeypatch, capsys, protocol):
+        _, ceiling, route = CEILINGS[protocol]
+        monkeypatch.setattr(cli, route, Reached.stub)
+        with pytest.raises(Reached):
+            main(self.argv(protocol, ceiling))
+        assert main(self.argv(protocol, ceiling + 1)) == 3
+        assert "exceeds the dense budgets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["aapt", "validate"])
+    def test_cheap_ceilings_run(self, capsys, protocol):
+        assert main(self.argv(protocol, CEILINGS[protocol][1])) == 0
+        assert capsys.readouterr().err == ""
 
 
 def json_reference(value) -> str:

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from conftest import channel_to_json, chi_square_pvalue, choi_basis, choi_state,
 
 from seqtomo import (
     ChiEstimate,
+    ChiMatrix,
     KrausChannel,
     RandomStream,
     aapt_full_chi,
@@ -30,13 +32,14 @@ from seqtomo import (
     seqst_qpt_sample,
     seqst_sample,
     tensor_channels,
+    validate_channel,
     zoo_catalog,
 )
-from seqtomo import channels, qpt
+from seqtomo import channels, core, qpt
 from seqtomo.channels import chi_block, chi_diagonal
 from seqtomo.cli import main
 from seqtomo.errors import IndexOutOfRange, SizeLimitExceeded
-from seqtomo.estimation import ShotPlan
+from seqtomo.estimation import CHUNK_LIMIT, ShotPlan
 from seqtomo.pauli import pauli_masks
 
 # depolarizing(0.3)⊗3 ⊗ identity(7): n = 10 at Kraus rank 64, a 1 GiB Kraus
@@ -84,8 +87,9 @@ class TestAapt:
         )
 
     def test_size_limit(self):
+        # Two chi matrices of 4 GiB each at n = 7; the CLI's report refuses n = 5 already.
         with pytest.raises(SizeLimitExceeded):
-            aapt_full_chi(channel_zoo("identity", n=3))
+            aapt_full_chi(channel_zoo("identity", n=7))
 
 
 class TestDcqdDiagonal:
@@ -173,9 +177,9 @@ class TestSeqstQpt:
         # The circuit's estimate: CIRCUIT_STACKS dual states of rank 2 plus one operator.
         ch = random_channel(3, 2, np.random.default_rng(31))
         need = (qpt.CIRCUIT_STACKS * 2 + 1) * 16 * 4**3
-        monkeypatch.setattr(channels, "KRAUS_MAX_BYTES", need)
+        monkeypatch.setattr(core, "WORKING_SET_MAX_BYTES", need)
         seqst_qpt_exact(ch, 5, 7)
-        monkeypatch.setattr(channels, "KRAUS_MAX_BYTES", need - 1)
+        monkeypatch.setattr(core, "WORKING_SET_MAX_BYTES", need - 1)
         with pytest.raises(SizeLimitExceeded):
             seqst_qpt_exact(ch, 5, 7)
         # The sampler's block is r gathers of D entries, which no budget bounds.
@@ -315,18 +319,43 @@ class TestCoefficientRoute:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("n, rank", [(6, 4), (8, 2)])
+    @pytest.mark.parametrize("n, rank", [(5, 4), (6, 4), (8, 2)])
     def test_working_sets_stay_within_their_estimates(self, n, rank):
-        # Each route's estimate is stacks * rank + 1 operators of 16 * 4**n bytes.
+        # Each route's estimate, in operators of 16 * 4**n bytes; a chi matrix is 4**n of them.
         ch = random_channel(n, rank, np.random.default_rng(n))
         pauli_masks(n)  # the cached index tables are no part of a route
         routes = [
-            (qpt.CIRCUIT_STACKS, lambda: seqst_qpt_exact(ch, 5, 7)),
-            (qpt.BELL_STACKS, lambda: dcqd_distribution(ch)),
-            (channels.DIAGONAL_STACKS, lambda: chi_diagonal(ch)),
+            (qpt.CIRCUIT_STACKS * rank + 1, lambda: seqst_qpt_exact(ch, 5, 7)),
+            (qpt.BELL_STACKS * rank + 1, lambda: dcqd_distribution(ch)),
+            (channels.DIAGONAL_STACKS * rank + 1, lambda: chi_diagonal(ch)),
         ]
-        for stacks, route in routes:
-            assert self.peak(route) <= (stacks * rank + 1) * 16 * 4**n
+        if n == 5:  # the chi routes; one chi takes 16 MB here and 268 MB at n = 6
+            chi, chis = kraus_to_chi(ch), 4**n
+            routes += [
+                (channels.CHI_COPIES * chis + channels.DIAGONAL_STACKS * rank + 1, lambda: kraus_to_chi(ch)),
+                # the estimate counts the chi it is given, which the peak does not
+                ((channels.VALIDITY_CHIS - 1) * chis + 2, lambda: validate_channel(chi)),
+                (channels.CHI_COPIES * chis + qpt.BELL_STACKS * rank + 1, lambda: aapt_full_chi(ch)),
+                (qpt.TWO_COPY_CHIS * chis + 1, lambda: seqpt_exact_average(ch, 5, 7)),
+            ]
+        for operators, route in routes:
+            assert self.peak(route) <= operators * 16 * 4**n
+
+    @pytest.mark.parametrize(
+        "route, ceiling",
+        [(kraus_to_chi, 6), (aapt_full_chi, 6), (functools.partial(seqpt_exact_average, a=5, b=7), 6), (validate_channel, 5)],
+    )
+    def test_chi_routes_refuse_one_qubit_past_their_ceiling_before_allocating(self, monkeypatch, route, ceiling):
+        # The estimates read only n and the rank, so a one-qubit argument stands in for one on more qubits.
+        arg = ChiMatrix(1, np.eye(4)) if route is validate_channel else KrausChannel(1, [np.eye(2)])
+        monkeypatch.setattr(arg, "n", ceiling + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded):
+                route(arg)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_every_route_refuses_the_rank_64_channel_at_ten_qubits(self, monkeypatch):
         # The same verdicts as for depolarizing⊗3 ⊗ identity(7), without its 1 GiB stack:
@@ -634,6 +663,17 @@ class TestSeqptEstimate:
     def test_n_states_validation(self):
         with pytest.raises(IndexOutOfRange):
             seqpt_estimate(channel_zoo("identity"), 0, 0, 0, ShotPlan(0.1, 0.05, 10), RandomStream(0))
+
+    @pytest.mark.parametrize("n_states, workers", [(CHUNK_LIMIT + 1, 1), (100, 100), (10**9, 1)])
+    def test_state_loop_over_the_chunk_limit_is_refused_before_any_draw(self, monkeypatch, n_states, workers):
+        # n_states * min(workers, m) generators would be built
+        def refuse(*args):
+            raise AssertionError("a state was drawn before the chunk check")
+
+        monkeypatch.setattr(qpt, "haar_random_state", refuse)
+        plan = ShotPlan(0.1, 0.05, 738)
+        with pytest.raises(SizeLimitExceeded):
+            seqpt_estimate(channel_zoo("identity"), 0, 0, n_states, plan, RandomStream(0), workers)
 
 
 class TestConcordance:
