@@ -338,7 +338,7 @@ def zoo_descriptions() -> dict:
 
 
 def zoo_catalog(n: int = 1) -> dict:
-    """Canonical named instances used by tests and the CLI.
+    """Canonical named instances that the tests and the acceptance suite sweep.
 
     n=1 covers every zoo family; n=2 gives representative products and a
     two-qubit unitary.

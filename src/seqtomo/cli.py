@@ -43,7 +43,7 @@ from .core import (
 )
 from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, chernoff_plan
-from .pauli import PauliLabel, pauli_labels
+from .pauli import pauli_labels, pauli_word
 from .qpt import (
     aapt_full_chi,
     dcqd_distribution,
@@ -131,6 +131,22 @@ def _spec_kind(spec, allowed: dict, what: str) -> str:
     return kind
 
 
+def _state_qubits(spec) -> int:
+    """The qubits of the state a spec describes, read before anything is built.
+
+    That is n, 2n for entangled(n), which spans two registers, or for
+    explicit values the qubits their length of entries or rows would need,
+    rounded up. A spec of an unknown kind, with a key its kind does not
+    take or with a bad n raises ConfigError.
+    """
+    kind = _spec_kind(spec, _STATE_KEYS, "state")
+    if kind in ("amplitudes", "matrix"):
+        values = spec.get("values")
+        return (len(values) - 1).bit_length() if isinstance(values, list) else 1
+    n = _spec_int(spec, "n", 1, 1, "state")
+    return 2 * n if kind == "entangled" else n
+
+
 def build_state(spec: dict) -> DensityMatrix:
     """Build the input state from a config spec.
 
@@ -138,14 +154,11 @@ def build_state(spec: dict) -> DensityMatrix:
     haar(n, seed), random_mixed(n, seed), amplitudes(values),
     matrix(values) — explicit values use [re, im] pairs. n defaults to 1
     and seed to 0; a key the kind does not take is refused, and a state
-    over the budgets of ``core.check_size`` raises SizeLimitExceeded.
+    over the budgets of ``core.check_size`` (``_state_qubits``) raises
+    SizeLimitExceeded.
     """
-    kind = _spec_kind(spec, _STATE_KEYS, "state")
-    if kind == "amplitudes" and isinstance(spec.get("values"), list):
-        # The qubits a matrix of that dimension would need, rounded up.
-        check_size("a dense state", (len(spec["values"]) - 1).bit_length(), 1)
-    n = _spec_int(spec, "n", 1, 1, "state")
-    check_size("a dense state", 2 * n if kind == "entangled" else n, 1)  # entangled(n) spans two registers
+    check_size("a dense state", _state_qubits(spec), 1)
+    kind, n = spec["kind"], spec.get("n", 1)
     d = 2**n
     if kind == "zero":
         return PureState(np.eye(d)[0]).density()
@@ -241,6 +254,9 @@ def execute(cfg: ExperimentConfig) -> dict:
         ch = channel_from_json(cfg.channel)
     else:
         _require(cfg.state is not None, f"protocol {cfg.protocol} needs a state spec")
+        if cfg.protocol == "standard-qst":
+            n = _state_qubits(cfg.state)
+            check_size("the standard-qst report", n, rows=4**n)
         rho = build_state(cfg.state)
 
     if cfg.protocol == "validate":
@@ -250,11 +266,9 @@ def execute(cfg: ExperimentConfig) -> dict:
         return {"n": ch.n, "validity": report.to_json(), "all_valid": report.all_valid}
 
     if cfg.protocol == "standard-qst":
-        n = int(np.log2(rho.dim))
-        check_size("the standard-qst report", n, rows=4**n)
         pairs = standard_pauli_qst(rho)
         return {
-            "n": n,
+            "n": int(np.log2(rho.dim)),
             "expectations": [{"label": word, "value": val} for word, val in pairs],
         }
 
@@ -294,7 +308,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         probs = dcqd_distribution(ch)
         # The distribution the rows are drawn from, with dcqd_diagonal's clamp at 1.
         diagonal = np.minimum(probs, 1.0)
-        labels = pauli_labels(ch.n) if cfg.target else {cfg.a: str(PauliLabel.from_index(ch.n, cfg.a))}
+        labels = pauli_labels(ch.n) if cfg.target else {cfg.a: pauli_word(ch.n, cfg.a)}
         payload = []
         for k, freq, err in dcqd_sample_rows(probs, ks, plan, stream, cfg.workers):
             exact = float(diagonal[k])
@@ -636,6 +650,10 @@ def main(argv=None) -> int:
         return 3
     except (SeqtomoError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # json and the report writer recurse once or twice per level of JSON nesting.
+        print(f"error: the config nests deeper than {sys.getrecursionlimit()} frames allow", file=sys.stderr)
         return 2
 
 

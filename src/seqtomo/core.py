@@ -1,8 +1,8 @@
 """Dense complex linear algebra and quantum-state primitives.
 
-Everything here is plain NumPy on dense arrays. States and operators are
-immutable after construction (backing arrays are write-protected), and the
-state types enforce their physical invariants at construction time:
+Everything here is plain NumPy on dense arrays. An operator is a plain
+ndarray; the ones made here are read-only, as are the backing arrays of
+the state types, which enforce their physical invariants at construction:
 PureState is normalized, DensityMatrix is Hermitian, unit-trace and
 positive semidefinite up to tolerance.
 
@@ -69,31 +69,10 @@ GATES = {
 
 
 def as_matrix(op) -> np.ndarray:
-    """Coerce an Operator, DensityMatrix or array-like to a complex ndarray."""
-    if isinstance(op, (Operator, DensityMatrix)):
+    """Coerce a DensityMatrix or array-like to a complex ndarray."""
+    if isinstance(op, DensityMatrix):
         return op.matrix
     return np.asarray(op, dtype=complex)
-
-
-class Operator:
-    """A D×D complex matrix: gates, Kraus operators, observables."""
-
-    def __init__(self, matrix):
-        m = np.array(as_matrix(matrix), dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise DimensionMismatch(f"operator must be square, got shape {m.shape}")
-        self._m = _freeze(m)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._m
-
-    @property
-    def dim(self) -> int:
-        return self._m.shape[0]
-
-    def __repr__(self):
-        return f"Operator(dim={self.dim})"
 
 
 class PureState:
@@ -158,9 +137,9 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product: block (i, j) of the result is a[i, j] * b."""
-    return Operator(np.kron(a.matrix, b.matrix))
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product, read-only: block (i, j) of the result is a[i, j] * b."""
+    return _freeze(np.kron(as_matrix(a), as_matrix(b)))
 
 
 def unitarity_residual(u) -> float:
@@ -208,13 +187,12 @@ def haar_random_state(d: int, rng: np.random.Generator) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def haar_random_unitary(d: int, rng: np.random.Generator) -> Operator:
-    """A Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
+def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A read-only Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r)
-    q = q * (ph / np.abs(ph))
-    return Operator(q)
+    return _freeze(q * (ph / np.abs(ph)))
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:

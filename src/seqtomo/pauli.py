@@ -1,11 +1,12 @@
 """The n-qubit Pauli operators in symplectic (x, z) form.
 
-Labels are words over {I, X, Y, Z}; the index m of a label is its base-4
-number with I=0, X=1, Y=2, Z=3 and qubit 0 the most significant digit, so
-index 0 is the identity. This is the only module that knows how a Pauli
-is encoded: m maps to the n-bit masks x (qubits carrying X or Y) and z
-(qubits carrying Y or Z), qubit 0 the most significant bit, and, as in
-Aaronson & Gottesman (quant-ph/0406196),
+A Pauli is named by its index m in [0, 4**n) alone: the base-4 number of
+its word over {I, X, Y, Z} (``pauli_word``, ``pauli_labels``) with I=0,
+X=1, Y=2, Z=3 and qubit 0 the most significant digit, so index 0 is the
+identity. This is the only module that knows how a Pauli is encoded: m
+maps to the n-bit masks x (qubits carrying X or Y) and z (qubits carrying
+Y or Z), qubit 0 the most significant bit, and, as in Aaronson & Gottesman
+(quant-ph/0406196),
 
     P_m = i^{|x∧z|} X^x Z^z,   so   P_m|j> = i^{|x∧z|} (-1)^{|z∧j|} |j⊕x>.
 
@@ -18,60 +19,36 @@ sum_m v_m P_m, and ``pauli_masks`` hands out (x, z, phase). Only the
 O(4**n) index tables and the sign matrix are cached, never a dense Pauli.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .core import Operator
 from .errors import DimensionMismatch, IndexOutOfRange
 
 LETTERS = "IXYZ"
+_DIGITS = str.maketrans("0123", LETTERS)  # base-4 digit -> letter
 
 
-@dataclass(frozen=True)
-class PauliLabel:
-    """A symbolic n-qubit Pauli operator, e.g. PauliLabel("XZ") = X ⊗ Z."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or self.letters.strip(LETTERS):
-            raise ValueError(f"letters must be a nonempty word over {LETTERS}, got {self.letters!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def index(self) -> int:
-        """Base-4 index in [0, 4**n), qubit 0 most significant."""
-        m = 0
-        for c in self.letters:
-            m = 4 * m + LETTERS.index(c)
-        return m
-
-    @classmethod
-    def from_index(cls, n: int, index: int) -> "PauliLabel":
-        if not 0 <= index < 4**n:
-            raise IndexOutOfRange(f"index {index} outside [0, {4**n}) for n={n}")
-        digits = []
-        m = index
-        for _ in range(n):
-            digits.append(LETTERS[m % 4])
-            m //= 4
-        return cls("".join(reversed(digits)))
-
-    def __str__(self):
-        return self.letters
+def check_indices(n: int, *indices) -> None:
+    """DimensionMismatch unless n >= 1; IndexOutOfRange unless each index lies in [0, 4**n)."""
+    if n < 1:
+        raise DimensionMismatch(f"need at least one qubit, got n={n}")
+    for m in indices:
+        if not 0 <= m < 4**n:
+            raise IndexOutOfRange(f"Pauli index {m} outside [0, {4**n}) for n={n}")
 
 
 def pauli_labels(n: int) -> list:
     """The 4**n label words, in index order."""
-    if n < 1:
-        raise DimensionMismatch(f"need at least one qubit, got n={n}")
+    check_indices(n)
     return list(map("".join, product(LETTERS, repeat=n)))
+
+
+def pauli_word(n: int, m: int) -> str:
+    """The label word of index m, ``pauli_labels(n)[m]`` without the other 4**n - 1."""
+    check_indices(n, m)
+    return np.base_repr(m, 4).rjust(n, "0").translate(_DIGITS)
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +58,7 @@ def _tables(n: int) -> tuple:
     x[m], z[m] and phase[m] = i^{|x∧z|} describe P_m; index[x, z] = m
     inverts them; sign[j, k] = (-1)^{|j∧k|}.
     """
-    if n < 1:
-        raise DimensionMismatch(f"need at least one qubit, got n={n}")
+    check_indices(n)
     m = np.arange(4**n)
     x, z, ys = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
     for q in range(n):
@@ -116,14 +92,15 @@ def _qubits(size: int, base: int) -> int:
     return n
 
 
-def pauli_matrix(label: PauliLabel) -> Operator:
-    """The dense 2**n × 2**n matrix of a Pauli label, entries exactly 0, ±1 or ±i."""
-    x, z, phase, _, sign = _tables(label.n)
-    m = label.index
-    j = np.arange(2**label.n)
+def pauli_matrix(n: int, m: int) -> np.ndarray:
+    """The dense, read-only 2**n × 2**n matrix of P_m, entries exactly 0, ±1 or ±i."""
+    check_indices(n, m)
+    x, z, phase, _, sign = _tables(n)
+    j = np.arange(2**n)
     out = np.zeros((j.size, j.size), dtype=complex)
     out[j ^ x[m], j] = phase[m] * sign[z[m]]
-    return Operator(out)
+    out.setflags(write=False)
+    return out
 
 
 def pauli_coefficient(mats, m) -> np.ndarray:

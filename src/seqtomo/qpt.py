@@ -53,7 +53,7 @@ from .core import GATES, PureState, check_size, haar_random_state
 from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical_partitioned
-from .pauli import PauliLabel, pauli_masks, pauli_matrix
+from .pauli import check_indices, pauli_masks, pauli_matrix, pauli_word
 from .seqst import ancilla_readout, fiducial_readout, sample_readout
 
 # Peak working sets, in Kraus stacks (rank operators, the size of the
@@ -85,8 +85,8 @@ class ChiEstimate:
     def to_json(self) -> dict:
         return {
             "protocol": self.protocol,
-            "a": str(PauliLabel.from_index(self.n, self.a)),
-            "b": str(PauliLabel.from_index(self.n, self.b)),
+            "a": pauli_word(self.n, self.a),
+            "b": pauli_word(self.n, self.b),
             "re": self.value.real,
             "im": self.value.imag,
             "se_re": self.se_re,
@@ -100,16 +100,6 @@ class ChiEstimate:
 class GateCounts:
     single_qubit: int
     two_qubit: int
-
-
-def _pauli(n: int, m: int) -> np.ndarray:
-    return pauli_matrix(PauliLabel.from_index(n, m)).matrix
-
-
-def _check_pauli_indices(n: int, *indices) -> None:
-    for idx in indices:
-        if not 0 <= idx < 4**n:
-            raise IndexOutOfRange(f"Pauli index {idx} outside [0, {4**n}) for n={n}")
 
 
 def _check_dual_trace(ch: KrausChannel) -> None:
@@ -156,7 +146,7 @@ def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
 
 def dcqd_diagonal(ch: KrausChannel, k: int) -> float:
     """chi_kk as the probability of finding the dual state in (P_k ⊗ I)|I>, at most 1."""
-    _check_pauli_indices(ch.n, k)
+    check_indices(ch.n, k)
     return min(float(dcqd_distribution(ch)[k]), 1.0)
 
 
@@ -199,7 +189,7 @@ def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
     A channel that is not trace-preserving raises ValueError, and one whose
     circuit would exceed the budgets of ``check_size`` raises SizeLimitExceeded.
     """
-    _check_pauli_indices(ch.n, a, b)
+    check_indices(ch.n, a, b)
     # The controlled stage's output is a temporary, so U_Phi†'s first gate frees it.
     final = _apply_gates(_controlled_paulis(ch, a, b), _entangling_gates(ch.n)[::-1], 2)
     amps = final.reshape(final.shape[0], 2, -1)[:, :, 0]
@@ -212,7 +202,7 @@ def _controlled_paulis(ch: KrausChannel, a: int, b: int) -> np.ndarray:
     dual = _dual_branches(ch, CIRCUIT_STACKS, "the SEQST-QPT circuit")
     branches = []
     for m in (b, a):
-        paulis = [(p.lower(), (q,)) for q, p in enumerate(str(PauliLabel.from_index(ch.n, m))) if p != "I"]
+        paulis = [(p.lower(), (q,)) for q, p in enumerate(pauli_word(ch.n, m)) if p != "I"]
         branches.append(_apply_gates(dual, paulis, 1))
     return np.stack(branches, axis=1)
 
@@ -230,7 +220,7 @@ def seqst_qpt_sample(
     The block is ``channels.chi_block``: r gathers of D entries, whatever n.
     A channel that is not trace-preserving raises ValueError (``_check_dual_trace``).
     """
-    _check_pauli_indices(ch.n, a, b)
+    check_indices(ch.n, a, b)
     _check_dual_trace(ch)
     block = chi_block(ch, a, b)
     _, re, se_re = sample_readout(block, "X", plan.m, stream.substream(0), workers)
@@ -240,13 +230,13 @@ def seqst_qpt_sample(
 
 def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
     """The readout block of the SEQPT circuit for one input state psi."""
-    _check_pauli_indices(ch.n, a, b)
+    check_indices(ch.n, a, b)
     if psi.dim != ch.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != channel dim {ch.dim}")
     v = psi.amplitudes
     kraus = np.stack(ch.kraus_ops)
     # w[k] = <psi|K_k P_m|psi> for m = a, b.
-    wa, wb = ((kraus @ (_pauli(ch.n, m) @ v)) @ v.conj() for m in (a, b))
+    wa, wb = ((kraus @ (pauli_matrix(ch.n, m) @ v)) @ v.conj() for m in (a, b))
     return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
 
 
@@ -273,7 +263,7 @@ def seqpt_estimate(
     """
     if n_states < 1:
         raise IndexOutOfRange(f"n_states must be >= 1, got {n_states}")
-    _check_pauli_indices(ch.n, a, b)
+    check_indices(ch.n, a, b)
     check_chunks(n_states * min(workers, plan.m))
     d = ch.dim
     means_x = np.empty(n_states)
@@ -307,10 +297,10 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
     and summed over the Kraus operators. TWO_COPY_CHIS D²×D² operators over
     the budgets of ``check_size`` (n >= 7) raise SizeLimitExceeded.
     """
-    _check_pauli_indices(ch.n, a, b)
+    check_indices(ch.n, a, b)
     check_size("the two-copy operator", ch.n, TWO_COPY_CHIS * 4**ch.n + 1)
     d = ch.dim
-    pa, pb = _pauli(ch.n, a), _pauli(ch.n, b)
+    pa, pb = pauli_matrix(ch.n, a), pauli_matrix(ch.n, b)
     # SWAP[i d + j, j d + i] = 1: the identity with its two row factors exchanged.
     swap = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
     two_copy = (np.eye(d * d) + swap) / (d * (d + 1))

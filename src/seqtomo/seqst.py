@@ -112,7 +112,7 @@ class PreparationBasis:
     @classmethod
     def random_unitary_columns(cls, n: int, rng: np.random.Generator) -> "PreparationBasis":
         """Basis states are the columns of one Haar-random unitary."""
-        u = haar_random_unitary(2**n, rng).matrix
+        u = haar_random_unitary(2**n, rng)
         flips = np.arange(2**n)
 
         def prep(a: int) -> np.ndarray:

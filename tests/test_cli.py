@@ -30,6 +30,20 @@ def load_json(path):
         return json.load(fh)
 
 
+def real_pairs(values: np.ndarray) -> list:
+    """The [re, im] pairs of a real vector or matrix, as explicit values in a spec spell them."""
+    return np.stack([values, np.zeros_like(values)], axis=-1).tolist()
+
+
+def nested_compose(depth: int) -> str:
+    """The JSON text of a channel spec of ``depth`` compose levels, one inside the next.
+
+    Spelled as text: json.dumps itself recurses once per level.
+    """
+    inner = '{"name": "compose", "params": {"first": ' * depth + '{"name": "identity"}'
+    return inner + ', "then": {"name": "identity"}}}' * depth
+
+
 class TestRun:
     def test_validate_protocol(self, tmp_path):
         out = tmp_path / "report.json"
@@ -517,6 +531,53 @@ class TestConfigHandling:
         )
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "spec, code",
+        [
+            ({"kind": "matrix", "values": real_pairs(np.eye(8) / 8)}, 3),
+            ({"kind": "amplitudes", "values": real_pairs(np.eye(8)[0])}, 3),
+            ({"kind": "random_mixed", "n": 3}, 3),
+            ({"kind": "matrix", "values": real_pairs(np.eye(4) / 4)}, 0),
+        ],
+    )
+    def test_every_state_kind_is_sized_by_its_qubits(self, monkeypatch, spec, code):
+        # Under a budget of two qubits per operator, each spelling of a 3-qubit state is refused.
+        monkeypatch.setattr(core, "MATRIX_MAX_BYTES", 16 * 4**2)
+        args = ["run", "--protocol", "seqst-state", "--state", json.dumps(spec), "--a", "0", "--b", "1"]
+        assert main(args) == code
+
+    def test_standard_qst_refuses_its_rows_before_building_the_state(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the state was built before the row check")
+
+        monkeypatch.setattr(cli, "random_density_matrix", refuse)
+        assert main(["run", "--protocol", "standard-qst", "--state", '{"kind":"random_mixed","n":10}']) == 3
+        assert "the standard-qst report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"protocol": "standard-qst", "state": ' + "[" * 100000 + "]" * 100000 + "}",
+            '{"protocol": "validate", "channel": ' + nested_compose(2000) + "}",
+            '{"protocol": "validate", "channel": ' + nested_compose(300) + "}",
+        ],
+        ids=["state-100000", "compose-2000", "compose-300"],
+    )
+    def test_deep_nesting_exits_two_without_traceback(self, tmp_path, config):
+        # json decoding fails on the first two; the third runs and fails rendering its report.
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", "run", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: the config nests deeper than")
+        assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
     def test_huge_worker_count_finishes_quickly(self):

@@ -5,7 +5,6 @@ import pytest
 from conftest import dense_pauli, dense_pauli_basis
 
 from seqtomo import (
-    PauliLabel,
     pauli_coefficients,
     pauli_combination,
     pauli_matrix,
@@ -13,61 +12,56 @@ from seqtomo import (
     standard_pauli_qst,
 )
 from seqtomo.errors import DimensionMismatch, IndexOutOfRange, SeqtomoError
-from seqtomo.pauli import pauli_coefficient, pauli_labels, pauli_masks
+from seqtomo.pauli import pauli_coefficient, pauli_labels, pauli_masks, pauli_word
 
 
 class TestLabels:
-    def test_index_round_trip(self):
-        for n in (1, 2, 3):
-            for m in range(4**n):
-                lbl = PauliLabel.from_index(n, m)
-                assert lbl.index == m
-                assert lbl.n == n
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_label_words_in_index_order(self, n):
+        # Base-4 digits against itertools.product: two independent spellings.
+        assert [pauli_word(n, m) for m in range(4**n)] == pauli_labels(n)
 
     def test_identity_is_index_zero(self):
-        assert PauliLabel("III").index == 0
-        assert PauliLabel.from_index(3, 0).letters == "III"
+        assert pauli_word(3, 0) == "III"
+        np.testing.assert_array_equal(pauli_matrix(3, 0), np.eye(8))
 
     def test_encoding_is_big_endian(self):
         # qubit 0 carries the most significant base-4 digit
-        assert PauliLabel("XI").index == 4
-        assert PauliLabel("IX").index == 1
-
-    @pytest.mark.parametrize("letters", ["XQ", "", "IA", "xI", "I\n", " X"])
-    def test_bad_letters_rejected(self, letters):
-        with pytest.raises(ValueError):
-            PauliLabel(letters)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_label_words_in_index_order(self, n):
-        assert pauli_labels(n) == [str(PauliLabel.from_index(n, m)) for m in range(4**n)]
+        assert pauli_word(2, 4) == "XI"
+        assert pauli_word(2, 1) == "IX"
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_label_words_need_a_qubit(self, n):
         with pytest.raises(DimensionMismatch):
             pauli_labels(n)
+        with pytest.raises(DimensionMismatch):
+            pauli_word(n, 0)
 
-    def test_index_out_of_range(self):
+    @pytest.mark.parametrize("function", [pauli_word, pauli_matrix])
+    @pytest.mark.parametrize("n, m", [(1, -1), (1, 4), (3, -1), (3, 64)])
+    def test_index_out_of_range(self, function, n, m):
         with pytest.raises(IndexOutOfRange):
-            PauliLabel.from_index(1, 4)
+            function(n, m)
 
 
 class TestMatrices:
     def test_single_qubit_convention(self):
-        np.testing.assert_allclose(pauli_matrix(PauliLabel("I")).matrix, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(
-            pauli_matrix(PauliLabel("Y")).matrix, np.array([[0, -1j], [1j, 0]]), atol=1e-15
-        )
+        np.testing.assert_allclose(pauli_matrix(1, 0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(pauli_matrix(1, 2), np.array([[0, -1j], [1j, 0]]), atol=1e-15)
 
     def test_tensor_structure(self):
-        x = pauli_matrix(PauliLabel("X")).matrix
-        z = pauli_matrix(PauliLabel("Z")).matrix
-        np.testing.assert_allclose(pauli_matrix(PauliLabel("XZ")).matrix, np.kron(x, z), atol=1e-15)
+        x = pauli_matrix(1, 1)
+        z = pauli_matrix(1, 3)
+        np.testing.assert_allclose(pauli_matrix(2, 7), np.kron(x, z), atol=1e-15)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            pauli_matrix(2, 7)[0, 0] = 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hermitian_and_unitary(self, n):
         for i in range(4**n):
-            m = pauli_matrix(PauliLabel.from_index(n, i)).matrix
+            m = pauli_matrix(n, i)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
             np.testing.assert_allclose(m @ m, np.eye(2**n), atol=1e-12)
 
@@ -75,7 +69,7 @@ class TestMatrices:
     def test_equals_kron_of_sigmas_entry_for_entry(self, n):
         basis = dense_pauli_basis(n)
         for i in range(4**n):
-            np.testing.assert_array_equal(pauli_matrix(PauliLabel.from_index(n, i)).matrix, basis[i])
+            np.testing.assert_array_equal(pauli_matrix(n, i), basis[i])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_masks_give_the_kron_of_sigmas(self, n):
@@ -127,7 +121,7 @@ class TestCoefficients:
         assert len(pairs) == 4**7
         for m in rng.choice(4**7, size=20, replace=False):
             label, value = pairs[m]
-            assert label == str(PauliLabel.from_index(7, int(m)))
+            assert label == pauli_word(7, int(m))
             assert abs(value - np.trace(rho.matrix @ dense_pauli(label)).real) < 1e-12
 
 

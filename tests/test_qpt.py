@@ -113,9 +113,30 @@ class TestDcqdDiagonal:
             assert 0.0 <= v <= 1.0
             assert abs(v - chi[k, k].real) < 1e-9, (name, k)
 
-    def test_index_validation(self):
-        with pytest.raises(IndexOutOfRange):
-            dcqd_diagonal(channel_zoo("identity"), 4)
+
+# Each qpt entry point that reads Pauli indices, with the index under test at m.
+_PLAN = ShotPlan(0.1, 0.05, 10)
+_INDEXED = {
+    "dcqd_diagonal": lambda ch, m: dcqd_diagonal(ch, m),
+    "seqst_qpt_exact": lambda ch, m: seqst_qpt_exact(ch, m, 0),
+    "seqst_qpt_sample": lambda ch, m: seqst_qpt_sample(ch, 0, m, _PLAN, RandomStream(0)),
+    "seqpt_outcome_distribution": lambda ch, m: seqpt_outcome_distribution(
+        ch, m, 0, haar_random_state(ch.dim, np.random.default_rng(0)), "X"
+    ),
+    "seqpt_estimate": lambda ch, m: seqpt_estimate(ch, 0, m, 1, _PLAN, RandomStream(0)),
+    "seqpt_exact_average": lambda ch, m: seqpt_exact_average(ch, m, 0),
+}
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("route", list(_INDEXED))
+    def test_refuses_indices_outside_the_basis(self, route, n):
+        ch = channel_zoo("identity", n=n)
+        for m in (-1, 4**n):
+            with pytest.raises(IndexOutOfRange):
+                _INDEXED[route](ch, m)
+        _INDEXED[route](ch, 4**n - 1)
 
 
 class TestDcqdSampling:
