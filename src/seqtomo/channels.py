@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GATES, as_matrix, check_size, unitarity_residual
+from .core import GATES, check_size, unitarity_residual
 from .errors import ConfigError, DimensionMismatch, NotCompletelyPositive, ParamOutOfRange, UnknownChannel
 from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
 
@@ -62,7 +62,7 @@ class KrausChannel:
         if n < 1:
             raise DimensionMismatch("need at least one qubit")
         d = 2**n
-        ops = tuple(np.array(as_matrix(k), dtype=complex) for k in kraus_ops)
+        ops = tuple(np.array(k, dtype=complex) for k in kraus_ops)
         if not ops:
             raise DimensionMismatch("need at least one Kraus operator")
         for k in ops:

@@ -236,6 +236,7 @@ def execute(cfg: ExperimentConfig) -> dict:
     _require(cfg.protocol in PROTOCOLS, f"protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
     _require(cfg.format in ("json", "csv"), f"format must be json or csv, got {cfg.format!r}")
     _require(cfg.workers >= 1, f"workers must be >= 1, got {cfg.workers}")
+    plan = chernoff_plan(cfg.epsilon, cfg.delta)
     if cfg.target == "all":
         _require(cfg.protocol == "aapt", "target=all applies to aapt only")
     elif cfg.target == "all-diagonal":
@@ -276,7 +277,6 @@ def execute(cfg: ExperimentConfig) -> dict:
         n = int(np.log2(rho.dim))
         basis = build_basis(cfg.basis, n)
         _validate_indices(cfg, basis.dim, "the state basis")
-        plan = chernoff_plan(cfg.epsilon, cfg.delta)
         rep = seqst_sample(rho, basis, cfg.a, cfg.b, plan, stream, cfg.workers)
         exact = seqst_exact(rho, basis, cfg.a, cfg.b)
         return {
@@ -302,7 +302,6 @@ def execute(cfg: ExperimentConfig) -> dict:
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
         ks = range(4**ch.n) if cfg.target else [cfg.a]  # target is all-diagonal or None here
         check_size("the dcqd-diag report", ch.n, rows=len(ks))
-        plan = chernoff_plan(cfg.epsilon, cfg.delta)
         # The oracle first: its byte estimate is the larger, so a refusal comes before any work.
         oracle = chi_diagonal(ch)
         probs = dcqd_distribution(ch)
@@ -331,7 +330,6 @@ def execute(cfg: ExperimentConfig) -> dict:
 
     if cfg.protocol == "seqst-qpt":
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
-        plan = chernoff_plan(cfg.epsilon, cfg.delta)
         circuit_exact = seqst_qpt_exact(ch, cfg.a, cfg.b)
         est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
         exact = chi_block(ch, cfg.a, cfg.b)[2]
@@ -347,7 +345,6 @@ def execute(cfg: ExperimentConfig) -> dict:
     if cfg.protocol == "seqpt":
         _validate_indices(cfg, 4**ch.n, "the Pauli basis")
         _require(cfg.n_states is not None and cfg.n_states >= 1, "protocol seqpt needs n_states >= 1")
-        plan = chernoff_plan(cfg.epsilon, cfg.delta)
         avg_x, avg_y = seqpt_exact_average(ch, cfg.a, cfg.b)
         est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
         exact = chi_block(ch, cfg.a, cfg.b)[2]
@@ -489,9 +486,6 @@ def _write_output(text: str, path: str | None) -> None:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_INT_AXES = {"seed", "a", "b", "n_states", "workers"}
-
-
 def _set_dotted(data: dict, path: str, value) -> None:
     parts = path.split(".")
     node = data
@@ -523,17 +517,15 @@ def _fmt_complex(z: complex) -> str:
 
 
 def run_sweep(cfg_data: dict, axis: str, values: list, out: str | None) -> int:
+    """Write one CSV row per value of ``axis``; an integral value is set as an int, which number fields accept too."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    integral = axis.split(".")[-1] in _INT_AXES
-    if integral and not all(v.is_integer() for v in values):
-        raise ConfigError(f"sweep axis {axis!r} takes integer values, got {values}")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["value", "estimate", "exact", "abs_error", "m", "seconds"])
     for value in values:
         data = json.loads(json.dumps(cfg_data))
-        _set_dotted(data, axis, int(value) if integral else value)
+        _set_dotted(data, axis, int(value) if value.is_integer() else value)
         cfg = ExperimentConfig.from_dict(data)
         start = time.perf_counter()
         results = execute(cfg)
@@ -609,6 +601,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The report echoes the config one level deeper, and its writer spends at
+# most three Python frames per JSON level (a list whose items differ in
+# type), so a config this deep stays well inside the default recursion
+# limit of 1000 frames.
+MAX_CONFIG_DEPTH = 250
+
+
+def _check_depth(data: dict) -> None:
+    """ConfigError if ``data`` nests deeper than MAX_CONFIG_DEPTH JSON levels, counted level by level."""
+    depth, level = 0, [data]
+    while containers := [v for v in level if isinstance(v, (dict, list))]:
+        depth += 1
+        if depth > MAX_CONFIG_DEPTH:
+            raise ConfigError(f"the config nests deeper than {MAX_CONFIG_DEPTH} JSON levels, the most a report echoes")
+        level = list(chain.from_iterable(v.values() if isinstance(v, dict) else v for v in containers))
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
     data: dict = {}
     if args.config:
@@ -636,6 +645,7 @@ def main(argv=None) -> int:
                 print(f"{name:18s} {desc}")
             return 0
         cfg_data = _config_from_args(args)
+        _check_depth(cfg_data)
         if args.command == "validate":
             cfg_data["protocol"] = "validate"
         if args.command == "sweep":
@@ -652,7 +662,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # json and the report writer recurse once or twice per level of JSON nesting.
+        # json recurses once per level of JSON nesting as it decodes.
         print(f"error: the config nests deeper than {sys.getrecursionlimit()} frames allow", file=sys.stderr)
         return 2
 

@@ -68,13 +68,6 @@ GATES = {
 }
 
 
-def as_matrix(op) -> np.ndarray:
-    """Coerce a DensityMatrix or array-like to a complex ndarray."""
-    if isinstance(op, DensityMatrix):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
-
-
 class PureState:
     """A normalized state vector of dimension D."""
 
@@ -111,7 +104,7 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix):
-        m = np.array(as_matrix(matrix), dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"density matrix must be square, got shape {m.shape}")
         herm = np.max(np.abs(m - m.conj().T))
@@ -139,12 +132,12 @@ class DensityMatrix:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product, read-only: block (i, j) of the result is a[i, j] * b."""
-    return _freeze(np.kron(as_matrix(a), as_matrix(b)))
+    return _freeze(np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
 def unitarity_residual(u) -> float:
     """Max-norm deviation of u†u from the identity."""
-    m = as_matrix(u)
+    m = np.asarray(u, dtype=complex)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 

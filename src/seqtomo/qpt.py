@@ -8,9 +8,10 @@ in the orthonormal basis {(P_k ⊗ I)|I>}:
     chi_mn = <r_m| rho_E |r_n>.
 
 No route builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
-purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and the exact routes run gates on it.
-U_Phi† turns the Bell-type measurement in {(P_m ⊗ I)|I>} into a
+purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and ``_bell_amplitudes`` runs gates
+on it. U_Phi† turns the Bell-type measurement in {(P_m ⊗ I)|I>} into a
 computational one with amplitudes A[k, m] = <r_m|(K_k ⊗ I)|I> = Tr(P_m K_k)/D.
+That one readout serves every exact dual-state route.
 
 Four routes to chi coefficients are implemented, each checkable against the
 direct Kraus-to-chi conversion:
@@ -19,8 +20,9 @@ direct Kraus-to-chi conversion:
 - dcqd_diagonal: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
   probabilities of the Bell-type measurement (DCQD).
 - seqst_qpt_*: the selective circuit from ``seqst`` with that basis, giving
-  any single chi_ab exactly or by shot sampling; the exact route runs it
-  gate by gate on the dual branches.
+  any single chi_ab exactly or by shot sampling. The basis has the one form
+  of ``seqst.PreparationBasis``, the columns of a unitary W whose W† is the
+  Bell readout, so the exact route reads columns b and a of A.
 - seqpt_*: an ancilla-controlled Pauli pair around the channel with the
   system state averaged over the Haar measure; the averages obey
       avg_x = (D Re(chi_ab) + delta_ab) / (D + 1),
@@ -34,9 +36,9 @@ Both selective samplers draw from the readout block of
 is ``channels.chi_block``, g_ij = chi_ij = sum_k c_ki conj(c_kj) with
 c_km = Tr(P_m K_k)/D gathered from D entries of each K_k, which also gives
 the CLI's exact chi_ab of SEQST-QPT and SEQPT. For SEQPT
-g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The gate-level
-circuit on the purified dual state and the closed-form Haar integral stay
-as the oracles; the circuit shares nothing with the gather.
+g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The Bell readout
+of the purified dual state and the closed-form Haar integral stay as the
+oracles; the readout shares nothing with the gather.
 
 No route has a qubit ceiling of its own. Each states its peak working set
 in dense D×D operators beside it (the dual state is rank of them, a chi
@@ -57,13 +59,13 @@ from .pauli import check_indices, pauli_masks, pauli_matrix, pauli_word
 from .seqst import ancilla_readout, fiducial_readout, sample_readout
 
 # Peak working sets, in Kraus stacks (rank operators, the size of the
-# purified dual state), of the gate-level SEQST-QPT circuit and of the
-# Bell-basis amplitudes of DCQD; each route budgets one operator more for
-# |Phi> and index arrays. tracemalloc measures 5.0 and 2.0 to 2.6 stacks
-# (n = 6..9, rank 1..16). ``aapt_full_chi`` adds channels.CHI_COPIES chi
-# matrices (2.0), and ``seqpt_exact_average`` holds TWO_COPY_CHIS chi-sized
-# operators (2.0 to 2.3, n = 4..5). tests/test_qpt.py checks the bounds.
-CIRCUIT_STACKS = 6
+# purified dual state), of the Bell-basis amplitudes that aapt, DCQD and the
+# SEQST-QPT oracle read; each route budgets one operator more for |Phi> and
+# index arrays. tracemalloc measures 2.1 to 3.1 stacks (n = 5..8, rank
+# 1..16), the most at rank 1. ``aapt_full_chi`` adds channels.CHI_COPIES
+# chi matrices (2.0), and ``seqpt_exact_average`` holds TWO_COPY_CHIS
+# chi-sized operators (2.0 to 2.3, n = 4..5). tests/test_qpt.py checks the
+# bounds.
 BELL_STACKS = 3
 TWO_COPY_CHIS = 3
 
@@ -112,14 +114,8 @@ def _check_dual_trace(ch: KrausChannel) -> None:
         raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
 
 
-def _dual_branches(ch: KrausChannel, stacks: int, what: str) -> np.ndarray:
-    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits.
-
-    A route that holds ``stacks`` copies of it at its peak and would exceed
-    the budgets of ``check_size`` raises SizeLimitExceeded first.
-    """
-    check_size(what, ch.n, stacks * len(ch.kraus_ops) + 1)
-    _check_dual_trace(ch)
+def _dual_branches(ch: KrausChannel) -> np.ndarray:
+    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits."""
     n, d = ch.n, ch.dim
     phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
     return (np.stack(ch.kraus_ops) @ phi).reshape((-1,) + (2,) * (2 * n))
@@ -128,9 +124,14 @@ def _dual_branches(ch: KrausChannel, stacks: int, what: str) -> np.ndarray:
 def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
     """A[k, m] = <r_m|(K_k ⊗ I)|Phi> for r_m = (P_m ⊗ I)|Phi>, read after U_Phi†.
 
-    U_Phi† maps r_m to conj(phase_m)|z_m>|x_m>, with (x, z, phase) from ``pauli_masks``.
+    U_Phi† maps r_m to conj(phase_m)|z_m>|x_m>, with (x, z, phase) from
+    ``pauli_masks``. Past the budgets of ``check_size`` for BELL_STACKS
+    copies of the dual state, raises SizeLimitExceeded first.
     """
-    bell = _apply_gates(_dual_branches(ch, BELL_STACKS, "the Bell-basis readout"), _entangling_gates(ch.n)[::-1], 1)
+    check_size("the Bell-basis readout", ch.n, BELL_STACKS * len(ch.kraus_ops) + 1)
+    _check_dual_trace(ch)
+    # The dual state is a temporary, so U_Phi†'s first gate frees it.
+    bell = _apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
     x, z, phase = pauli_masks(ch.n)
     amps = bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
     amps *= phase  # in place: no third copy of the dual state
@@ -174,37 +175,23 @@ def dcqd_sample_rows(probs: np.ndarray, indices, plan: ShotPlan, stream: RandomS
 
 
 def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
-    """One chi_ab coefficient via the selective circuit, run gate by gate on the purified dual state.
+    """One chi_ab coefficient via the selective circuit on the purified dual state.
 
-    The dual state sum_k v_k v_k†, v_k = (K_k ⊗ I)|Phi>, is held as the
-    r pure branches of a (r, 2, 2, ..., 2) tensor: Kraus index, ancilla, 2n
-    qubits. The circuit prepares |Phi> with ``entangled_state_circuit``,
-    applies each K_k to the first register and puts the ancilla in |+>;
-    then P_b acts on ancilla branch 0 and P_a on branch 1, as per-qubit
-    gates (the controlled V† stage, since V_k = (P_k ⊗ I) U_Phi), and the
-    reversed U_Phi gate list, U_Phi†, on both. With A[k, c] the branch
-    amplitudes at |0...0>, t[c, c'] = sum_k A[k, c] conj(A[k, c']) / 2 is
-    the fiducial block of the final state, from which
+    The basis r_m = (P_m ⊗ I)|Phi> has the one form of ``seqst.PreparationBasis``:
+    r_m = W|m>, with W = U_Phi times the phased permutation
+    |m> -> conj(phase_m)|z_m>|x_m>. So the controlled V† stage is W†, the
+    Bell readout of ``_bell_amplitudes``, followed by ancilla-controlled
+    flips of b and a. With A the readout's amplitudes,
+    t[c, c'] = sum_k A[k, s_c] conj(A[k, s_c']) / 2, s = (b, a), is the
+    fiducial block of the final state, from which
     Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) is read by ``fiducial_readout``.
     A channel that is not trace-preserving raises ValueError, and one whose
-    circuit would exceed the budgets of ``check_size`` raises SizeLimitExceeded.
+    readout would exceed the budgets of ``check_size`` raises SizeLimitExceeded.
     """
     check_indices(ch.n, a, b)
-    # The controlled stage's output is a temporary, so U_Phi†'s first gate frees it.
-    final = _apply_gates(_controlled_paulis(ch, a, b), _entangling_gates(ch.n)[::-1], 2)
-    amps = final.reshape(final.shape[0], 2, -1)[:, :, 0]
+    amps = _bell_amplitudes(ch)[:, [b, a]]
     # The ancilla's |+> contributes the factor 1/2 of every entry.
     return fiducial_readout(amps.T @ amps.conj() / 2)
-
-
-def _controlled_paulis(ch: KrausChannel, a: int, b: int) -> np.ndarray:
-    """The dual state after the controlled stage, P_b on ancilla branch 0 and P_a on 1: (r, 2, 2, ..., 2)."""
-    dual = _dual_branches(ch, CIRCUIT_STACKS, "the SEQST-QPT circuit")
-    branches = []
-    for m in (b, a):
-        paulis = [(p.lower(), (q,)) for q, p in enumerate(pauli_word(ch.n, m)) if p != "I"]
-        branches.append(_apply_gates(dual, paulis, 1))
-    return np.stack(branches, axis=1)
 
 
 def seqst_qpt_sample(
@@ -347,10 +334,10 @@ def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
 def entangled_state_circuit(n: int) -> tuple:
     """Prepare the maximally entangled state by running the audited gate list.
 
-    Runs the U_Phi list that ``seqst_qpt_exact`` also runs on |0...0> of 2n
-    qubits; returns (state, GateCounts) with the counts taken from that
-    list. The gate count is linear in n, unlike the 2**n nonzero amplitudes
-    written out directly.
+    Runs on |0...0> of 2n qubits the U_Phi list whose reverse is the Bell
+    readout of ``_bell_amplitudes``; returns (state, GateCounts) with the
+    counts taken from that list. The gate count is linear in n, unlike the
+    2**n nonzero amplitudes written out directly.
     """
     if n < 1:
         raise DimensionMismatch("need at least one qubit")

@@ -1,21 +1,24 @@
 """Selective state tomography via an ancilla-controlled preparation circuit.
 
-Any matrix element alpha_ab = <psi_a|rho|psi_b> of a state, written in a
-basis {|psi_a> = V_a|psi_0>} of unitarily prepared states, can be read off
-one ancilla qubit:
+Every basis here has one form: its states |psi_a> are the columns of one
+unitary W, and V_a = W X^a prepares state a from |0...0>, with X^a the bit
+flips of a. Any matrix element alpha_ab = <psi_a|rho|psi_b> of a state can
+then be read off one ancilla qubit:
 
     ancilla in (|0> + |1>)/sqrt(2);
     V_b† applied to the system controlled on ancilla |0>,
     V_a† controlled on ancilla |1>;
-    then Re(alpha_ab) = Tr(rho_F |psi_0><psi_0| ⊗ X) and
-         Im(alpha_ab) = Tr(rho_F |psi_0><psi_0| ⊗ Y)
+    then Re(alpha_ab) = Tr(rho_F P_0 ⊗ X) and
+         Im(alpha_ab) = Tr(rho_F P_0 ⊗ Y)
 
-for the joint state rho_F before measurement. The control polarity is pinned
+for the joint state rho_F before measurement and P_0 = |0...0><0...0|. The control polarity is pinned
 by that postcondition under the Y = [[0,-i],[i,0]] convention: swapping the
-two controlled operators yields the complex conjugate instead.
+two controlled operators yields the complex conjugate instead. Since
+V_a† = X^a W†, the controlled stage is one uncontrolled W† followed by the
+ancilla-controlled flips X^b and X^a.
 
-A single run has three outcomes: +1 (system found in |psi_0>, ancilla in the
-+1 eigenstate of the measured axis), -1 (system in |psi_0>, ancilla in the
+A single run has three outcomes: +1 (system found in |0...0>, ancilla in the
++1 eigenstate of the measured axis), -1 (system in |0...0>, ancilla in the
 -1 eigenstate), or 0 (system elsewhere). Averaging M such outcomes per axis
 estimates the real and imaginary parts with Chernoff-bounded shot counts
 that do not grow with the system size.
@@ -25,12 +28,9 @@ g_ij = <psi_i|rho|psi_j>, i, j in {a, b}: on axis X,
 p_plus/minus = (g_aa + g_bb ± 2 Re g_ab) / 4 (Im on axis Y), and
 p_zero = 1 - p_plus - p_minus. ``ancilla_readout`` is the one home of that
 rule; every sampler, here and in ``qpt``, draws from a block it computes
-directly. The dense (2D)-dimensional circuit (``seqst_joint_state``,
-``seqst_exact``) is kept only as the independent oracle. It simulates the
-full joint state with the ancilla as the last qubit, applying the
-controlled stage blockwise: block (c, c') of rho ⊗ |+><+| becomes
-W_c rho W_c'† / 2 with W_0 = V_b†, W_1 = V_a†, a few D×D products in place
-of (2D)×(2D) ones.
+directly. ``seqst_exact`` is kept as the independent oracle: it rotates the
+state once, M = (W† rho / 2) W, and after the flips the fiducial block of
+rho_F is t[c, c'] = M[s_c, s_c'] with s = (b, a).
 
 The conventional Pauli-expectation route (standard_pauli_qst) is included
 as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
@@ -38,7 +38,6 @@ as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -48,78 +47,61 @@ from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
 from .pauli import pauli_coefficients, pauli_labels
 
 class PreparationBasis:
-    """A basis {V_a |psi_0>} of states prepared from a fiducial state.
+    """A basis of n-qubit states, the columns of one unitary W.
 
-    ``preparator_fn`` maps an index a in [0, 2**n) to the unitary matrix V_a.
-    Matrices are generated lazily and cached.
+    State a is W|a>, prepared from |0...0> by V_a = W X^a.
     """
 
-    def __init__(self, n: int, fiducial: PureState, preparator_fn: Callable[[int], np.ndarray], name: str = "custom"):
-        if fiducial.dim != 2**n:
-            raise DimensionMismatch(f"fiducial dim {fiducial.dim} != 2**{n}")
-        self.n = n
-        self.fiducial = fiducial
+    def __init__(self, unitary, name: str = "custom"):
+        w = np.array(unitary, dtype=complex)
+        d = w.shape[0] if w.ndim == 2 else 0
+        if w.shape != (d, d) or d < 2 or d & (d - 1):
+            raise DimensionMismatch(f"a basis unitary must be square with a power-of-two size >= 2, got {w.shape}")
+        w.setflags(write=False)
+        self.n = d.bit_length() - 1
+        self.unitary = w
         self.name = name
-        self._fn = preparator_fn
-        self._cache: dict = {}
 
     @property
     def dim(self) -> int:
         return 2**self.n
 
-    def preparator_matrix(self, a: int) -> np.ndarray:
+    def index(self, a: int) -> int:
+        """a, after checking it lies in [0, 2**n)."""
         if not 0 <= a < self.dim:
             raise IndexOutOfRange(f"basis index {a} outside [0, {self.dim})")
-        if a not in self._cache:
-            m = np.array(np.asarray(self._fn(a), dtype=complex))
-            m.setflags(write=False)
-            self._cache[a] = m
-        return self._cache[a]
+        return a
+
+    def preparator_matrix(self, a: int) -> np.ndarray:
+        """V_a = W X^a: the columns of W permuted by j -> j XOR a."""
+        return self.unitary[:, np.arange(self.dim) ^ self.index(a)]
 
     def element(self, a: int) -> PureState:
-        """The basis state V_a |psi_0>."""
-        return PureState(self.preparator_matrix(a) @ self.fiducial.amplitudes)
+        """The basis state V_a|0...0> = W|a>, column a of W."""
+        return PureState(self.unitary[:, self.index(a)])
 
-    def residuals(self) -> tuple:
-        """(max unitarity residual of the V_a, max Gram deviation of the basis)."""
-        vecs = np.stack([self.element(a).amplitudes for a in range(self.dim)])
-        gram = vecs.conj() @ vecs.T
-        gram_res = float(np.max(np.abs(gram - np.eye(self.dim))))
-        unit_res = max(unitarity_residual(self.preparator_matrix(a)) for a in range(self.dim))
-        return unit_res, gram_res
+    def residuals(self) -> float:
+        """W's unitarity residual, which is also the max deviation of the basis's Gram matrix from I."""
+        return unitarity_residual(self.unitary)
 
     @classmethod
     def computational(cls, n: int) -> "PreparationBasis":
-        """V_a = bit flips on the set bits of a, i.e. |j> -> |j XOR a>; fiducial |0...0>."""
-        d = 2**n
-
-        def prep(a: int) -> np.ndarray:
-            return np.eye(d, dtype=complex)[np.arange(d) ^ a]
-
-        return cls(n, PureState(np.eye(d)[0]), prep, name="computational")
+        """W = I: V_a is the bit flips of a, |j> -> |j XOR a>."""
+        return cls(np.eye(2**n), name="computational")
 
     @classmethod
     def pauli_eigenbasis(cls, n: int, axis: str) -> "PreparationBasis":
-        """Per-qubit eigenbases of X, Y or Z (Z is the computational basis)."""
+        """Per-qubit eigenbases of X, Y or Z (Z is the computational basis): W = rot^{⊗n}."""
         axis = axis.upper()
         rot = {"X": GATES["h"], "Y": GATES["s"] @ GATES["h"], "Z": np.eye(2, dtype=complex)}.get(axis)
         if rot is None:
             raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-        # rot^{⊗n} times the bit flips of a: its columns permuted by j -> j XOR a.
-        rot_n, flips = reduce(np.kron, [rot] * n), np.arange(2**n)
-        return cls(n, PureState(np.eye(2**n)[0]), lambda a: rot_n[:, flips ^ a], name=f"pauli-{axis}")
+        return cls(reduce(np.kron, [rot] * n), name=f"pauli-{axis}")
 
     @classmethod
     def random_unitary_columns(cls, n: int, rng: np.random.Generator) -> "PreparationBasis":
-        """Basis states are the columns of one Haar-random unitary."""
-        u = haar_random_unitary(2**n, rng)
-        flips = np.arange(2**n)
-
-        def prep(a: int) -> np.ndarray:
-            # u times the bit flips of a (its columns permuted by j -> j XOR a), times u†.
-            return u[:, flips ^ a] @ u.conj().T
-
-        return cls(n, PureState(u[:, 0]), prep, name="random-unitary")
+        """Basis states are the columns of one Haar-random unitary W = u."""
+        return cls(haar_random_unitary(2**n, rng), name="random-unitary")
 
 
 @dataclass(frozen=True)
@@ -154,36 +136,19 @@ class EstimateReport:
         }
 
 
-def _controlled_preparation(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> np.ndarray:
-    """The joint system+ancilla state after the controlled V† stage, as a (D, 2, D, 2) array.
-
-    Blockwise, as in the module docstring: V_b† on ancilla |0>, V_a† on |1>.
-    """
-    if rho.dim != basis.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
-    vs = [basis.preparator_matrix(i) for i in (b, a)]
-    half = [v.conj().T @ rho.matrix / 2 for v in vs]
-    joint = np.empty((rho.dim, 2, rho.dim, 2), dtype=complex)
-    for c in (0, 1):
-        for c2 in (0, 1):
-            joint[:, c, :, c2] = half[c] @ vs[c2]
-    return joint
-
-
-def seqst_joint_state(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> DensityMatrix:
-    """The pre-measurement joint state rho_F on n system qubits plus the ancilla (the last qubit)."""
-    return DensityMatrix(_controlled_preparation(rho, basis, a, b).reshape(2 * rho.dim, 2 * rho.dim))
-
-
 def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> complex:
     """The coefficient <psi_a|rho|psi_b> read exactly off the circuit state.
 
-    Returns Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) with P_0 the fiducial
-    projector; equals the direct inner product to numerical precision.
+    Returns Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) with P_0 = |0...0><0...0|,
+    from the (b, a) entries of M = (W† rho / 2) W; equals the direct inner
+    product to numerical precision.
     """
-    rho_f = _controlled_preparation(rho, basis, a, b)
-    fid = basis.fiducial.amplitudes
-    return fiducial_readout(np.einsum("icjd,ji->cd", rho_f, np.outer(fid, fid.conj())))
+    if rho.dim != basis.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
+    s = [basis.index(i) for i in (b, a)]
+    w = basis.unitary
+    m = (w.conj().T @ rho.matrix / 2) @ w
+    return fiducial_readout(m[np.ix_(s, s)])
 
 
 def fiducial_readout(t: np.ndarray) -> complex:

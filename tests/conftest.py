@@ -49,10 +49,11 @@ def choi_state(ch) -> DensityMatrix:
 
 
 def choi_basis(n: int) -> PreparationBasis:
-    """The preparation basis {(P_k ⊗ I)|Phi>} on two n-qubit registers, with kron(P_k, I) preparators."""
+    """The preparation basis {(P_k ⊗ I)|Phi>} on two n-qubit registers: the columns of W, column k kron(P_k, I)|Phi>."""
     eye = np.eye(2**n, dtype=complex)
-    paulis = dense_pauli_basis(n)
-    return PreparationBasis(2 * n, maximally_entangled_state(n), lambda k: np.kron(paulis[k], eye), name="choi-pauli")
+    phi = maximally_entangled_state(n).amplitudes
+    columns = [np.kron(p, eye) @ phi for p in dense_pauli_basis(n)]
+    return PreparationBasis(np.stack(columns, axis=1), name="choi-pauli")
 
 
 def chi_square_pvalue(observed, probs) -> float:

@@ -486,12 +486,16 @@ class TestConfigHandling:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_config_numbers_take_ints_for_floats(self, tmp_path):
+    def test_config_numbers_take_ints_for_floats(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"protocol": "validate", "channel": {"name": "identity"}, "epsilon": 1, "delta": 0}))
+        path.write_text(json.dumps({"protocol": "validate", "channel": {"name": "identity"}, "epsilon": 1}))
         out = tmp_path / "report.json"
         assert run_cli(["run", "--config", str(path)], out) == 0
         assert load_json(out)["config"]["epsilon"] == 1
+        # An int delta passes the type check and meets the plan's range check.
+        path.write_text(json.dumps({"protocol": "validate", "channel": {"name": "identity"}, "delta": 0}))
+        assert run_cli(["run", "--config", str(path)], out) == 2
+        assert capsys.readouterr().err.startswith("error: delta must be in (0, 1)")
 
     @pytest.mark.parametrize(
         "args, code",
@@ -566,7 +570,7 @@ class TestConfigHandling:
         ids=["state-100000", "compose-2000", "compose-300"],
     )
     def test_deep_nesting_exits_two_without_traceback(self, tmp_path, config):
-        # json decoding fails on the first two; the third runs and fails rendering its report.
+        # json decoding fails on the first two; the third is refused before it runs.
         path = tmp_path / "config.json"
         path.write_text(config)
         proc = subprocess.run(
@@ -579,6 +583,36 @@ class TestConfigHandling:
         assert proc.stderr.startswith("error: the config nests deeper than")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    def test_config_past_the_depth_limit_is_refused_before_it_runs(self, tmp_path, monkeypatch, capsys):
+        compositions = TestRun.spy(monkeypatch, channels, "compose_channels")
+        path = tmp_path / "config.json"
+        path.write_text('{"protocol": "validate", "channel": ' + nested_compose(300) + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        assert compositions == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the config nests deeper than")
+
+    def test_deepest_config_runs_and_one_level_more_is_refused(self, capsys):
+        # nested_compose(k) is 2k + 1 levels deep, one more inside the config object.
+        k = (cli.MAX_CONFIG_DEPTH - 2) // 2
+        assert 2 * k + 2 == cli.MAX_CONFIG_DEPTH
+        deepest = nested_compose(k)
+        assert main(["validate", "--channel", deepest]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["channel"] == json.loads(deepest)
+        # A params object inside the innermost spec adds the one level.
+        deeper = deepest.replace('{"name": "identity"}', '{"name": "identity", "params": {}}', 1)
+        assert main(["validate", "--channel", deeper]) == 2
+        assert capsys.readouterr().err.startswith("error: the config nests deeper than")
+
+    @pytest.mark.parametrize("protocol", ["aapt", "validate", "standard-qst"])
+    @pytest.mark.parametrize("flags, code", [(["--epsilon", "5"], 2), (["--delta", "7"], 2), (["--epsilon", "1e-10"], 3)])
+    def test_protocols_without_shots_check_the_plan(self, capsys, protocol, flags, code):
+        # A plan no protocol would accept is refused by every one, including those that draw no shots.
+        spec = ["--state", '{"kind": "plus"}'] if protocol == "standard-qst" else ["--channel", "identity"]
+        assert main(["run", "--protocol", protocol, *spec, *flags]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_huge_worker_count_finishes_quickly(self):
         # only the min(workers, m) chunks that get draws are visited
@@ -830,12 +864,31 @@ class TestSweep:
         ]
         assert main(args) == 2
 
-    @pytest.mark.parametrize("axis, values", [("seed", "1e400"), ("a", "0.5,1.7"), ("workers", "nan"), ("b", "1,inf")])
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("seed", "1.5"), ("seed", "1e400"), ("a", "0.5,1.7"), ("workers", "nan"), ("b", "1,inf")],
+    )
     def test_integer_axis_refuses_non_integral_values(self, capsys, axis, values):
+        # The value reaches the field's own type check.
         args = ["sweep", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0"]
         assert main(args + ["--axis", axis, "--values", values]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: sweep axis {axis!r} takes integer values")
+        assert out == "" and err.startswith(f"error: config field {axis!r} must be int")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--protocol", "seqst-state", "--state", '{"kind": "plus", "n": 1}', "--a", "0", "--b", "1"],
+            ["--protocol", "seqst-qpt", "--channel", "identity:n=1", "--a", "0", "--b", "0"],
+        ],
+        ids=["state.n", "channel.params.n"],
+    )
+    def test_qubit_count_sweeps(self, tmp_path, args):
+        axis = "state.n" if "--state" in args else "channel.params.n"
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", *args, "--axis", axis, "--values", "1,2,3"], out) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["value"] for r in rows] == ["1.0", "2.0", "3.0"]
 
     def test_bad_axis_is_error(self):
         args = [

@@ -195,9 +195,9 @@ class TestSeqstQpt:
                 assert abs(seqst_qpt_exact(ch, a, b) - chi[a, b]) < 1e-8
 
     def test_size_limit(self, monkeypatch):
-        # The circuit's estimate: CIRCUIT_STACKS dual states of rank 2 plus one operator.
+        # The oracle's estimate, that of the Bell readout: BELL_STACKS dual states of rank 2 plus one operator.
         ch = random_channel(3, 2, np.random.default_rng(31))
-        need = (qpt.CIRCUIT_STACKS * 2 + 1) * 16 * 4**3
+        need = (qpt.BELL_STACKS * 2 + 1) * 16 * 4**3
         monkeypatch.setattr(core, "WORKING_SET_MAX_BYTES", need)
         seqst_qpt_exact(ch, 5, 7)
         monkeypatch.setattr(core, "WORKING_SET_MAX_BYTES", need - 1)
@@ -213,7 +213,7 @@ class TestSeqstQpt:
         )
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert f"the SEQST-QPT circuit of {qpt.CIRCUIT_STACKS * 64 + 1} operator(s) on 10 qubits" in proc.stderr
+        assert f"the Bell-basis readout of {qpt.BELL_STACKS * 64 + 1} operator(s) on 10 qubits" in proc.stderr
         assert proc.stdout == ""
 
     def test_cli_run_at_eight_qubits(self, capsys):
@@ -346,7 +346,7 @@ class TestCoefficientRoute:
         ch = random_channel(n, rank, np.random.default_rng(n))
         pauli_masks(n)  # the cached index tables are no part of a route
         routes = [
-            (qpt.CIRCUIT_STACKS * rank + 1, lambda: seqst_qpt_exact(ch, 5, 7)),
+            (qpt.BELL_STACKS * rank + 1, lambda: seqst_qpt_exact(ch, 5, 7)),
             (qpt.BELL_STACKS * rank + 1, lambda: dcqd_distribution(ch)),
             (channels.DIAGONAL_STACKS * rank + 1, lambda: chi_diagonal(ch)),
         ]

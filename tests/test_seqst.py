@@ -1,6 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
-from conftest import chi_square_pvalue, choi_basis, dense_pauli_basis
+from conftest import SIGMA, chi_square_pvalue, choi_basis, dense_pauli_basis
 
 from seqtomo import (
     DensityMatrix,
@@ -11,18 +13,46 @@ from seqtomo import (
     haar_random_unitary,
     random_density_matrix,
     seqst_exact,
-    seqst_joint_state,
     seqst_outcome_distribution,
     seqst_sample,
     standard_pauli_qst,
 )
-from seqtomo.errors import IndexOutOfRange
+from seqtomo.errors import DimensionMismatch, IndexOutOfRange
 from seqtomo.estimation import ShotPlan
 from seqtomo.pauli import pauli_labels
 
 
 def plus_state_density() -> DensityMatrix:
     return PureState(np.array([1, 1], dtype=complex) / np.sqrt(2)).density()
+
+
+def bit_flips(n: int, a: int) -> np.ndarray:
+    """X^a: a kron of literal X on the set bits of a and I elsewhere, qubit 0 the most significant bit."""
+    return reduce(np.kron, [SIGMA["X"] if a >> (n - 1 - q) & 1 else SIGMA["I"] for q in range(n)])
+
+
+def kron_circuit(rho: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The literal circuit U (rho ⊗ |+><+|) U† with U = V_b† ⊗ |0><0| + V_a† ⊗ |1><1|, ancilla last."""
+    u = np.kron(vb.conj().T, np.diag([1.0, 0.0])) + np.kron(va.conj().T, np.diag([0.0, 1.0]))
+    return u @ np.kron(rho, np.full((2, 2), 0.5)) @ u.conj().T
+
+
+_CROSS_CHECK_BASES = {
+    "computational": PreparationBasis.computational,
+    "pauliX": lambda n: PreparationBasis.pauli_eigenbasis(n, "X"),
+    "pauliY": lambda n: PreparationBasis.pauli_eigenbasis(n, "Y"),
+    "pauliZ": lambda n: PreparationBasis.pauli_eigenbasis(n, "Z"),
+    "haar": lambda n: PreparationBasis.random_unitary_columns(n, np.random.default_rng(40 + n)),
+    "choi": choi_basis,
+}
+
+
+def fiducial_readout_of(joint: np.ndarray) -> complex:
+    """Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) of a joint state, ancilla last, with P_0 = |0...0><0...0|."""
+    p0 = np.zeros((joint.shape[0] // 2,) * 2)
+    p0[0, 0] = 1.0
+    x, y = (np.trace(joint @ np.kron(p0, SIGMA[s])).real for s in "XY")
+    return complex(x, y)
 
 
 class TestPreparationBasis:
@@ -39,18 +69,42 @@ class TestPreparationBasis:
         ids=["comp", "pauliX", "pauliY", "pauliZ", "haar2", "haar3"],
     )
     def test_unitary_and_orthonormal(self, basis):
-        unit_res, gram_res = basis.residuals()
-        assert unit_res < 1e-9
-        assert gram_res < 1e-9
+        # W's unitarity residual is also the Gram deviation of the basis it spans.
+        vecs = np.stack([basis.element(a).amplitudes for a in range(basis.dim)])
+        gram_res = np.max(np.abs(vecs.conj() @ vecs.T - np.eye(basis.dim)))
+        assert basis.residuals() < 1e-9
+        assert basis.residuals() == pytest.approx(gram_res, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_haar_preparator_is_bit_identical_to_permutation_product(self, n):
+    @pytest.mark.parametrize("kind", sorted(_CROSS_CHECK_BASES))
+    def test_preparator_is_the_unitary_times_bit_flips(self, kind, n):
+        basis = _CROSS_CHECK_BASES[kind](n)
+        for a in range(basis.dim):
+            np.testing.assert_array_equal(basis.preparator_matrix(a), basis.unitary @ bit_flips(basis.n, a))
+            np.testing.assert_array_equal(basis.element(a).amplitudes, basis.unitary[:, a])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_kind_is_its_unitary(self, n):
+        np.testing.assert_array_equal(PreparationBasis.computational(n).unitary, np.eye(2**n))
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for axis, rot in (("X", h), ("Y", np.diag([1, 1j]) @ h), ("Z", np.eye(2))):
+            want = reduce(np.kron, [rot] * n)
+            np.testing.assert_allclose(PreparationBasis.pauli_eigenbasis(n, axis).unitary, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_haar_preparator_is_u_times_bit_flips(self, n):
+        # V_a = u X^a prepares column a of u from |0...0>.
         basis = PreparationBasis.random_unitary_columns(n, np.random.default_rng(7))
         u = haar_random_unitary(2**n, np.random.default_rng(7))
-        flips = PreparationBasis.computational(n)
+        np.testing.assert_array_equal(basis.unitary, u)
         for a in range(2**n):
-            want = u @ flips.preparator_matrix(a) @ u.conj().T
-            np.testing.assert_array_equal(basis.preparator_matrix(a), want)
+            np.testing.assert_array_equal(basis.preparator_matrix(a), u @ bit_flips(n, a))
+            np.testing.assert_array_equal(basis.preparator_matrix(a)[:, 0], u[:, a])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (4,), (1, 1)])
+    def test_unitary_must_be_square_on_qubits(self, shape):
+        with pytest.raises(DimensionMismatch):
+            PreparationBasis(np.ones(shape))
 
     def test_computational_elements(self):
         basis = PreparationBasis.computational(2)
@@ -64,29 +118,34 @@ class TestPreparationBasis:
         with pytest.raises(IndexOutOfRange):
             basis.preparator_matrix(2)
         with pytest.raises(IndexOutOfRange):
+            basis.element(-1)
+        with pytest.raises(IndexOutOfRange):
             seqst_exact(plus_state_density(), basis, 0, 5)
 
 
 class TestJointState:
+    """The joint state of the literal circuit, ``kron_circuit``, with W X^a preparators."""
+
     def test_equal_indices_is_product(self):
         rng = np.random.default_rng(2)
         basis = PreparationBasis.random_unitary_columns(1, rng)
         rho = random_density_matrix(2, rng)
-        joint = seqst_joint_state(rho, basis, 1, 1).matrix
         va = basis.preparator_matrix(1)
+        joint = kron_circuit(rho.matrix, va, va)
         sys_part = va.conj().T @ rho.matrix @ va
         anc = np.full((2, 2), 0.5)
         np.testing.assert_allclose(joint, np.kron(sys_part, anc), atol=1e-12)
 
     def test_fiducial_block(self):
         # when rho is the b-th basis projector, the ancilla-|0> block returns
-        # the fiducial projector (the |0> branch un-prepares index b)
+        # the projector on |0...0> (the |0> branch un-prepares index b)
         basis = PreparationBasis.computational(2)
         rho = basis.element(3).density()
-        joint = seqst_joint_state(rho, basis, 1, 3).matrix
+        joint = kron_circuit(rho.matrix, basis.preparator_matrix(1), basis.preparator_matrix(3))
         block00 = joint[0::2, 0::2]
-        fid = basis.fiducial.amplitudes
-        np.testing.assert_allclose(block00, np.outer(fid, fid.conj()) / 2, atol=1e-12)
+        p0 = np.zeros((4, 4))
+        p0[0, 0] = 0.5
+        np.testing.assert_allclose(block00, p0, atol=1e-12)
 
     def test_against_block_assembly_oracle(self):
         # independent entrywise assembly of the four ancilla blocks
@@ -107,32 +166,15 @@ class TestJointState:
             for s in range(4):
                 for t in range(4):
                     oracle[2 * s + i, 2 * t + j] = blk[s, t]
-        got = seqst_joint_state(rho, basis, a, b).matrix
-        np.testing.assert_allclose(got, oracle, atol=1e-12)
-
-
-def kron_circuit(rho: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """The literal circuit U (rho ⊗ |+><+|) U† with U = V_b† ⊗ |0><0| + V_a† ⊗ |1><1|, ancilla last."""
-    u = np.kron(vb.conj().T, np.diag([1.0, 0.0])) + np.kron(va.conj().T, np.diag([0.0, 1.0]))
-    return u @ np.kron(rho, np.full((2, 2), 0.5)) @ u.conj().T
-
-
-_CROSS_CHECK_BASES = {
-    "computational": PreparationBasis.computational,
-    "pauliX": lambda n: PreparationBasis.pauli_eigenbasis(n, "X"),
-    "pauliY": lambda n: PreparationBasis.pauli_eigenbasis(n, "Y"),
-    "pauliZ": lambda n: PreparationBasis.pauli_eigenbasis(n, "Z"),
-    "haar": lambda n: PreparationBasis.random_unitary_columns(n, np.random.default_rng(40 + n)),
-    "choi": choi_basis,
-}
+        np.testing.assert_allclose(kron_circuit(rho.matrix, va, vb), oracle, atol=1e-12)
 
 
 class TestKronCircuitOracle:
-    """The blockwise joint state against the circuit written out with np.kron."""
+    """seqst_exact against the readout of the circuit written out with np.kron."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", sorted(_CROSS_CHECK_BASES))
-    def test_joint_state_and_exact_match_kron_circuit(self, kind, n):
+    def test_exact_matches_kron_circuit_and_inner_product(self, kind, n):
         basis = _CROSS_CHECK_BASES[kind](n)
         d = basis.dim
         rng = np.random.default_rng(50 + n)
@@ -140,11 +182,11 @@ class TestKronCircuitOracle:
         pairs = [(0, 0), (d - 1, d - 1), (0, d - 1), (d - 1, 1 % d)]
         pairs += [tuple(int(v) for v in rng.integers(0, d, size=2)) for _ in range(2)]
         for a, b in pairs:
-            va, vb = basis.preparator_matrix(a), basis.preparator_matrix(b)
-            want = kron_circuit(rho.matrix, va, vb)
-            np.testing.assert_allclose(seqst_joint_state(rho, basis, a, b).matrix, want, rtol=0, atol=1e-13)
+            got = seqst_exact(rho, basis, a, b)
+            joint = kron_circuit(rho.matrix, basis.preparator_matrix(a), basis.preparator_matrix(b))
+            assert abs(got - fiducial_readout_of(joint)) <= 1e-12
             direct = np.vdot(basis.element(a).amplitudes, rho.matrix @ basis.element(b).amplitudes)
-            assert abs(seqst_exact(rho, basis, a, b) - direct) <= 1e-13
+            assert abs(got - direct) <= 1e-12
 
 
 class TestExact:
@@ -195,7 +237,7 @@ class TestExact:
 class TestOutcomeDistribution:
     def test_fiducial_diagonal_is_deterministic(self):
         basis = PreparationBasis.computational(2)
-        rho = basis.fiducial.density()
+        rho = basis.element(0).density()
         np.testing.assert_allclose(seqst_outcome_distribution(rho, basis, 0, 0, "X"), (1, 0, 0), atol=1e-12)
 
     def test_maximally_mixed_off_diagonal_balances(self):
@@ -208,9 +250,9 @@ class TestOutcomeDistribution:
         rng = np.random.default_rng(20)
         basis = PreparationBasis.random_unitary_columns(2, rng)
         rho = random_density_matrix(4, rng)
-        joint = seqst_joint_state(rho, basis, 1, 2).matrix
-        fid = basis.fiducial.amplitudes
-        p0 = np.outer(fid, fid.conj())
+        joint = kron_circuit(rho.matrix, basis.preparator_matrix(1), basis.preparator_matrix(2))
+        p0 = np.zeros((4, 4))
+        p0[0, 0] = 1.0
         for axis, splus in (("X", [1, 1]), ("Y", [1, 1j])):
             v = np.array(splus, dtype=complex) / np.sqrt(2)
             pp = np.trace(joint @ np.kron(p0, np.outer(v, v.conj()))).real
@@ -238,7 +280,7 @@ class TestOutcomeDistribution:
 class TestSampling:
     def test_deterministic_distribution_gives_exact_real_part(self):
         basis = PreparationBasis.computational(2)
-        rho = basis.fiducial.density()
+        rho = basis.element(0).density()
         rep = seqst_sample(rho, basis, 0, 0, ShotPlan(0.1, 0.05, 25), RandomStream(0))
         assert rep.estimate.real == 1.0
         assert rep.se_re == 0.0
