@@ -211,13 +211,6 @@ def validate_channel(chi: ChiMatrix) -> ValidityReport:
 # Named channels
 # ---------------------------------------------------------------------------
 
-_GATES = {
-    **GATES,
-    "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-}
-
-
 # The Pauli each flip channel applies with probability p.
 _FLIPS = {"bit_flip": "x", "phase_flip": "z", "bit_phase_flip": "y"}
 # Parameters each zoo family takes; all but identity and unitary act on one qubit.
@@ -263,9 +256,9 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
                 raise ParamOutOfRange(f"u must be a square matrix of numbers, got {params['u']!r}") from None
         elif "gate" in params:
             gate = str(params["gate"]).lower()
-            if gate not in _GATES:
-                raise UnknownChannel(f"unknown gate {gate!r}; known: {sorted(_GATES)}")
-            u = _GATES[gate]
+            if gate not in GATES:
+                raise UnknownChannel(f"unknown gate {gate!r}; known: {sorted(GATES)}")
+            u = GATES[gate]
         else:
             raise ParamOutOfRange("unitary channel needs a 'gate' name or matrix 'u'")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
@@ -282,11 +275,11 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
         return KrausChannel(nq, [u])
     if name in _FLIPS:
         p = _check_prob("p", params.get("p"))
-        return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * _GATES[_FLIPS[name]]])
+        return KrausChannel(1, [np.sqrt(1 - p) * eye2, np.sqrt(p) * GATES[_FLIPS[name]]])
     if name == "depolarizing":
         # Kraus weights stay nonnegative up to p = 4/3.
         p = _check_prob("p", params.get("p"), hi=4.0 / 3.0)
-        return KrausChannel(1, [np.sqrt(1 - 3 * p / 4) * eye2] + [np.sqrt(p / 4) * _GATES[g] for g in "xyz"])
+        return KrausChannel(1, [np.sqrt(1 - 3 * p / 4) * eye2] + [np.sqrt(p / 4) * GATES[g] for g in "xyz"])
     if name == "amplitude_damping":
         g = _check_prob("gamma", params.get("gamma"))
         k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
@@ -388,6 +381,8 @@ def channel_from_json(spec) -> KrausChannel:
         raise UnknownChannel(f"channel spec takes no key(s) {sorted(unknown)}")
     if "kraus" in spec:
         ops = [matrix_from_pairs(k) for k in _nonempty_list(spec["kraus"], "kraus")]
+        if len(ops[0]) < 2 or len(ops[0]) & (len(ops[0]) - 1):
+            raise DimensionMismatch(f"Kraus operator dimension {len(ops[0])} is not 2^n for any n >= 1")
         return KrausChannel(len(ops[0]).bit_length() - 1, ops)
     name, params = spec.get("name"), spec.get("params", {})
     if not isinstance(name, str):
@@ -395,6 +390,12 @@ def channel_from_json(spec) -> KrausChannel:
     if not isinstance(params, dict):
         raise UnknownChannel(f"channel params must be an object, got {params!r}")
     params = dict(params)
+    if name in ("tensor", "compose"):
+        keys = {"factors"} if name == "tensor" else {"first", "then"}
+        unknown, missing = sorted(set(params) - keys), sorted(keys - set(params))
+        if unknown or missing:
+            fault = f"takes no parameter(s) {unknown}" if unknown else f"needs the parameter(s) {missing}"
+            raise UnknownChannel(f"channel {name!r} {fault}")
     if name == "tensor":
         return tensor_channels(*(channel_from_json(f) for f in _nonempty_list(params["factors"], "factors")))
     if name == "compose":

@@ -499,17 +499,12 @@ def _set_dotted(data: dict, path: str, value) -> None:
 
 
 def _scalar_view(results: dict) -> tuple:
-    """(estimate, exact, m) for sweep rows; requires a single-target run."""
+    """(estimate, exact, m) of the results of a sampling protocol with a single target."""
     if "estimate" in results:
         est = results["estimate"]
         return complex(est["re"], est["im"]), complex(*results["exact"]), results["plan"]["m"]
-    if "diagonal" in results:
-        rows = results["diagonal"]
-        if len(rows) != 1:
-            raise ConfigError("sweep needs a single-index dcqd-diag target, not all-diagonal")
-        r = rows[0]
-        return complex(r["frequency"], 0.0), complex(r["exact"], 0.0), results["plan"]["m"]
-    raise ConfigError("sweep supports sampling protocols with a single target")
+    (r,) = results["diagonal"]
+    return complex(r["frequency"], 0.0), complex(r["exact"], 0.0), results["plan"]["m"]
 
 
 def _fmt_complex(z: complex) -> str:
@@ -520,6 +515,9 @@ def run_sweep(cfg_data: dict, axis: str, values: list, out: str | None) -> int:
     """Write one CSV row per value of ``axis``; an integral value is set as an int, which number fields accept too."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    _require(cfg_data.get("format", "csv") == "csv", "sweep writes CSV: format must be csv or omitted")
+    single = cfg_data.get("protocol") not in ("aapt", "standard-qst", "validate") and cfg_data.get("target") is None
+    _require(single, "sweep supports sampling protocols with a single target")
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["value", "estimate", "exact", "abs_error", "m", "seconds"])
@@ -647,7 +645,8 @@ def main(argv=None) -> int:
         cfg_data = _config_from_args(args)
         _check_depth(cfg_data)
         if args.command == "validate":
-            cfg_data["protocol"] = "validate"
+            protocol = cfg_data.setdefault("protocol", "validate")
+            _require(protocol == "validate", f"the validate command runs protocol validate, not {protocol!r}")
         if args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
             return run_sweep(cfg_data, args.axis, values, cfg_data.get("out"))

@@ -11,6 +11,8 @@ most significant bit of the computational-basis index, so ``tensor(a, b)``
 puts ``a`` on the leading qubits.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, SizeLimitExceeded
@@ -54,8 +56,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# The one home of the single-qubit gate matrices; Y follows the sign
-# convention fixed in ``pauli``.
+# The one home of the gate matrices, the first qubit of cnot its control;
+# Y follows the sign convention fixed in ``pauli``.
 GATES = {
     name: _freeze(np.array(m, dtype=complex))
     for name, m in {
@@ -64,8 +66,30 @@ GATES = {
         "z": [[1, 0], [0, -1]],
         "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
         "s": [[1, 0], [0, 1j]],
+        "t": [[1, 0], [0, np.exp(1j * np.pi / 4)]],
+        "cnot": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     }.items()
 }
+
+
+def apply_gates(state: np.ndarray, gates, first: int = 0) -> np.ndarray:
+    """Run a gate list on a (..., 2, ..., 2) tensor whose qubit q is axis first + q.
+
+    Each entry is (gate, qubits): a name in GATES or a 2**k × 2**k matrix, on
+    k contiguous qubits. cnot, on (control, target), flips the target axis of
+    the half where the control reads 1: as exact as its matrix, and faster.
+    """
+    for gate, qubits in gates:
+        u = GATES[gate] if isinstance(gate, str) else gate
+        axis = first + qubits[0]
+        if u is GATES["cnot"]:
+            ones = (slice(None),) * axis + (1,)
+            flipped = state.copy()
+            flipped[ones] = np.flip(state[ones], axis=first + qubits[1] - (qubits[1] > qubits[0]))
+            state = flipped
+        else:
+            state = (u @ state.reshape(math.prod(state.shape[:axis]), len(u), -1)).reshape(state.shape)
+    return state
 
 
 class PureState:

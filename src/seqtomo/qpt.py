@@ -8,10 +8,12 @@ in the orthonormal basis {(P_k ⊗ I)|I>}:
     chi_mn = <r_m| rho_E |r_n>.
 
 No route builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
-purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and ``_bell_amplitudes`` runs gates
-on it. U_Phi† turns the Bell-type measurement in {(P_m ⊗ I)|I>} into a
-computational one with amplitudes A[k, m] = <r_m|(K_k ⊗ I)|I> = Tr(P_m K_k)/D.
-That one readout serves every exact dual-state route.
+purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and ``_bell_amplitudes`` runs the
+gate list of U_Phi† on it with ``core.apply_gates``, the simulator that the
+bases of ``seqst`` run too. U_Phi† turns the Bell-type measurement in
+{(P_m ⊗ I)|I>} into a computational one with amplitudes
+A[k, m] = <r_m|(K_k ⊗ I)|I> = Tr(P_m K_k)/D. That one readout serves every
+exact dual-state route.
 
 Four routes to chi coefficients are implemented, each checkable against the
 direct Kraus-to-chi conversion:
@@ -20,9 +22,9 @@ direct Kraus-to-chi conversion:
 - dcqd_diagonal: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
   probabilities of the Bell-type measurement (DCQD).
 - seqst_qpt_*: the selective circuit from ``seqst`` with that basis, giving
-  any single chi_ab exactly or by shot sampling. The basis has the one form
-  of ``seqst.PreparationBasis``, the columns of a unitary W whose W† is the
-  Bell readout, so the exact route reads columns b and a of A.
+  any single chi_ab exactly or by shot sampling. The basis has the form of
+  a ``seqst.PreparationBasis``, r_m = W|m> for a W whose W† is the Bell
+  readout, so the exact route reads columns b and a of A.
 - seqpt_*: an ancilla-controlled Pauli pair around the channel with the
   system state averaged over the Haar measure; the averages obey
       avg_x = (D Re(chi_ab) + delta_ab) / (D + 1),
@@ -46,17 +48,16 @@ matrix 4**n), and ``core.check_size`` refuses it, before anything is
 allocated, when that peak would exceed the budgets.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GATES, PureState, check_size, haar_random_state
+from .core import PureState, apply_gates, check_size, haar_random_state
 from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical_partitioned
 from .pauli import check_indices, pauli_masks, pauli_matrix, pauli_word
-from .seqst import ancilla_readout, fiducial_readout, sample_readout
+from .seqst import PreparationBasis, ancilla_readout, fiducial_readout, sample_readout
 
 # Peak working sets, in Kraus stacks (rank operators, the size of the
 # purified dual state), of the Bell-basis amplitudes that aapt, DCQD and the
@@ -131,7 +132,7 @@ def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
     check_size("the Bell-basis readout", ch.n, BELL_STACKS * len(ch.kraus_ops) + 1)
     _check_dual_trace(ch)
     # The dual state is a temporary, so U_Phi†'s first gate frees it.
-    bell = _apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
+    bell = apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
     x, z, phase = pauli_masks(ch.n)
     amps = bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
     amps *= phase  # in place: no third copy of the dual state
@@ -307,44 +308,16 @@ def _entangling_gates(n: int) -> list:
     return [("h", (q,)) for q in range(n)] + [("cnot", (q, n + q)) for q in range(n)]
 
 
-def _apply_gates(state: np.ndarray, gates: list, first: int) -> np.ndarray:
-    """Run a gate list on a (..., 2, ..., 2) tensor whose qubit q is axis first + q."""
-    for name, qubits in gates:
-        axes = [first + q for q in qubits]
-        if name == "cnot":
-            state = _apply_cnot(state, *axes)
-        else:
-            state = _apply_single_qubit_gate(state, GATES[name], axes[0])
-    return state
-
-
-def _apply_single_qubit_gate(state: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
-    pre = math.prod(state.shape[:axis])
-    return (gate @ state.reshape(pre, 2, -1)).reshape(state.shape)
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Flip the target axis of the half where the control axis reads 1."""
-    out = state.copy()
-    ones = (slice(None),) * control + (1,)
-    out[ones] = np.flip(state[ones], axis=target - (target > control))
-    return out
-
-
 def entangled_state_circuit(n: int) -> tuple:
     """Prepare the maximally entangled state by running the audited gate list.
 
-    Runs on |0...0> of 2n qubits the U_Phi list whose reverse is the Bell
-    readout of ``_bell_amplitudes``; returns (state, GateCounts) with the
-    counts taken from that list. The gate count is linear in n, unlike the
-    2**n nonzero amplitudes written out directly.
+    Runs on |0...0> of 2n qubits, as element 0 of the basis it prepares, the
+    U_Phi list whose reverse is the Bell readout of ``_bell_amplitudes``;
+    returns (state, GateCounts) with the counts taken from that list. The
+    gate count is linear in n, unlike the 2**n amplitudes written out.
     """
-    if n < 1:
-        raise DimensionMismatch("need at least one qubit")
     gates = _entangling_gates(n)
-    state = np.zeros((2,) * (2 * n), dtype=complex)
-    state[(0,) * (2 * n)] = 1.0
-    state = _apply_gates(state, gates, 0)
     singles = sum(len(qubits) == 1 for _, qubits in gates)
-    return PureState(state.reshape(-1)), GateCounts(single_qubit=singles, two_qubit=len(gates) - singles)
+    state = PreparationBasis(2 * n, gates).element(0)
+    return state, GateCounts(single_qubit=singles, two_qubit=len(gates) - singles)
 

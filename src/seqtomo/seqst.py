@@ -1,9 +1,10 @@
 """Selective state tomography via an ancilla-controlled preparation circuit.
 
-Every basis here has one form: its states |psi_a> are the columns of one
-unitary W, and V_a = W X^a prepares state a from |0...0>, with X^a the bit
-flips of a. Any matrix element alpha_ab = <psi_a|rho|psi_b> of a state can
-then be read off one ancilla qubit:
+Every basis is the circuit W that prepares it, a gate list run by
+``core.apply_gates`` (``PreparationBasis``): state a is |psi_a> = W|a>,
+prepared from |0...0> by V_a = W X^a, X^a the bit flips of a. Any matrix
+element alpha_ab = <psi_a|rho|psi_b> of a state can then be read off one
+ancilla qubit:
 
     ancilla in (|0> + |1>)/sqrt(2);
     V_b† applied to the system controlled on ancilla |0>,
@@ -13,9 +14,7 @@ then be read off one ancilla qubit:
 
 for the joint state rho_F before measurement and P_0 = |0...0><0...0|. The control polarity is pinned
 by that postcondition under the Y = [[0,-i],[i,0]] convention: swapping the
-two controlled operators yields the complex conjugate instead. Since
-V_a† = X^a W†, the controlled stage is one uncontrolled W† followed by the
-ancilla-controlled flips X^b and X^a.
+two controlled operators yields the complex conjugate instead.
 
 A single run has three outcomes: +1 (system found in |0...0>, ancilla in the
 +1 eigenstate of the measured axis), -1 (system in |0...0>, ancilla in the
@@ -28,80 +27,82 @@ g_ij = <psi_i|rho|psi_j>, i, j in {a, b}: on axis X,
 p_plus/minus = (g_aa + g_bb ± 2 Re g_ab) / 4 (Im on axis Y), and
 p_zero = 1 - p_plus - p_minus. ``ancilla_readout`` is the one home of that
 rule; every sampler, here and in ``qpt``, draws from a block it computes
-directly. ``seqst_exact`` is kept as the independent oracle: it rotates the
-state once, M = (W† rho / 2) W, and after the flips the fiducial block of
-rho_F is t[c, c'] = M[s_c, s_c'] with s = (b, a).
+directly. ``seqst_exact``, the independent oracle, reads the whole fiducial
+block t = S† rho S / 2 of rho_F, with S = [psi_b, psi_a]; both routes read
+only the two prepared states.
 
 The conventional Pauli-expectation route (standard_pauli_qst) is included
 as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .core import GATES, DensityMatrix, PureState, haar_random_unitary, unitarity_residual
+from .core import GATES, DensityMatrix, PureState, apply_gates, haar_random_unitary, unitarity_residual
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
 from .pauli import pauli_coefficients, pauli_labels
 
-class PreparationBasis:
-    """A basis of n-qubit states, the columns of one unitary W.
 
-    State a is W|a>, prepared from |0...0> by V_a = W X^a.
+class PreparationBasis:
+    """A basis of n-qubit states, held as the circuit W that prepares them.
+
+    W is a gate list for ``core.apply_gates``: none for ``computational``, one
+    rotation per qubit for ``pauli_eigenbasis``, one n-qubit gate for
+    ``columns`` and ``random_unitary_columns``. State a is W|a>.
     """
 
-    def __init__(self, unitary, name: str = "custom"):
-        w = np.array(unitary, dtype=complex)
-        d = w.shape[0] if w.ndim == 2 else 0
-        if w.shape != (d, d) or d < 2 or d & (d - 1):
-            raise DimensionMismatch(f"a basis unitary must be square with a power-of-two size >= 2, got {w.shape}")
-        w.setflags(write=False)
-        self.n = d.bit_length() - 1
-        self.unitary = w
-        self.name = name
+    def __init__(self, n: int, gates=(), name: str = "custom"):
+        if n < 1:
+            raise DimensionMismatch("need at least one qubit")
+        self.n, self.gates, self.name = n, tuple(gates), name
 
     @property
     def dim(self) -> int:
         return 2**self.n
 
-    def index(self, a: int) -> int:
-        """a, after checking it lies in [0, 2**n)."""
+    def element(self, a: int) -> PureState:
+        """The basis state V_a|0...0> = W|a>: the gate list run on |a>, for a in [0, 2**n)."""
         if not 0 <= a < self.dim:
             raise IndexOutOfRange(f"basis index {a} outside [0, {self.dim})")
-        return a
-
-    def preparator_matrix(self, a: int) -> np.ndarray:
-        """V_a = W X^a: the columns of W permuted by j -> j XOR a."""
-        return self.unitary[:, np.arange(self.dim) ^ self.index(a)]
-
-    def element(self, a: int) -> PureState:
-        """The basis state V_a|0...0> = W|a>, column a of W."""
-        return PureState(self.unitary[:, self.index(a)])
+        state = np.zeros(self.dim, dtype=complex)
+        state[a] = 1.0
+        return PureState(apply_gates(state.reshape((2,) * self.n), self.gates).reshape(-1))
 
     def residuals(self) -> float:
-        """W's unitarity residual, which is also the max deviation of the basis's Gram matrix from I."""
-        return unitarity_residual(self.unitary)
+        """The largest unitarity residual among W's gates, 0 for none."""
+        return max((unitarity_residual(GATES[g] if isinstance(g, str) else g) for g, _ in self.gates), default=0.0)
+
+    @classmethod
+    def columns(cls, unitary, name: str = "custom") -> "PreparationBasis":
+        """The columns of a dense unitary, W its one gate on all n qubits."""
+        w = np.array(unitary, dtype=complex)
+        d = w.shape[0] if w.ndim == 2 else 0
+        if w.shape != (d, d) or d < 2 or d & (d - 1):
+            raise DimensionMismatch(f"a basis unitary must be square with a power-of-two size >= 2, got {w.shape}")
+        w.setflags(write=False)
+        n = d.bit_length() - 1
+        return cls(n, [(w, tuple(range(n)))], name)
 
     @classmethod
     def computational(cls, n: int) -> "PreparationBasis":
-        """W = I: V_a is the bit flips of a, |j> -> |j XOR a>."""
-        return cls(np.eye(2**n), name="computational")
+        """W = I, no gates: V_a is the bit flips of a, |j> -> |j XOR a>."""
+        return cls(n, name="computational")
 
     @classmethod
     def pauli_eigenbasis(cls, n: int, axis: str) -> "PreparationBasis":
-        """Per-qubit eigenbases of X, Y or Z (Z is the computational basis): W = rot^{⊗n}."""
+        """Per-qubit eigenbases of X, Y or Z: W is one rotation per qubit, none for Z (the computational basis)."""
         axis = axis.upper()
-        rot = {"X": GATES["h"], "Y": GATES["s"] @ GATES["h"], "Z": np.eye(2, dtype=complex)}.get(axis)
-        if rot is None:
+        if axis not in ("X", "Y", "Z"):
             raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-        return cls(reduce(np.kron, [rot] * n), name=f"pauli-{axis}")
+        rot = {"X": GATES["h"], "Y": GATES["s"] @ GATES["h"]}.get(axis)
+        return cls(n, [] if rot is None else [(rot, (q,)) for q in range(n)], name=f"pauli-{axis}")
 
     @classmethod
     def random_unitary_columns(cls, n: int, rng: np.random.Generator) -> "PreparationBasis":
         """Basis states are the columns of one Haar-random unitary W = u."""
-        return cls(haar_random_unitary(2**n, rng), name="random-unitary")
+        return cls.columns(haar_random_unitary(2**n, rng), name="random-unitary")
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,18 @@ def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> 
     """The coefficient <psi_a|rho|psi_b> read exactly off the circuit state.
 
     Returns Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) with P_0 = |0...0><0...0|,
-    from the (b, a) entries of M = (W† rho / 2) W; equals the direct inner
-    product to numerical precision.
+    from the fiducial block t = S† rho S / 2 of the two prepared states
+    S = [psi_b, psi_a]; equals the direct inner product to numerical precision.
     """
+    s = np.stack(_prepared(rho, basis, b, a), axis=1)
+    return fiducial_readout(s.conj().T @ (rho.matrix @ s) / 2)
+
+
+def _prepared(rho: DensityMatrix, basis: PreparationBasis, *indices) -> list:
+    """The amplitudes of the prepared states psi_i = V_i|0...0>, after checking rho's dimension."""
     if rho.dim != basis.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
-    s = [basis.index(i) for i in (b, a)]
-    w = basis.unitary
-    m = (w.conj().T @ rho.matrix / 2) @ w
-    return fiducial_readout(m[np.ix_(s, s)])
+    return [basis.element(i).amplitudes for i in indices]
 
 
 def fiducial_readout(t: np.ndarray) -> complex:
@@ -183,9 +187,7 @@ def sample_readout(block: tuple, axis: str, m: int, stream: RandomStream, worker
 
 def _state_block(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> tuple:
     """(g_aa, g_bb, g_ab) with g_ij = <psi_i|rho|psi_j>."""
-    if rho.dim != basis.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
-    psi_a, psi_b = (basis.element(i).amplitudes for i in (a, b))
+    psi_a, psi_b = _prepared(rho, basis, a, b)
     rho_b = rho.matrix @ psi_b
     return np.vdot(psi_a, rho.matrix @ psi_a).real, np.vdot(psi_b, rho_b).real, np.vdot(psi_a, rho_b)
 

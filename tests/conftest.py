@@ -48,12 +48,16 @@ def choi_state(ch) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def choi_basis(n: int) -> PreparationBasis:
-    """The preparation basis {(P_k ⊗ I)|Phi>} on two n-qubit registers: the columns of W, column k kron(P_k, I)|Phi>."""
+def choi_unitary(n: int) -> np.ndarray:
+    """The unitary W on two n-qubit registers whose column k is kron(P_k, I)|Phi>."""
     eye = np.eye(2**n, dtype=complex)
     phi = maximally_entangled_state(n).amplitudes
-    columns = [np.kron(p, eye) @ phi for p in dense_pauli_basis(n)]
-    return PreparationBasis(np.stack(columns, axis=1), name="choi-pauli")
+    return np.stack([np.kron(p, eye) @ phi for p in dense_pauli_basis(n)], axis=1)
+
+
+def choi_basis(n: int) -> PreparationBasis:
+    """The preparation basis {(P_k ⊗ I)|Phi>}, the columns of ``choi_unitary``."""
+    return PreparationBasis.columns(choi_unitary(n), name="choi-pauli")
 
 
 def chi_square_pvalue(observed, probs) -> float:

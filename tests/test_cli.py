@@ -59,6 +59,15 @@ class TestRun:
         assert run_cli(["validate", "--channel", "amplitude_damping:gamma=0.3"], out) == 0
         assert load_json(out)["results"]["all_valid"] is True
 
+    def test_validate_subcommand_refuses_another_protocol(self, tmp_path, capsys):
+        assert main(["validate", "--protocol", "aapt", "--channel", "identity"]) == 2
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"protocol": "seqst-qpt", "channel": {"name": "identity"}}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error: the validate command runs protocol validate, not ") == 2
+        assert run_cli(["validate", "--protocol", "validate", "--channel", "identity"], tmp_path / "r.json") == 0
+
     def test_dcqd_identity_diagonal(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(
@@ -375,6 +384,11 @@ class TestConfigHandling:
             '{"name": "identity", "foo": 1}',
             '{"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "params": {}}',
             '{"params": {}}',
+            '{"name": "tensor", "params": {"factors": [{"name": "identity"}], "bogus": 1}}',
+            '{"name": "tensor", "params": {}}',
+            '{"name": "compose", "params": {"first": {"name": "identity"}, "then": {"name": "identity"}, "n": 5}}',
+            '{"name": "compose", "params": {"first": {"name": "identity"}}}',
+            json.dumps({"kraus": [real_pairs(np.eye(3))]}),
         ],
     )
     def test_malformed_channel_spec_exits_two_without_traceback(self, spec):
@@ -384,6 +398,21 @@ class TestConfigHandling:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"name": "tensor", "params": {"factors": [{"name": "identity"}], "bogus": 1}}', "parameter(s) ['bogus']"),
+            ('{"name": "compose", "params": {"first": {"name": "identity"}, "then": {"name": "identity"}, "n": 5}}', "['n']"),
+            ('{"name": "compose", "params": {"first": {"name": "identity"}}}', "needs the parameter(s) ['then']"),
+            ('{"name": "tensor", "params": {}}', "needs the parameter(s) ['factors']"),
+            (json.dumps({"kraus": [real_pairs(np.eye(3))]}), "dimension 3 is not 2^n"),
+        ],
+    )
+    def test_combinator_and_kraus_refusals_name_the_fault(self, capsys, spec, message):
+        assert main(["validate", "--channel", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "spec, n",
@@ -889,6 +918,31 @@ class TestSweep:
         assert run_cli(["sweep", *args, "--axis", axis, "--values", "1,2,3"], out) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [r["value"] for r in rows] == ["1.0", "2.0", "3.0"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--protocol", "aapt", "--channel", "identity"],
+            ["--protocol", "validate", "--channel", "identity"],
+            ["--protocol", "standard-qst", "--state", '{"kind": "plus"}'],
+            ["--protocol", "dcqd-diag", "--channel", "identity", "--target", "all-diagonal"],
+            ["--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0", "--format", "json"],
+        ],
+        ids=["aapt", "validate", "standard-qst", "all-diagonal", "format-json"],
+    )
+    def test_sweep_refuses_what_it_cannot_write_before_the_first_point(self, monkeypatch, capsys, args):
+        def refuse(cfg):
+            raise AssertionError("a point ran before the refusal")
+
+        monkeypatch.setattr(cli, "execute", refuse)
+        assert main(["sweep", *args, "--axis", "epsilon", "--values", "0.2,0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: sweep ") and err.count("\n") == 1
+
+    def test_sweep_takes_format_csv(self, tmp_path):
+        args = ["sweep", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0", "--format", "csv"]
+        assert run_cli([*args, "--axis", "epsilon", "--values", "0.2"], tmp_path / "sweep.csv") == 0
+        assert (tmp_path / "sweep.csv").read_text().startswith("value,estimate,exact")
 
     def test_bad_axis_is_error(self):
         args = [
