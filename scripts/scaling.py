@@ -1,8 +1,8 @@
 """Largest n per protocol: time and max RSS of one `seqtomo run` at each n, and the oracles it reports.
 
 For every protocol, runs `python -m seqtomo.cli run` at n = 1..ceiling + 1
-on a rank-2 channel (bit_flip ⊗ identity) or a random_mixed state, one
-child process at a time, and records its wall time, max RSS (the child's
+on a rank-2 channel (bit_flip ⊗ identity), a random_mixed state or, in the
+pure-state row, a ghz state, one child process at a time, and records its wall time, max RSS (the child's
 own rusage) and exit code. From each report it records the oracle check
 the report carries, and for sampled protocols the largest abs_error beside
 the plan's epsilon. Fails unless every n up to the ceiling exits 0 with
@@ -29,6 +29,7 @@ _PAULI_Y = json.dumps({"kind": "pauli", "axis": "Y"})
 PROTOCOLS = {
     "seqst-state": (10, lambda n: ["--state", _state(n), "--a", "0", "--b", "1"]),
     "seqst-state --basis pauli-Y": (10, lambda n: ["--state", _state(n), "--basis", _PAULI_Y, "--a", "0", "--b", "1"]),
+    "seqst-state ghz --basis pauli-Y": (20, lambda n: ["--state", _ghz(n), "--basis", _PAULI_Y, "--a", "0", "--b", "1"]),
     "standard-qst": (9, lambda n: ["--state", _state(n)]),
     "aapt": (4, lambda n: ["--channel", _channel(n)]),
     "dcqd-diag --target all-diagonal": (9, lambda n: ["--channel", _channel(n), "--target", "all-diagonal"]),
@@ -43,6 +44,10 @@ ORACLE_TOL = 1e-9
 
 def _state(n: int) -> str:
     return json.dumps({"kind": "random_mixed", "n": n, "seed": 1})
+
+
+def _ghz(n: int) -> str:
+    return json.dumps({"kind": "ghz", "n": n})
 
 
 def _channel(n: int) -> str:

@@ -33,15 +33,8 @@ import numpy as np
 from . import __version__
 from .channels import channel_from_json, kraus_to_chi, matrix_from_pairs, validate_channel, zoo_descriptions
 from .channels import VALIDITY_CHIS, chi_block, chi_diagonal
-from .core import (
-    DensityMatrix,
-    PureState,
-    check_size,
-    haar_random_state,
-    maximally_entangled_state,
-    random_density_matrix,
-)
-from .errors import ConfigError, SeqtomoError, SizeLimitExceeded
+from .core import DensityMatrix, check_size, haar_random_state, maximally_entangled_state, random_density_matrix
+from .errors import ConfigError, DimensionMismatch, SeqtomoError, SizeLimitExceeded
 from .estimation import RandomStream, ShotPlan, chernoff_plan
 from .pauli import pauli_labels, pauli_word
 from .qpt import (
@@ -135,14 +128,18 @@ def _state_qubits(spec) -> int:
     """The qubits of the state a spec describes, read before anything is built.
 
     That is n, 2n for entangled(n), which spans two registers, or for
-    explicit values the qubits their length of entries or rows would need,
-    rounded up. A spec of an unknown kind, with a key its kind does not
-    take or with a bad n raises ConfigError.
+    explicit values the qubits of their length of entries or rows. A spec of
+    an unknown kind, with a key its kind does not take or with a bad n
+    raises ConfigError, and explicit values whose length is not 2**n for an
+    n >= 1 raise DimensionMismatch.
     """
     kind = _spec_kind(spec, _STATE_KEYS, "state")
     if kind in ("amplitudes", "matrix"):
         values = spec.get("values")
-        return (len(values) - 1).bit_length() if isinstance(values, list) else 1
+        size = len(values) if isinstance(values, list) else 2  # matrix_from_pairs refuses a non-list
+        if size < 2 or size & (size - 1):
+            raise DimensionMismatch(f"state dimension {size} is not 2^n for any n >= 1")
+        return size.bit_length() - 1
     n = _spec_int(spec, "n", 1, 1, "state")
     return 2 * n if kind == "entangled" else n
 
@@ -153,34 +150,30 @@ def build_state(spec: dict) -> DensityMatrix:
     Kinds: zero(n), plus(n), ghz(n), maximally_mixed(n), entangled(n),
     haar(n, seed), random_mixed(n, seed), amplitudes(values),
     matrix(values) — explicit values use [re, im] pairs. n defaults to 1
-    and seed to 0; a key the kind does not take is refused, and a state
-    over the budgets of ``core.check_size`` (``_state_qubits``) raises
-    SizeLimitExceeded.
+    and seed to 0; a key the kind does not take is refused. Each state is
+    held as its factor, one column for a pure kind; a factor over the
+    budgets of ``core.check_size`` (``_state_qubits``), 2**n × 1 or
+    2**n × 2**n for the mixed kinds, raises SizeLimitExceeded.
     """
-    check_size("a dense state", _state_qubits(spec), 1)
-    kind, n = spec["kind"], spec.get("n", 1)
-    d = 2**n
-    if kind == "zero":
-        return PureState(np.eye(d)[0]).density()
-    if kind == "plus":
-        return PureState(np.full(d, 1.0 / np.sqrt(d), dtype=complex)).density()
-    if kind == "ghz":
-        v = np.zeros(d, dtype=complex)
-        v[0] = v[-1] = 1.0 / np.sqrt(2)
-        return PureState(v).density()
+    n, kind = _state_qubits(spec), spec["kind"]
+    rank = 2**n if kind in ("maximally_mixed", "random_mixed", "matrix") else 1
+    check_size(f"the factor of a rank-{rank} state", n, 1, columns=rank)
+    d = 2 ** spec.get("n", 1)
+    if kind in ("zero", "plus", "ghz"):
+        ones = {"zero": [0], "plus": slice(None), "ghz": [0, -1]}[kind]
+        v = np.zeros(d)
+        v[ones] = 1.0 / np.sqrt(v[ones].size)
+        return DensityMatrix.from_factor(v)
     if kind == "maximally_mixed":
-        return DensityMatrix(np.eye(d) / d)
+        return DensityMatrix.from_factor(np.eye(d) / np.sqrt(d))
     if kind == "entangled":
-        return maximally_entangled_state(n).density()
-    if kind == "haar":
-        gen = RandomStream(_spec_int(spec, "seed", 0, 0, "state"), (9001,)).generator()
-        return haar_random_state(d, gen).density()
-    if kind == "random_mixed":
-        gen = RandomStream(_spec_int(spec, "seed", 0, 0, "state"), (9002,)).generator()
-        return random_density_matrix(d, gen)
+        return maximally_entangled_state(spec.get("n", 1))
+    if kind in ("haar", "random_mixed"):
+        gen = RandomStream(_spec_int(spec, "seed", 0, 0, "state"), (9001 if kind == "haar" else 9002,)).generator()
+        return (haar_random_state if kind == "haar" else random_density_matrix)(d, gen)
     if kind == "amplitudes":
         # A vector of pairs is the one row of a matrix of pairs.
-        return PureState(matrix_from_pairs([spec.get("values")])[0]).density()
+        return DensityMatrix.from_factor(matrix_from_pairs([spec.get("values")])[0])
     return DensityMatrix(matrix_from_pairs(spec.get("values")))
 
 
@@ -189,9 +182,13 @@ def build_basis(spec: dict | None, n: int) -> PreparationBasis:
 
     Kinds: computational, pauli(axis), haar(seed). axis is a string naming
     X, Y or Z (default X) and seed an integer >= 0 (default 0); a key the
-    kind does not take is refused.
+    kind does not take is refused. A haar basis holds its W as one D×D
+    operator, so past the budgets of ``core.check_size`` it raises
+    SizeLimitExceeded before W is drawn.
     """
     kind = "computational" if spec is None else _spec_kind(spec, _BASIS_KEYS, "basis")
+    if kind == "haar":
+        check_size("a haar basis", n, 1)
     if kind == "computational":
         return PreparationBasis.computational(n)
     if kind == "pauli":

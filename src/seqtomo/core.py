@@ -1,10 +1,10 @@
 """Dense complex linear algebra and quantum-state primitives.
 
 Everything here is plain NumPy on dense arrays. An operator is a plain
-ndarray; the ones made here are read-only, as are the backing arrays of
-the state types, which enforce their physical invariants at construction:
-PureState is normalized, DensityMatrix is Hermitian, unit-trace and
-positive semidefinite up to tolerance.
+ndarray; the ones made here are read-only. The one state type,
+DensityMatrix, is held as its read-only D×r factor F with rho = F F†: a
+pure state is a single column, so it costs O(D) where the D×D matrix would
+cost O(D²), and ``.matrix`` forms F F† only for a route that reads it.
 
 Qubit ordering convention, shared by the whole package: qubit 0 is the
 most significant bit of the computational-basis index, so ``tensor(a, b)``
@@ -24,7 +24,8 @@ ATOL = 1e-10
 EIG_FLOOR = -1e-9
 
 # The one size policy, applied by ``check_size``: a dense D×D complex
-# operator, 16 * 4**n bytes on n qubits, fits MATRIX_MAX_BYTES (n <= 10), and
+# operator, 16 * 4**n bytes on n qubits, fits MATRIX_MAX_BYTES (n <= 10), as
+# does a state's D×r factor of 16 * 2**n * r bytes (n <= 20 for a pure one), and
 # a route's working set of such operators (a chi matrix is 4**n of them) plus
 # its report's rows fits WORKING_SET_MAX_BYTES. ROW_BYTES is the max RSS of a
 # report row, rounded up from the largest measured: 1.27 KB per dcqd-diag row
@@ -34,15 +35,16 @@ WORKING_SET_MAX_BYTES = 2**30
 ROW_BYTES = 1536
 
 
-def check_size(what: str, n: int, operators: int = 0, rows: int = 0) -> None:
-    """SizeLimitExceeded unless ``operators`` D×D operators on n qubits and ``rows`` report rows fit the budgets.
+def check_size(what: str, n: int, operators: int = 0, rows: int = 0, columns: int | None = None) -> None:
+    """SizeLimitExceeded unless ``operators`` operators on n qubits and ``rows`` report rows fit the budgets.
 
-    Called before anything is allocated. A route that holds s copies of a
-    rank-r Kraus stack asks for s * r + 1 operators, the one for |Phi> and
-    index arrays.
+    Called before anything is allocated. An operator is D×D, or D×columns
+    for a state's factor. A route that holds s copies of a rank-r Kraus
+    stack asks for s * r + 1 operators, the one for |Phi> and index arrays.
     """
     # Past n = 32 the verdict no longer changes; the cap keeps the integers small.
-    matrix = 16 * 4 ** min(n, 32)
+    d = 2 ** min(n, 32)
+    matrix = 16 * d * (d if columns is None else columns)
     if matrix > MATRIX_MAX_BYTES or operators * matrix + rows * ROW_BYTES > WORKING_SET_MAX_BYTES:
         report = f" and {rows} report rows of {ROW_BYTES} bytes" if rows else ""
         raise SizeLimitExceeded(
@@ -92,39 +94,14 @@ def apply_gates(state: np.ndarray, gates, first: int = 0) -> np.ndarray:
     return state
 
 
-class PureState:
-    """A normalized state vector of dimension D."""
-
-    def __init__(self, amplitudes):
-        v = np.array(np.asarray(amplitudes, dtype=complex)).reshape(-1)
-        if v.size < 1:
-            raise DimensionMismatch("state vector must have dimension >= 1")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > ATOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 by more than {ATOL}")
-        self._v = _freeze(v)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._v
-
-    @property
-    def dim(self) -> int:
-        return self._v.size
-
-    def density(self) -> "DensityMatrix":
-        """The projector |psi><psi| as a DensityMatrix."""
-        return DensityMatrix(np.outer(self._v, self._v.conj()))
-
-    def __repr__(self):
-        return f"PureState(dim={self.dim})"
-
-
 class DensityMatrix:
-    """A D×D density matrix: Hermitian, trace one, positive semidefinite.
+    """A state rho = F F†, held as its read-only D×r factor F (r = 1 for a pure state).
 
-    Invariants are checked at construction: max |rho - rho†| <= ATOL,
-    |tr(rho) - 1| <= ATOL, and all eigenvalues >= EIG_FLOOR.
+    ``from_factor`` checks the trace ||F||² = 1 to ATOL only, as F F† is
+    Hermitian and positive semidefinite by construction. A dense matrix from
+    outside must have max |rho - rho†| <= ATOL, |tr(rho) - 1| <= ATOL and
+    every eigenvalue >= EIG_FLOOR; its factor is V sqrt(lambda) over the
+    eigenpairs of ``eigh`` with lambda > 0.
     """
 
     def __init__(self, matrix):
@@ -137,21 +114,40 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < EIG_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} below {EIG_FLOOR}")
-        self._m = _freeze(m)
+        vals, vecs = np.linalg.eigh(m)
+        if vals[0] < EIG_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {vals[0]:.3e} below {EIG_FLOOR}")
+        self._f = _freeze(vecs[:, vals > 0] * np.sqrt(vals[vals > 0]))
+
+    @classmethod
+    def from_factor(cls, factor) -> "DensityMatrix":
+        """The state F F† of a D×r factor F; a vector is the pure state |psi><psi|."""
+        f = np.array(factor, dtype=complex)
+        f = f.reshape(-1, 1) if f.ndim == 1 else f
+        if f.ndim != 2 or f.size < 1:
+            raise DimensionMismatch(f"a state factor must be a vector or a D×r matrix, got shape {f.shape}")
+        tr = np.vdot(f, f).real
+        if abs(tr - 1.0) > ATOL:
+            raise ValueError(f"state trace {tr} deviates from 1 by more than {ATOL}")
+        state = cls.__new__(cls)
+        state._f = _freeze(f)
+        return state
+
+    @property
+    def factor(self) -> np.ndarray:
+        return self._f
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m
+        """rho = F F†, formed anew on each call: D×D, where the factor is D×r."""
+        return _freeze(self._f @ self._f.conj().T)
 
     @property
     def dim(self) -> int:
-        return self._m.shape[0]
+        return self._f.shape[0]
 
     def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
+        return f"DensityMatrix(dim={self.dim}, rank={self._f.shape[1]})"
 
 
 def tensor(a, b) -> np.ndarray:
@@ -176,32 +172,27 @@ def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
     da, db = dims
     if da * db != rho.dim:
         raise DimensionMismatch(f"dims {dims} do not factor dimension {rho.dim}")
-    r4 = rho.matrix.reshape(da, db, da, db)
-    if keep == "A":
-        out = np.einsum("ijkj->ik", r4)
-    elif keep == "B":
-        out = np.einsum("ijil->jl", r4)
-    else:
+    if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(out)
+    # rho's factor F[(i, j), k] holds the traced index j among its columns in rho_A = F_A F_A†.
+    f = rho.factor.reshape(da, db, -1)
+    return DensityMatrix.from_factor(f.reshape(da, -1) if keep == "A" else f.transpose(1, 0, 2).reshape(db, -1))
 
 
-def maximally_entangled_state(n: int) -> PureState:
+def maximally_entangled_state(n: int) -> DensityMatrix:
     """The state sum_i |ii> / sqrt(D) on two n-qubit registers, D = 2**n."""
     if n < 1:
         raise DimensionMismatch("need at least one qubit")
     d = 2**n
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return PureState(v)
+    return DensityMatrix.from_factor(v)
 
 
-def haar_random_state(d: int, rng: np.random.Generator) -> PureState:
+def haar_random_state(d: int, rng: np.random.Generator) -> DensityMatrix:
     """A Haar-random pure state: a normalized vector of iid complex Gaussians."""
-    if d < 1:
-        raise DimensionMismatch("dimension must be >= 1")
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(v / np.linalg.norm(v))
+    return DensityMatrix.from_factor(v / np.linalg.norm(v))
 
 
 def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,7 +204,7 @@ def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """A random full-rank density matrix, G G† normalized to unit trace."""
+    """A random full-rank state G G† / Tr(G G†), held as its factor G / ||G||_F."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace())
+    g /= np.linalg.norm(g)
+    return DensityMatrix.from_factor(g)

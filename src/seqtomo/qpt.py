@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, apply_gates, check_size, haar_random_state
+from .core import DensityMatrix, apply_gates, check_size, haar_random_state
 from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical_partitioned
@@ -118,7 +118,7 @@ def _check_dual_trace(ch: KrausChannel) -> None:
 def _dual_branches(ch: KrausChannel) -> np.ndarray:
     """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits."""
     n, d = ch.n, ch.dim
-    phi = entangled_state_circuit(n)[0].amplitudes.reshape(d, d)
+    phi = entangled_state_circuit(n)[0].factor.reshape(d, d)
     return (np.stack(ch.kraus_ops) @ phi).reshape((-1,) + (2,) * (2 * n))
 
 
@@ -216,19 +216,19 @@ def seqst_qpt_sample(
     return ChiEstimate(a, b, ch.n, complex(re, im), se_re, se_im, "SEQST-QPT", shots=2 * plan.m, seed=stream.seed)
 
 
-def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: PureState) -> tuple:
-    """The readout block of the SEQPT circuit for one input state psi."""
+def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: DensityMatrix) -> tuple:
+    """The readout block of the SEQPT circuit for one pure input state psi."""
     check_indices(ch.n, a, b)
     if psi.dim != ch.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != channel dim {ch.dim}")
-    v = psi.amplitudes
+    (v,) = psi.factor.T  # a ValueError for a state of rank above 1
     kraus = np.stack(ch.kraus_ops)
     # w[k] = <psi|K_k P_m|psi> for m = a, b.
     wa, wb = ((kraus @ (pauli_matrix(ch.n, m) @ v)) @ v.conj() for m in (a, b))
     return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
 
 
-def seqpt_outcome_distribution(ch: KrausChannel, a: int, b: int, psi: PureState, axis: str) -> tuple:
+def seqpt_outcome_distribution(ch: KrausChannel, a: int, b: int, psi: DensityMatrix, axis: str) -> tuple:
     """Three-outcome probabilities (p_plus, p_minus, p_zero) of a single run."""
     return ancilla_readout(_seqpt_block(ch, a, b, psi), axis)
 

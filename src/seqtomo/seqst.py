@@ -28,8 +28,8 @@ p_plus/minus = (g_aa + g_bb ± 2 Re g_ab) / 4 (Im on axis Y), and
 p_zero = 1 - p_plus - p_minus. ``ancilla_readout`` is the one home of that
 rule; every sampler, here and in ``qpt``, draws from a block it computes
 directly. ``seqst_exact``, the independent oracle, reads the whole fiducial
-block t = S† rho S / 2 of rho_F, with S = [psi_b, psi_a]; both routes read
-only the two prepared states.
+block t = S† rho S / 2 of rho_F, with S = [psi_b, psi_a]. Both read only
+u_i = psi_i† F for the factor F of rho = F F†: O(D r) work, O(D) when pure.
 
 The conventional Pauli-expectation route (standard_pauli_qst) is included
 as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GATES, DensityMatrix, PureState, apply_gates, haar_random_unitary, unitarity_residual
-from .errors import DimensionMismatch, IndexOutOfRange
+from .core import GATES, DensityMatrix, apply_gates, haar_random_unitary, unitarity_residual
+from .errors import DimensionMismatch, IndexOutOfRange, ParamOutOfRange
 from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
 from .pauli import pauli_coefficients, pauli_labels
 
@@ -62,13 +62,18 @@ class PreparationBasis:
     def dim(self) -> int:
         return 2**self.n
 
-    def element(self, a: int) -> PureState:
-        """The basis state V_a|0...0> = W|a>: the gate list run on |a>, for a in [0, 2**n)."""
-        if not 0 <= a < self.dim:
-            raise IndexOutOfRange(f"basis index {a} outside [0, {self.dim})")
-        state = np.zeros(self.dim, dtype=complex)
-        state[a] = 1.0
-        return PureState(apply_gates(state.reshape((2,) * self.n), self.gates).reshape(-1))
+    def element(self, a: int) -> DensityMatrix:
+        """The pure basis state V_a|0...0> = W|a>, for a in [0, 2**n)."""
+        return DensityMatrix.from_factor(self._states(a)[0])
+
+    def _states(self, *indices) -> np.ndarray:
+        """The amplitudes of W|i>, one row per index, from one run of the gate list on the batch of |i>."""
+        for i in indices:
+            if not 0 <= i < self.dim:
+                raise IndexOutOfRange(f"basis index {i} outside [0, {self.dim})")
+        batch = np.zeros((len(indices), self.dim), dtype=complex)
+        batch[range(len(indices)), indices] = 1.0
+        return apply_gates(batch.reshape((len(indices),) + (2,) * self.n), self.gates, 1).reshape(len(indices), -1)
 
     def residuals(self) -> float:
         """The largest unitarity residual among W's gates, 0 for none."""
@@ -76,11 +81,14 @@ class PreparationBasis:
 
     @classmethod
     def columns(cls, unitary, name: str = "custom") -> "PreparationBasis":
-        """The columns of a dense unitary, W its one gate on all n qubits."""
+        """The columns of a dense unitary, W its one gate on all n qubits; W†W must be I to 1e-9."""
         w = np.array(unitary, dtype=complex)
         d = w.shape[0] if w.ndim == 2 else 0
         if w.shape != (d, d) or d < 2 or d & (d - 1):
             raise DimensionMismatch(f"a basis unitary must be square with a power-of-two size >= 2, got {w.shape}")
+        residual = unitarity_residual(w)
+        if not residual <= 1e-9:  # written so that a NaN residual fails too
+            raise ParamOutOfRange(f"a basis unitary must be unitary: max |W†W - I| = {residual:.3e} exceeds 1e-9")
         w.setflags(write=False)
         n = d.bit_length() - 1
         return cls(n, [(w, tuple(range(n)))], name)
@@ -141,18 +149,18 @@ def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> 
     """The coefficient <psi_a|rho|psi_b> read exactly off the circuit state.
 
     Returns Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) with P_0 = |0...0><0...0|,
-    from the fiducial block t = S† rho S / 2 of the two prepared states
+    from the fiducial block t = (S† F)(S† F)† / 2 of the prepared states
     S = [psi_b, psi_a]; equals the direct inner product to numerical precision.
     """
-    s = np.stack(_prepared(rho, basis, b, a), axis=1)
-    return fiducial_readout(s.conj().T @ (rho.matrix @ s) / 2)
+    u = _prepared(rho, basis, b, a)
+    return fiducial_readout(u @ u.conj().T / 2)
 
 
-def _prepared(rho: DensityMatrix, basis: PreparationBasis, *indices) -> list:
-    """The amplitudes of the prepared states psi_i = V_i|0...0>, after checking rho's dimension."""
+def _prepared(rho: DensityMatrix, basis: PreparationBasis, *indices) -> np.ndarray:
+    """u_i = psi_i† F for the prepared states psi_i = V_i|0...0>, one row each, after checking rho's dimension."""
     if rho.dim != basis.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != basis dim {basis.dim}")
-    return [basis.element(i).amplitudes for i in indices]
+    return basis._states(*indices).conj() @ rho.factor
 
 
 def fiducial_readout(t: np.ndarray) -> complex:
@@ -186,10 +194,9 @@ def sample_readout(block: tuple, axis: str, m: int, stream: RandomStream, worker
 
 
 def _state_block(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> tuple:
-    """(g_aa, g_bb, g_ab) with g_ij = <psi_i|rho|psi_j>."""
-    psi_a, psi_b = _prepared(rho, basis, a, b)
-    rho_b = rho.matrix @ psi_b
-    return np.vdot(psi_a, rho.matrix @ psi_a).real, np.vdot(psi_b, rho_b).real, np.vdot(psi_a, rho_b)
+    """(g_aa, g_bb, g_ab) with g_ij = <psi_i|rho|psi_j> = sum_k u_i[k] conj(u_j[k])."""
+    u_a, u_b = _prepared(rho, basis, a, b)
+    return np.vdot(u_a, u_a).real, np.vdot(u_b, u_b).real, np.vdot(u_b, u_a)
 
 
 def seqst_outcome_distribution(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int, axis: str) -> tuple:

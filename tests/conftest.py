@@ -38,7 +38,7 @@ def channel_to_json(ch) -> dict:
 def choi_state(ch) -> DensityMatrix:
     """The dense D²×D² dual state sum_k (K_k ⊗ I)|Phi><Phi|(K_k ⊗ I)†, two kron products per Kraus operator."""
     d = ch.dim
-    phi = maximally_entangled_state(ch.n).amplitudes
+    phi = maximally_entangled_state(ch.n).factor[:, 0]
     proj = np.outer(phi, phi.conj())
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
@@ -51,7 +51,7 @@ def choi_state(ch) -> DensityMatrix:
 def choi_unitary(n: int) -> np.ndarray:
     """The unitary W on two n-qubit registers whose column k is kron(P_k, I)|Phi>."""
     eye = np.eye(2**n, dtype=complex)
-    phi = maximally_entangled_state(n).amplitudes
+    phi = maximally_entangled_state(n).factor[:, 0]
     return np.stack([np.kron(p, eye) @ phi for p in dense_pauli_basis(n)], axis=1)
 
 

@@ -15,8 +15,8 @@ from conftest import chi_square_pvalue
 
 from seqtomo import (
     ChiMatrix,
+    DensityMatrix,
     PreparationBasis,
-    PureState,
     RandomStream,
     ShotPlan,
     aapt_full_chi,
@@ -57,7 +57,7 @@ def test_criterion_1_selective_state_tomography_correctness():
             rho = random_density_matrix(2**n, rng)
             a, b = (int(v) for v in rng.integers(0, 2**n, size=2))
             got = seqst_exact(rho, basis, a, b)
-            want = basis.element(a).amplitudes.conj() @ rho.matrix @ basis.element(b).amplitudes
+            want = basis.element(a).factor[:, 0].conj() @ rho.matrix @ basis.element(b).factor[:, 0]
             worst = max(worst, abs(got - want))
             cases += 1
     elapsed = time.perf_counter() - start
@@ -133,7 +133,7 @@ def test_criterion_5_chernoff_calibration():
     plan = chernoff_plan(0.1, 0.05)
     assert plan.m == 738
     basis = PreparationBasis.computational(1)
-    rho = PureState(np.array([1, 1], dtype=complex) / np.sqrt(2)).density()
+    rho = DensityMatrix.from_factor(np.array([1, 1], dtype=complex) / np.sqrt(2))
     exact = seqst_exact(rho, basis, 0, 1)
     assert abs(exact - 0.5) < 1e-12
     misses = sum(
@@ -179,7 +179,7 @@ def test_criterion_7_sampling_distribution_fit():
     pvalues = {}
 
     basis1 = PreparationBasis.computational(1)
-    plus = PureState(np.array([1, 1], dtype=complex) / np.sqrt(2)).density()
+    plus = DensityMatrix.from_factor(np.array([1, 1], dtype=complex) / np.sqrt(2))
     probs = seqst_outcome_distribution(plus, basis1, 0, 1, "X")
     tallies = sample_categorical(probs, shots, RandomStream(1))
     pvalues["seqst |+> X"] = chi_square_pvalue(tallies, probs)
@@ -214,7 +214,7 @@ def test_criterion_8_entangling_circuit_audit():
         psi, counts = entangled_state_circuit(n)
         if counts.single_qubit != n or counts.two_qubit != n:
             issues.append(f"n={n}: counts {counts}")
-        err = float(np.max(np.abs(psi.amplitudes - maximally_entangled_state(n).amplitudes)))
+        err = float(np.max(np.abs(psi.factor[:, 0] - maximally_entangled_state(n).factor[:, 0])))
         if err > 1e-12:
             issues.append(f"n={n}: state error {err:.2e}")
     _verdict(8, not issues, "n single- and n two-qubit gates, exact output state, n = 1..4" if not issues else "; ".join(issues))

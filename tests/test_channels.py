@@ -117,7 +117,7 @@ class TestConversions:
 class TestChoiState:
     def test_identity_channel(self):
         rho = choi_state(channel_zoo("identity"))
-        phi = maximally_entangled_state(1).amplitudes
+        phi = maximally_entangled_state(1).factor[:, 0]
         np.testing.assert_allclose(rho.matrix, np.outer(phi, phi.conj()), atol=1e-15)
 
     def test_full_bit_flip(self):
@@ -138,7 +138,7 @@ class TestChoiState:
         # sum_mn chi_mn (P_m ⊗ I)|I><I|(P_n ⊗ I)† reproduces the dual state
         ch = channel_zoo("amplitude_damping", gamma=0.45)
         chi = kraus_to_chi(ch).entries
-        phi = maximally_entangled_state(1).amplitudes
+        phi = maximally_entangled_state(1).factor[:, 0]
         proj = np.outer(phi, phi.conj())
         basis = dense_pauli_basis(1)
         want = np.zeros((4, 4), dtype=complex)

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqtomo import channel_zoo, channels, cli, core, kraus_to_chi, qpt
+from seqtomo import channel_zoo, channels, cli, core, kraus_to_chi, qpt, seqst
 from seqtomo.cli import main, render_report
 
 
@@ -570,13 +571,15 @@ class TestConfigHandling:
         "spec, code",
         [
             ({"kind": "matrix", "values": real_pairs(np.eye(8) / 8)}, 3),
-            ({"kind": "amplitudes", "values": real_pairs(np.eye(8)[0])}, 3),
+            ({"kind": "amplitudes", "values": real_pairs(np.eye(32)[0])}, 3),
             ({"kind": "random_mixed", "n": 3}, 3),
             ({"kind": "matrix", "values": real_pairs(np.eye(4) / 4)}, 0),
+            ({"kind": "amplitudes", "values": real_pairs(np.eye(8)[0])}, 0),
         ],
     )
     def test_every_state_kind_is_sized_by_its_qubits(self, monkeypatch, spec, code):
-        # Under a budget of two qubits per operator, each spelling of a 3-qubit state is refused.
+        # Under a budget of one 2-qubit operator, 256 bytes, each mixed spelling of a 3-qubit
+        # state is refused; a pure state is sized by its 2**n × 1 factor, so 3 qubits fit and 5 do not.
         monkeypatch.setattr(core, "MATRIX_MAX_BYTES", 16 * 4**2)
         args = ["run", "--protocol", "seqst-state", "--state", json.dumps(spec), "--a", "0", "--b", "1"]
         assert main(args) == code
@@ -801,6 +804,77 @@ def _containers(children):
         | same_keys
         | st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=6)
     )
+
+
+def seqst_state_argv(state: dict, basis: str = "pauli") -> list:
+    """The argv of seqst-state on a state spec, read at (0, 1) in a Pauli-Y or another basis kind."""
+    spec = json.dumps({"kind": basis, "axis": "Y"} if basis == "pauli" else {"kind": basis})
+    return ["run", "--protocol", "seqst-state", "--state", json.dumps(state), "--basis", spec, "--a", "0", "--b", "1"]
+
+
+class TestStateFactorCeilings:
+    """A state is sized by its factor: 2**n × 1 for a pure kind (n <= 20), 2**n × 2**n for a mixed one (n <= 10)."""
+
+    def test_pure_state_at_twenty_qubits_runs(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtomo.cli", *seqst_state_argv({"kind": "ghz", "n": 20})],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["results"]["n"] == 20
+
+    def test_pure_state_at_twenty_one_qubits_is_refused_before_allocation(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(seqst_state_argv({"kind": "ghz", "n": 21})) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a 21-qubit vector takes 32 MiB
+        assert "the factor of a rank-1 state of 1 operator(s) on 21 qubits" in capsys.readouterr().err
+
+    def test_haar_basis_is_sized_as_one_dense_operator_before_it_is_drawn(self, monkeypatch, capsys):
+        monkeypatch.setattr(seqst, "haar_random_unitary", Reached.stub)
+        assert main(seqst_state_argv({"kind": "ghz", "n": 11}, "haar")) == 3
+        assert "a haar basis of 1 operator(s) on 11 qubits" in capsys.readouterr().err
+        with pytest.raises(Reached):
+            main(seqst_state_argv({"kind": "ghz", "n": 10}, "haar"))
+
+    def test_mixed_states_stop_at_ten_qubits_before_they_are_built(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "random_density_matrix", Reached.stub)
+        assert main(seqst_state_argv({"kind": "random_mixed", "n": 11})) == 3
+        assert "rank-2048 state" in capsys.readouterr().err
+        with pytest.raises(Reached):
+            main(seqst_state_argv({"kind": "random_mixed", "n": 10}))
+
+    def test_standard_qst_stops_a_pure_state_at_its_rows(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_state", Reached.stub)
+        assert main(["run", "--protocol", "standard-qst", "--state", '{"kind": "plus", "n": 10}']) == 3
+        assert "the standard-qst report" in capsys.readouterr().err
+
+    def test_entangled_state_on_twenty_qubits_runs_and_on_twenty_two_is_refused(self, capsys):
+        assert main(seqst_state_argv({"kind": "entangled", "n": 10})) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["n"] == 20
+        assert main(seqst_state_argv({"kind": "entangled", "n": 11})) == 3
+        assert "on 22 qubits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["seqst-state", "standard-qst"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "amplitudes", "values": real_pairs(np.array([1.0, 0.0, 0.0]))},
+            {"kind": "matrix", "values": real_pairs(np.eye(3) / 3)},
+            {"kind": "amplitudes", "values": real_pairs(np.array([1.0]))},
+        ],
+        ids=["amplitudes-3", "matrix-3", "amplitudes-1"],
+    )
+    def test_state_dimension_must_be_a_power_of_two(self, capsys, protocol, spec):
+        args = ["run", "--protocol", protocol, "--state", json.dumps(spec)]
+        assert main(args + ["--a", "0", "--b", "0"] * (protocol == "seqst-state")) == 2
+        size = len(spec["values"])
+        assert capsys.readouterr().err == f"error: state dimension {size} is not 2^n for any n >= 1\n"
 
 
 class TestJsonWriter:

@@ -3,7 +3,6 @@ import pytest
 
 from seqtomo import (
     DensityMatrix,
-    PureState,
     haar_random_state,
     haar_random_unitary,
     maximally_entangled_state,
@@ -26,9 +25,9 @@ class TestTypes:
                 op[0, 0] = 5.0
 
     def test_pure_state_norm_enforced(self):
-        PureState([1, 0])
+        DensityMatrix.from_factor([1, 0])
         with pytest.raises(ValueError):
-            PureState([1, 1])
+            DensityMatrix.from_factor([1, 1])
 
     def test_density_matrix_invariants_enforced(self):
         DensityMatrix(I2 / 2)
@@ -39,8 +38,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    def test_factor_shape_and_rank(self):
+        rho = DensityMatrix.from_factor(np.eye(4, 2) / np.sqrt(2))
+        assert rho.dim == 4 and rho.factor.shape == (4, 2)
+        np.testing.assert_allclose(rho.matrix, np.diag([0.5, 0.5, 0, 0]), atol=1e-15)
+        with pytest.raises(ValueError):
+            rho.factor[0, 0] = 1.0
+        for bad in ([], np.ones((2, 2, 2)) / np.sqrt(8)):
+            with pytest.raises(DimensionMismatch):
+                DensityMatrix.from_factor(bad)
+        # A dense matrix keeps the eigenvectors of its positive eigenvalues.
+        assert DensityMatrix(np.diag([0.5, 0.5, 0, 0])).factor.shape == (4, 2)
+
     def test_density_of_pure_state(self):
-        rho = PureState([1, 1j] / np.sqrt(2)).density()
+        rho = DensityMatrix.from_factor([1, 1j] / np.sqrt(2))
         np.testing.assert_allclose(rho.matrix, np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-15)
 
 
@@ -76,7 +87,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace(joint, (2, 3), "B").matrix, rb.matrix, atol=1e-12)
 
     def test_entangled_marginal_is_mixed(self):
-        rho = maximally_entangled_state(1).density()
+        rho = maximally_entangled_state(1)
         np.testing.assert_allclose(partial_trace(rho, (2, 2), "A").matrix, I2 / 2, atol=1e-12)
 
     def test_against_index_sum_oracle(self):
@@ -99,30 +110,30 @@ class TestPartialTrace:
 
 class TestMaximallyEntangled:
     def test_one_pair(self):
-        got = maximally_entangled_state(1).amplitudes
+        got = maximally_entangled_state(1).factor[:, 0]
         np.testing.assert_allclose(got, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_two_pairs(self):
-        got = maximally_entangled_state(2).amplitudes
+        got = maximally_entangled_state(2).factor[:, 0]
         want = np.zeros(16)
         for i in range(4):
             want[4 * i + i] = 0.5
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_marginal_is_maximally_mixed(self):
-        rho = maximally_entangled_state(2).density()
+        rho = maximally_entangled_state(2)
         np.testing.assert_allclose(partial_trace(rho, (4, 4), "A").matrix, np.eye(4) / 4, atol=1e-12)
 
 
 class TestHaarSampling:
     def test_single_dimension(self):
         psi = haar_random_state(1, np.random.default_rng(7))
-        assert abs(abs(psi.amplitudes[0]) - 1.0) < 1e-12
+        assert abs(abs(psi.factor[0, 0]) - 1.0) < 1e-12
 
     def test_first_moment(self):
         # Haar moment E|<0|psi>|^2 = 1/d; binomial-scale tolerance at 1e5 samples
         rng = np.random.default_rng(8)
-        vals = [abs(haar_random_state(4, rng).amplitudes[0]) ** 2 for _ in range(100_000)]
+        vals = [abs(haar_random_state(4, rng).factor[0, 0]) ** 2 for _ in range(100_000)]
         mean = np.mean(vals)
         assert abs(mean - 0.25) < 0.01
         assert abs(mean - 0.25) < 3 * np.std(vals) / np.sqrt(len(vals))
@@ -130,7 +141,7 @@ class TestHaarSampling:
     def test_second_moment(self):
         # E|<0|psi>|^4 = 2/(d(d+1)) = 0.1 at d = 4
         rng = np.random.default_rng(9)
-        vals = [abs(haar_random_state(4, rng).amplitudes[0]) ** 4 for _ in range(100_000)]
+        vals = [abs(haar_random_state(4, rng).factor[0, 0]) ** 4 for _ in range(100_000)]
         mean = np.mean(vals)
         assert abs(mean - 0.1) < 0.01
         se = np.std(vals) / np.sqrt(len(vals))
@@ -141,7 +152,7 @@ class TestHaarSampling:
         rng = np.random.default_rng(10)
         u = haar_random_unitary(4, rng)
         phi = u @ np.eye(4)[0]
-        vals = [abs(phi.conj() @ haar_random_state(4, rng).amplitudes) ** 2 for _ in range(50_000)]
+        vals = [abs(phi.conj() @ haar_random_state(4, rng).factor[:, 0]) ** 2 for _ in range(50_000)]
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - 0.25) < 3 * se + 1e-4
 

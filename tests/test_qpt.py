@@ -61,7 +61,7 @@ class TestChoiBasis:
     @pytest.mark.parametrize("n", [1, 2])
     def test_gram_matrix_is_identity(self, n):
         cb = choi_basis(n)
-        vecs = np.stack([cb.element(k).amplitudes for k in range(4**n)])
+        vecs = np.stack([cb.element(k).factor[:, 0] for k in range(4**n)])
         gram = vecs.conj() @ vecs.T
         np.testing.assert_allclose(gram, np.eye(4**n), atol=1e-10)
 
@@ -402,7 +402,7 @@ class TestBellRoute:
     def dense_chi(ch):
         """<r_m| rho_E |r_n> with the dense D²×D² rho_E and r_m = kron(P_m, I)|Phi>."""
         basis = choi_basis(ch.n)
-        vecs = np.stack([basis.element(k).amplitudes for k in range(4**ch.n)])
+        vecs = np.stack([basis.element(k).factor[:, 0] for k in range(4**ch.n)])
         return vecs.conj() @ choi_state(ch).matrix @ vecs.T
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -509,7 +509,7 @@ class TestReadoutBlockCrossChecks:
         p1 = np.diag([0.0, 1.0]).astype(complex)
         u = np.kron(paulis[b], p0) + np.kron(paulis[a], p1)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        proj = np.outer(psi.factor[:, 0], psi.factor[:, 0].conj())
         joint = u @ np.kron(proj, plus) @ u.conj().T
         out = sum(np.kron(k, np.eye(2)) @ joint @ np.kron(k, np.eye(2)).conj().T for k in ch.kraus_ops)
         phase = 1 if axis == "X" else 1j
@@ -559,10 +559,10 @@ class TestSeqptSingleState:
         for a in range(4):
             x, y = seqpt_single_state(ch, a, a, psi)
             p = dense_pauli_basis(1)[a]
-            m = p @ np.outer(psi.amplitudes, psi.amplitudes.conj()) @ p
+            m = p @ np.outer(psi.factor[:, 0], psi.factor[:, 0].conj()) @ p
             want = sum(k @ m @ k.conj().T for k in ch.kraus_ops)
             assert abs(y) < 1e-10
-            assert abs(x - (psi.amplitudes.conj() @ want @ psi.amplitudes).real) < 1e-10
+            assert abs(x - (psi.factor[:, 0].conj() @ want @ psi.factor[:, 0]).real) < 1e-10
 
     def test_cross_block_oracle(self):
         # two-route check: x + iy must equal <psi|E(P_a |psi><psi| P_b)|psi>
@@ -573,8 +573,8 @@ class TestSeqptSingleState:
         for a in range(4):
             for b in range(4):
                 x, y = seqpt_single_state(ch, a, b, psi)
-                m = basis[a] @ np.outer(psi.amplitudes, psi.amplitudes.conj()) @ basis[b]
-                c = psi.amplitudes.conj() @ sum(k @ m @ k.conj().T for k in ch.kraus_ops) @ psi.amplitudes
+                m = basis[a] @ np.outer(psi.factor[:, 0], psi.factor[:, 0].conj()) @ basis[b]
+                c = psi.factor[:, 0].conj() @ sum(k @ m @ k.conj().T for k in ch.kraus_ops) @ psi.factor[:, 0]
                 assert abs(complex(x, y) - c) < 1e-10
 
 
@@ -714,7 +714,7 @@ class TestEntangledCircuit:
         assert counts.single_qubit == n
         assert counts.two_qubit == n
         np.testing.assert_allclose(
-            psi.amplitudes, maximally_entangled_state(n).amplitudes, atol=1e-12
+            psi.factor[:, 0], maximally_entangled_state(n).factor[:, 0], atol=1e-12
         )
 
     def test_serialization_fields(self):

@@ -8,7 +8,6 @@ from conftest import SIGMA, chi_square_pvalue, choi_basis, choi_unitary, dense_p
 from seqtomo import (
     DensityMatrix,
     PreparationBasis,
-    PureState,
     RandomStream,
     chernoff_plan,
     haar_random_unitary,
@@ -18,13 +17,15 @@ from seqtomo import (
     seqst_sample,
     standard_pauli_qst,
 )
-from seqtomo.errors import DimensionMismatch, IndexOutOfRange
+from seqtomo.cli import build_state, main
+from seqtomo.errors import DimensionMismatch, IndexOutOfRange, ParamOutOfRange
 from seqtomo.estimation import ShotPlan
 from seqtomo.pauli import pauli_labels
+from seqtomo.seqst import _state_block
 
 
 def plus_state_density() -> DensityMatrix:
-    return PureState(np.array([1, 1], dtype=complex) / np.sqrt(2)).density()
+    return DensityMatrix.from_factor(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 
 def bit_flips(n: int, a: int) -> np.ndarray:
@@ -40,7 +41,7 @@ def kron_circuit(rho: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
 
 def preparator(basis: PreparationBasis, a: int) -> np.ndarray:
     """V_a = W X^a, with W read column by column off the basis's own ``element``."""
-    w = np.stack([basis.element(j).amplitudes for j in range(basis.dim)], axis=1)
+    w = np.stack([basis.element(j).factor[:, 0] for j in range(basis.dim)], axis=1)
     return w @ bit_flips(basis.n, a)
 
 
@@ -86,7 +87,7 @@ class TestPreparationBasis:
     )
     def test_unitary_and_orthonormal(self, basis):
         # Unitary gates prepare an orthonormal basis.
-        vecs = np.stack([basis.element(a).amplitudes for a in range(basis.dim)])
+        vecs = np.stack([basis.element(a).factor[:, 0] for a in range(basis.dim)])
         gram_res = np.max(np.abs(vecs.conj() @ vecs.T - np.eye(basis.dim)))
         assert basis.residuals() < 1e-14
         assert gram_res < 1e-14
@@ -98,7 +99,7 @@ class TestPreparationBasis:
         make, literal = _CROSS_CHECK_BASES[kind]
         basis, w = make(n), literal(n)
         for a in range(2**n):
-            np.testing.assert_array_equal(basis.element(a).amplitudes, w[:, a])
+            np.testing.assert_array_equal(basis.element(a).factor[:, 0], w[:, a])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gate_lists_hold_no_dense_w_but_haar(self, n):
@@ -112,12 +113,22 @@ class TestPreparationBasis:
         with pytest.raises(DimensionMismatch):
             PreparationBasis.columns(np.ones(shape))
 
+    def test_unitary_must_be_unitary(self):
+        # Residual 2**-0.5: W†W has the off-diagonal <w_0|w_1> = 2**-0.5.
+        with pytest.raises(ParamOutOfRange, match="7.071e-01 exceeds 1e-9"):
+            PreparationBasis.columns([[1, 2**-0.5], [0, 2**-0.5]])
+        with pytest.raises(ParamOutOfRange, match="nan exceeds 1e-9"):
+            PreparationBasis.columns([[np.nan, 0], [0, 1]])
+        # The shape is refused first, whatever the entries.
+        with pytest.raises(DimensionMismatch):
+            PreparationBasis.columns(np.full((3, 3), np.nan))
+
     def test_computational_elements(self):
         basis = PreparationBasis.computational(2)
         for a in range(4):
             want = np.zeros(4)
             want[a] = 1.0
-            np.testing.assert_allclose(basis.element(a).amplitudes, want, atol=1e-15)
+            np.testing.assert_allclose(basis.element(a).factor[:, 0], want, atol=1e-15)
 
     def test_index_out_of_range(self):
         basis = PreparationBasis.computational(1)
@@ -146,7 +157,7 @@ class TestJointState:
         # when rho is the b-th basis projector, the ancilla-|0> block returns
         # the projector on |0...0> (the |0> branch un-prepares index b)
         basis = PreparationBasis.computational(2)
-        rho = basis.element(3).density()
+        rho = basis.element(3)
         joint = kron_circuit(rho.matrix, preparator(basis, 1), preparator(basis, 3))
         block00 = joint[0::2, 0::2]
         p0 = np.zeros((4, 4))
@@ -221,10 +232,103 @@ class TestMemory:
         assert peak < 16 * d * d // 8
 
 
+def _pairs(z: np.ndarray) -> list:
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def state_specs(n: int) -> list:
+    """A spec of every state kind on n qubits; entangled, on two registers of n/2, at even n only."""
+    rng = np.random.default_rng(70 + n)
+    d = 2**n
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    m = g @ g.conj().T  # rank 2: the matrix kind's factor drops D - 2 eigenvalues at rounding level
+    specs = [{"kind": kind, "n": n} for kind in ("zero", "plus", "ghz", "maximally_mixed")]
+    specs += [{"kind": "haar", "n": n, "seed": 3}, {"kind": "random_mixed", "n": n, "seed": 4}]
+    specs += [{"kind": "amplitudes", "values": _pairs(v / np.linalg.norm(v))}]
+    specs += [{"kind": "matrix", "values": _pairs(m / np.trace(m).real)}]
+    return specs + [{"kind": "entangled", "n": n // 2}] * (n % 2 == 0)
+
+
+def dense_state(spec: dict) -> np.ndarray:
+    """The D×D rho of a state spec, written out here from the spec with numpy alone."""
+    kind = spec["kind"]
+    if kind == "matrix":
+        return np.array([[complex(*p) for p in row] for row in spec["values"]])
+    if kind == "amplitudes":
+        v = np.array([complex(*p) for p in spec["values"]])
+        return np.outer(v, v.conj())
+    d = 2 ** spec["n"]
+    if kind in ("haar", "random_mixed"):
+        # The draws of the spec's seeded stream: d (haar) or d×d (random_mixed) complex Gaussians.
+        seq = np.random.SeedSequence(entropy=spec["seed"], spawn_key=(9001 if kind == "haar" else 9002,))
+        gen = np.random.Generator(np.random.Philox(seq))
+        shape = (d, 1 if kind == "haar" else d)
+        g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        rho = g @ g.conj().T
+        return rho / np.trace(rho)
+    if kind == "maximally_mixed":
+        return np.eye(d) / d
+    v = {"zero": np.eye(d)[0], "plus": np.ones(d), "ghz": np.eye(d)[0] + np.eye(d)[-1]}.get(kind)
+    v = np.eye(d).reshape(-1) if kind == "entangled" else v  # sum_i |ii> on two registers
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+class TestFactoredStates:
+    """Every state kind, held as its factor, against the dense rho written out from its spec."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
+    def test_exact_and_block_match_the_dense_state(self, n):
+        bases = [_CROSS_CHECK_BASES[kind] for kind in sorted(set(_CROSS_CHECK_BASES) - {"choi"})]
+        bases = [(make(n), literal(n)) for make, literal in bases]
+        d = 2**n
+        pairs = [(d // 3, d - 1), (d - 1, d - 1)]
+        for spec in state_specs(n):
+            rho, dense = build_state(spec), dense_state(spec)
+            for basis, w in bases:
+                for a, b in pairs:
+                    s = w[:, [b, a]]
+                    t = s.conj().T @ dense @ s / 2
+                    direct = np.vdot(w[:, a], dense @ w[:, b])
+                    got = seqst_exact(rho, basis, a, b)
+                    assert abs(got - complex((t[0, 1] + t[1, 0]).real, (1j * (t[0, 1] - t[1, 0])).real)) <= 1e-12
+                    assert abs(got - direct) <= 1e-12, (spec["kind"], a, b)
+                    g_aa, g_bb, g_ab = _state_block(rho, basis, a, b)
+                    assert abs(g_aa - 2 * t[1, 1]) <= 1e-12 and abs(g_bb - 2 * t[0, 0]) <= 1e-12
+                    assert abs(g_ab - direct) <= 1e-12
+
+    def test_no_state_kind_but_matrix_is_diagonalized(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was diagonalized")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for spec in state_specs(4):
+            if spec["kind"] != "matrix":
+                assert build_state(spec).dim == 2**4
+            else:  # the one kind from outside: its factor comes from eigh
+                with pytest.raises(AssertionError, match="diagonalized"):
+                    build_state(spec)
+
+    def test_pure_state_route_peaks_at_a_few_vectors(self, capsys):
+        # The state, the batch [|b>, |a>] and two gate outputs of that batch: 7 vectors of 2**n entries.
+        n = 16
+        args = ["run", "--protocol", "seqst-state", "--state", '{"kind": "ghz", "n": 16}', "--a", "5", "--b", "9"]
+        tracemalloc.start()
+        try:
+            assert main([*args, "--basis", '{"kind": "pauli", "axis": "Y"}']) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 8 * 16 * 2**n
+
+
 class TestExact:
     def test_basis_projector_diagonal(self):
         basis = PreparationBasis.computational(2)
-        rho = basis.element(2).density()
+        rho = basis.element(2)
         assert abs(seqst_exact(rho, basis, 2, 2) - 1.0) < 1e-12
 
     def test_plus_state_off_diagonal(self):
@@ -239,7 +343,7 @@ class TestExact:
             rho = random_density_matrix(2**n, rng)
             a, b = (int(v) for v in rng.integers(0, 2**n, size=2))
             got = seqst_exact(rho, basis, a, b)
-            want = basis.element(a).amplitudes.conj() @ rho.matrix @ basis.element(b).amplitudes
+            want = basis.element(a).factor[:, 0].conj() @ rho.matrix @ basis.element(b).factor[:, 0]
             assert abs(got - want) < 1e-9
 
     def test_hermiticity_symmetry(self):
@@ -269,7 +373,7 @@ class TestExact:
 class TestOutcomeDistribution:
     def test_fiducial_diagonal_is_deterministic(self):
         basis = PreparationBasis.computational(2)
-        rho = basis.element(0).density()
+        rho = basis.element(0)
         np.testing.assert_allclose(seqst_outcome_distribution(rho, basis, 0, 0, "X"), (1, 0, 0), atol=1e-12)
 
     def test_maximally_mixed_off_diagonal_balances(self):
@@ -312,7 +416,7 @@ class TestOutcomeDistribution:
 class TestSampling:
     def test_deterministic_distribution_gives_exact_real_part(self):
         basis = PreparationBasis.computational(2)
-        rho = basis.element(0).density()
+        rho = basis.element(0)
         rep = seqst_sample(rho, basis, 0, 0, ShotPlan(0.1, 0.05, 25), RandomStream(0))
         assert rep.estimate.real == 1.0
         assert rep.se_re == 0.0
