@@ -2,8 +2,10 @@
 
 For every protocol, runs `python -m seqtomo.cli run` at n = 1..ceiling + 1
 on a rank-2 channel (bit_flip ⊗ identity), a random_mixed state or, in the
-pure-state row, a ghz state, one child process at a time, and records its wall time, max RSS (the child's
-own rusage) and exit code. From each report it records the oracle check
+pure-state row, the plus state read at a = b = 0 in the Pauli-X basis, one
+child process at a time, and records its wall time, max RSS (the child's
+own rusage) and exit code. There alpha_00 = 1, so the X runs are certain
+and the Y runs draw p = (1/2, 1/2, 0), the largest variance of a run. From each report it records the oracle check
 the report carries, and for sampled protocols the largest abs_error beside
 the plan's epsilon. Fails unless every n up to the ceiling exits 0 with
 every oracle check within ORACLE_TOL, and ceiling + 1 exits 3. Writes
@@ -24,12 +26,16 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_PAULI_X = json.dumps({"kind": "pauli", "axis": "X"})
 _PAULI_Y = json.dumps({"kind": "pauli", "axis": "Y"})
 # protocol label -> (largest n, argv after `run` for n qubits)
 PROTOCOLS = {
     "seqst-state": (10, lambda n: ["--state", _state(n), "--a", "0", "--b", "1"]),
     "seqst-state --basis pauli-Y": (10, lambda n: ["--state", _state(n), "--basis", _PAULI_Y, "--a", "0", "--b", "1"]),
-    "seqst-state ghz --basis pauli-Y": (20, lambda n: ["--state", _ghz(n), "--basis", _PAULI_Y, "--a", "0", "--b", "1"]),
+    "seqst-state plus --basis pauli-X": (
+        20,
+        lambda n: ["--state", json.dumps({"kind": "plus", "n": n}), "--basis", _PAULI_X, "--a", "0", "--b", "0"],
+    ),
     "standard-qst": (9, lambda n: ["--state", _state(n)]),
     "aapt": (4, lambda n: ["--channel", _channel(n)]),
     "dcqd-diag --target all-diagonal": (9, lambda n: ["--channel", _channel(n), "--target", "all-diagonal"]),
@@ -44,10 +50,6 @@ ORACLE_TOL = 1e-9
 
 def _state(n: int) -> str:
     return json.dumps({"kind": "random_mixed", "n": n, "seed": 1})
-
-
-def _ghz(n: int) -> str:
-    return json.dumps({"kind": "ghz", "n": n})
 
 
 def _channel(n: int) -> str:

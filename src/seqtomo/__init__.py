@@ -31,24 +31,19 @@ from .channels import (
     zoo_descriptions,
 )
 from .seqst import (
-    EstimateReport,
+    Estimate,
     PreparationBasis,
     seqst_exact,
-    seqst_outcome_distribution,
     seqst_sample,
     standard_pauli_qst,
 )
 from .qpt import (
-    ChiEstimate,
     GateCounts,
     aapt_full_chi,
-    dcqd_diagonal,
-    dcqd_diagonal_sample,
     dcqd_distribution,
     entangled_state_circuit,
     seqpt_estimate,
     seqpt_exact_average,
-    seqpt_outcome_distribution,
     seqst_qpt_exact,
     seqst_qpt_sample,
 )
@@ -57,16 +52,14 @@ from .estimation import (
     ShotPlan,
     chernoff_plan,
     sample_categorical,
-    sample_categorical_partitioned,
 )
 from . import errors
 
 __all__ = [
     "ATOL",
-    "ChiEstimate",
     "ChiMatrix",
     "DensityMatrix",
-    "EstimateReport",
+    "Estimate",
     "GateCounts",
     "KrausChannel",
     "PreparationBasis",
@@ -79,8 +72,6 @@ __all__ = [
     "chernoff_plan",
     "chi_to_kraus",
     "compose_channels",
-    "dcqd_diagonal",
-    "dcqd_diagonal_sample",
     "dcqd_distribution",
     "entangled_state_circuit",
     "errors",
@@ -95,12 +86,9 @@ __all__ = [
     "random_channel",
     "random_density_matrix",
     "sample_categorical",
-    "sample_categorical_partitioned",
     "seqpt_estimate",
     "seqpt_exact_average",
-    "seqpt_outcome_distribution",
     "seqst_exact",
-    "seqst_outcome_distribution",
     "seqst_qpt_exact",
     "seqst_qpt_sample",
     "seqst_sample",

@@ -46,7 +46,7 @@ from .qpt import (
     seqst_qpt_exact,
     seqst_qpt_sample,
 )
-from .seqst import PreparationBasis, seqst_exact, seqst_sample, standard_pauli_qst
+from .seqst import Estimate, PreparationBasis, seqst_exact, seqst_sample, standard_pauli_qst
 
 # The spec and index fields each protocol reads. epsilon, delta, seed,
 # workers, out and format are run-wide; target is checked on its own.
@@ -228,6 +228,11 @@ def _plan_json(plan: ShotPlan, seed: int) -> dict:
     return {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": seed}
 
 
+def _estimate_json(est: Estimate, **fields) -> dict:
+    """A report's ``estimate`` block: the sampled value and its standard errors, beside ``fields``."""
+    return {"re": est.value.real, "im": est.value.imag, "se_re": est.se_re, "se_im": est.se_im, **fields}
+
+
 def execute(cfg: ExperimentConfig) -> dict:
     """Run one experiment and return the results payload."""
     _require(cfg.protocol in PROTOCOLS, f"protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
@@ -274,14 +279,15 @@ def execute(cfg: ExperimentConfig) -> dict:
         n = int(np.log2(rho.dim))
         basis = build_basis(cfg.basis, n)
         _validate_indices(cfg, basis.dim, "the state basis")
-        rep = seqst_sample(rho, basis, cfg.a, cfg.b, plan, stream, cfg.workers)
+        est = seqst_sample(rho, basis, cfg.a, cfg.b, plan, stream, cfg.workers)
         exact = seqst_exact(rho, basis, cfg.a, cfg.b)
+        tallies = dict(zip("xy", map(list, est.tallies)))
         return {
             "n": n,
             "basis": basis.name,
-            "estimate": rep.to_json(),
+            "estimate": _estimate_json(est, a=cfg.a, b=cfg.b, m_shots=plan.m, tallies=tallies, seed=cfg.seed),
             "exact": _pair(exact),
-            "abs_error": abs(rep.estimate - exact),
+            "abs_error": abs(est.value - exact),
             "plan": _plan_json(plan, cfg.seed),
         }
 
@@ -302,7 +308,7 @@ def execute(cfg: ExperimentConfig) -> dict:
         # The oracle first: its byte estimate is the larger, so a refusal comes before any work.
         oracle = chi_diagonal(ch)
         probs = dcqd_distribution(ch)
-        # The distribution the rows are drawn from, with dcqd_diagonal's clamp at 1.
+        # The distribution the rows are drawn from; each exact chi_kk is reported clamped at 1.
         diagonal = np.minimum(probs, 1.0)
         labels = pauli_labels(ch.n) if cfg.target else {cfg.a: pauli_word(ch.n, cfg.a)}
         payload = []
@@ -325,36 +331,25 @@ def execute(cfg: ExperimentConfig) -> dict:
             "diagonal": payload,
         }
 
+    _validate_indices(cfg, 4**ch.n, "the Pauli basis")
     if cfg.protocol == "seqst-qpt":
-        _validate_indices(cfg, 4**ch.n, "the Pauli basis")
-        circuit_exact = seqst_qpt_exact(ch, cfg.a, cfg.b)
+        results = {"circuit_exact": _pair(seqst_qpt_exact(ch, cfg.a, cfg.b))}
         est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
-        exact = chi_block(ch, cfg.a, cfg.b)[2]
-        return {
-            "n": ch.n,
-            "estimate": est.to_json(),
-            "exact": _pair(exact),
-            "circuit_exact": _pair(circuit_exact),
-            "abs_error": abs(est.value - exact),
-            "plan": _plan_json(plan, cfg.seed),
-        }
-
-    if cfg.protocol == "seqpt":
-        _validate_indices(cfg, 4**ch.n, "the Pauli basis")
+    else:
         _require(cfg.n_states is not None and cfg.n_states >= 1, "protocol seqpt needs n_states >= 1")
         avg_x, avg_y = seqpt_exact_average(ch, cfg.a, cfg.b)
+        results = {"exact_average": {"x": avg_x, "y": avg_y}}
         est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
-        exact = chi_block(ch, cfg.a, cfg.b)[2]
-        return {
-            "n": ch.n,
-            "estimate": est.to_json(),
-            "exact": _pair(exact),
-            "exact_average": {"x": avg_x, "y": avg_y},
-            "abs_error": abs(est.value - exact),
-            "plan": _plan_json(plan, cfg.seed),
-        }
-
-    raise ConfigError(f"unhandled protocol {cfg.protocol!r}")
+    exact = chi_block(ch, cfg.a, cfg.b)[2]
+    a, b = pauli_word(ch.n, cfg.a), pauli_word(ch.n, cfg.b)
+    shots = 2 * (cfg.n_states or 1) * plan.m  # m runs per axis of each input state
+    return results | {
+        "n": ch.n,
+        "estimate": _estimate_json(est, protocol=cfg.protocol.upper(), a=a, b=b, shots=shots, seed=cfg.seed),
+        "exact": _pair(exact),
+        "abs_error": abs(est.value - exact),
+        "plan": _plan_json(plan, cfg.seed),
+    }
 
 
 def run_report(cfg: ExperimentConfig) -> dict:

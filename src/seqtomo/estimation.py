@@ -27,7 +27,7 @@ from .errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
 SHOT_LIMIT = 2**63
 
 # The most chunks, each with its own generator, that one estimate draws from:
-# a partitioned draw, or every state's draws in a SEQPT estimate.
+# a draw split across workers, or every state's draws in a SEQPT estimate.
 CHUNK_LIMIT = 4096
 
 
@@ -81,12 +81,22 @@ class RandomStream:
         return RandomStream(self.seed, self.stream + (int(index),))
 
 
-def sample_categorical(probs, m: int, stream: RandomStream) -> np.ndarray:
+def sample_categorical(probs, m: int, stream: RandomStream, workers: int = 1) -> np.ndarray:
     """Draw m outcomes from a categorical distribution; return per-category tallies.
 
     probs must sum to 1 within 1e-9; entries down to -1e-12 are clamped to 0.
-    Deterministic for a given stream.
+    One worker draws all m from ``stream``. With k > 1 workers the m draws
+    are split into k near-equal chunks and chunk w draws from
+    ``stream.substream(w)``; tallies add commutatively, so the result is
+    reproducible per (seed, path, workers). Chunks w >= m draw nothing and
+    leave their substreams untouched, so only the first min(k, m) run; more
+    than CHUNK_LIMIT of them raise SizeLimitExceeded before any draw.
     """
+    if workers < 1:
+        raise ParamOutOfRange(f"workers must be >= 1, got {workers}")
+    chunks = min(workers, m)
+    if workers > 1 and chunks > 0:
+        check_chunks(chunks)
     p = np.asarray(probs, dtype=float)
     if m < 0:
         raise InvalidDistribution(f"shot count must be nonnegative, got {m}")
@@ -98,33 +108,16 @@ def sample_categorical(probs, m: int, stream: RandomStream) -> np.ndarray:
         raise InvalidDistribution(f"probabilities sum to {total}, not 1")
     if m == 0:
         return np.zeros(p.size, dtype=np.int64)
-    return stream.generator().multinomial(m, p / total).astype(np.int64)
+    if workers == 1:
+        return stream.generator().multinomial(m, p / total).astype(np.int64)
+    base, extra = divmod(m, workers)
+    tallies = np.zeros(p.size, dtype=np.int64)
+    for w in range(chunks):
+        tallies += stream.substream(w).generator().multinomial(base + (w < extra), p / total)
+    return tallies
 
 
 def check_chunks(chunks: int) -> None:
     """Refuse more than CHUNK_LIMIT generator chunks with SizeLimitExceeded, before any draw."""
     if chunks > CHUNK_LIMIT:
         raise SizeLimitExceeded(f"{chunks} worker chunks exceed the limit of {CHUNK_LIMIT}")
-
-
-def sample_categorical_partitioned(probs, m: int, stream: RandomStream, workers: int = 1) -> np.ndarray:
-    """Tally m draws split across `workers` derived substreams.
-
-    Chunk w draws from stream.substream(w); tallies add commutatively, so the
-    result is independent of evaluation order and reproducible per
-    (seed, path, workers). Chunks w >= m draw nothing and leave their
-    substreams untouched, so only the first min(workers, m) are run; more
-    than CHUNK_LIMIT of them raise SizeLimitExceeded before any draw.
-    """
-    if workers < 1:
-        raise ParamOutOfRange(f"workers must be >= 1, got {workers}")
-    if workers == 1 or m <= 0:
-        return sample_categorical(probs, m, stream)
-    chunks = min(workers, m)
-    check_chunks(chunks)
-    base, extra = divmod(m, workers)
-    tallies = np.zeros(np.asarray(probs).size, dtype=np.int64)
-    for w in range(chunks):
-        chunk = base + (1 if w < extra else 0)
-        tallies += sample_categorical(probs, chunk, stream.substream(w))
-    return tallies

@@ -19,8 +19,9 @@ Four routes to chi coefficients are implemented, each checkable against the
 direct Kraus-to-chi conversion:
 
 - aapt_full_chi: full state tomography of rho_E, chi = Aᵀ conj(A).
-- dcqd_diagonal: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
-  probabilities of the Bell-type measurement (DCQD).
+- dcqd_distribution: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
+  probabilities of the Bell-type measurement (DCQD), which
+  ``dcqd_sample_rows`` samples.
 - seqst_qpt_*: the selective circuit from ``seqst`` with that basis, giving
   any single chi_ab exactly or by shot sampling. The basis has the form of
   a ``seqst.PreparationBasis``, r_m = W|m> for a W whose W† is the Bell
@@ -33,11 +34,12 @@ direct Kraus-to-chi conversion:
   integral in closed form through the two-copy identity
   ∫ |psi><psi|⊗|psi><psi| dpsi = (I + SWAP) / (D(D+1)).
 
-Both selective samplers draw from the readout block of
-``seqst.ancilla_readout`` built from the Kraus operators. For SEQST-QPT it
-is ``channels.chi_block``, g_ij = chi_ij = sum_k c_ki conj(c_kj) with
-c_km = Tr(P_m K_k)/D gathered from D entries of each K_k, which also gives
-the CLI's exact chi_ab of SEQST-QPT and SEQPT. For SEQPT
+Both selective samplers draw through ``seqst.sample_block``, from a
+readout block built from the Kraus operators, into one ``seqst.Estimate``.
+For SEQST-QPT the block is ``channels.chi_block``,
+g_ij = chi_ij = sum_k c_ki conj(c_kj) with c_km = Tr(P_m K_k)/D gathered
+from D entries of each K_k, which also gives the CLI's exact chi_ab of
+SEQST-QPT and SEQPT. For SEQPT
 g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The Bell readout
 of the purified dual state and the closed-form Haar integral stay as the
 oracles; the readout shares nothing with the gather.
@@ -55,9 +57,9 @@ import numpy as np
 from .core import DensityMatrix, apply_gates, check_size, haar_random_state
 from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange
-from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical_partitioned
-from .pauli import check_indices, pauli_masks, pauli_matrix, pauli_word
-from .seqst import PreparationBasis, ancilla_readout, fiducial_readout, sample_readout
+from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical
+from .pauli import check_indices, pauli_masks, pauli_matrix
+from .seqst import Estimate, PreparationBasis, fiducial_readout, sample_block
 
 # Peak working sets, in Kraus stacks (rank operators, the size of the
 # purified dual state), of the Bell-basis amplitudes that aapt, DCQD and the
@@ -69,34 +71,6 @@ from .seqst import PreparationBasis, ancilla_readout, fiducial_readout, sample_r
 # bounds.
 BELL_STACKS = 3
 TWO_COPY_CHIS = 3
-
-
-@dataclass(frozen=True)
-class ChiEstimate:
-    """A sampled estimate of one process-matrix coefficient."""
-
-    a: int
-    b: int
-    n: int
-    value: complex
-    se_re: float
-    se_im: float
-    protocol: str
-    shots: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "a": pauli_word(self.n, self.a),
-            "b": pauli_word(self.n, self.b),
-            "re": self.value.real,
-            "im": self.value.imag,
-            "se_re": self.se_re,
-            "se_im": self.se_im,
-            "shots": self.shots,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -146,32 +120,16 @@ def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
     return ChiMatrix(ch.n, amps.T @ amps.conj())
 
 
-def dcqd_diagonal(ch: KrausChannel, k: int) -> float:
-    """chi_kk as the probability of finding the dual state in (P_k ⊗ I)|I>, at most 1."""
-    check_indices(ch.n, k)
-    return min(float(dcqd_distribution(ch)[k]), 1.0)
-
-
 def dcqd_distribution(ch: KrausChannel) -> np.ndarray:
     """The exact outcome probabilities chi_kk = sum_r |A[r, k]|² (never negative) of the Bell-type measurement."""
     amps = _bell_amplitudes(ch)
     return np.sum(amps.real**2 + amps.imag**2, axis=0)
 
 
-def dcqd_diagonal_sample(ch: KrausChannel, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
-    """Sample the basis measurement and return (k, frequency, stderr) per index.
-
-    The exact outcome distribution over all 4**n basis states sums to one
-    for a trace-preserving channel; frequencies converge to the chi diagonal.
-    """
-    probs = dcqd_distribution(ch)
-    return dcqd_sample_rows(probs, range(probs.size), plan, stream, workers)
-
-
 def dcqd_sample_rows(probs: np.ndarray, indices, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
     """(k, frequency, stderr) for each index k in ``indices``, from plan.m draws of a ``dcqd_distribution``."""
     ks = np.asarray(indices, dtype=int)
-    f = sample_categorical_partitioned(probs, plan.m, stream, workers)[ks] / plan.m
+    f = sample_categorical(probs, plan.m, stream, workers)[ks] / plan.m
     return list(zip(ks.tolist(), f.tolist(), np.sqrt(f * (1.0 - f) / plan.m).tolist()))
 
 
@@ -202,7 +160,7 @@ def seqst_qpt_sample(
     plan: ShotPlan,
     stream: RandomStream,
     workers: int = 1,
-) -> ChiEstimate:
+) -> Estimate:
     """Shot-sampled chi_ab, drawn from the block (chi_aa, chi_bb, chi_ab) of the dual-state circuit.
 
     The block is ``channels.chi_block``: r gathers of D entries, whatever n.
@@ -210,10 +168,7 @@ def seqst_qpt_sample(
     """
     check_indices(ch.n, a, b)
     _check_dual_trace(ch)
-    block = chi_block(ch, a, b)
-    _, re, se_re = sample_readout(block, "X", plan.m, stream.substream(0), workers)
-    _, im, se_im = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
-    return ChiEstimate(a, b, ch.n, complex(re, im), se_re, se_im, "SEQST-QPT", shots=2 * plan.m, seed=stream.seed)
+    return sample_block(chi_block(ch, a, b), plan.m, (stream.substream(0), stream.substream(1)), workers)
 
 
 def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: DensityMatrix) -> tuple:
@@ -228,11 +183,6 @@ def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: DensityMatrix) -> tuple:
     return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
 
 
-def seqpt_outcome_distribution(ch: KrausChannel, a: int, b: int, psi: DensityMatrix, axis: str) -> tuple:
-    """Three-outcome probabilities (p_plus, p_minus, p_zero) of a single run."""
-    return ancilla_readout(_seqpt_block(ch, a, b, psi), axis)
-
-
 def seqpt_estimate(
     ch: KrausChannel,
     a: int,
@@ -241,40 +191,40 @@ def seqpt_estimate(
     plan: ShotPlan,
     stream: RandomStream,
     workers: int = 1,
-) -> ChiEstimate:
+) -> Estimate:
     """Estimate chi_ab from sampled runs on n_states Haar-random input states.
 
     Pools plan.m outcomes per axis per state, then inverts the Haar-average
-    relations: Re = ((D+1) avg_x - delta_ab)/D, Im = (D+1) avg_y / D.
-    Over ``estimation.CHUNK_LIMIT`` chunks, n_states * min(workers, plan.m), raise
-    SizeLimitExceeded before any draw.
+    relations: Re = ((D+1) avg_x - delta_ab)/D, Im = (D+1) avg_y / D. The
+    tallies are summed over the states. Over ``estimation.CHUNK_LIMIT``
+    chunks, n_states * min(workers, plan.m), raise SizeLimitExceeded before
+    any draw.
     """
     if n_states < 1:
         raise IndexOutOfRange(f"n_states must be >= 1, got {n_states}")
     check_indices(ch.n, a, b)
     check_chunks(n_states * min(workers, plan.m))
     d = ch.dim
-    means_x = np.empty(n_states)
-    means_y = np.empty(n_states)
-    se_x = se_y = 0.0
+    states = []
     for s in range(n_states):
         ss = stream.substream(s)
         block = _seqpt_block(ch, a, b, haar_random_state(d, ss.substream(0).generator()))
-        _, means_x[s], se_x = sample_readout(block, "X", plan.m, ss.substream(1), workers)
-        _, means_y[s], se_y = sample_readout(block, "Y", plan.m, ss.substream(2), workers)
-    avg_x = float(means_x.mean())
-    avg_y = float(means_y.mean())
+        states.append(sample_block(block, plan.m, (ss.substream(1), ss.substream(2)), workers))
+    means_x = np.array([est.value.real for est in states])
+    means_y = np.array([est.value.imag for est in states])
     # With several states the per-state means carry both the shot noise and
     # the state-sampling spread, so their scatter is the honest error bar;
     # for a single state only the shot-level error is observable.
+    se_x, se_y = states[0].se_re, states[0].se_im
     if n_states > 1:
         se_x = float(means_x.std(ddof=1) / np.sqrt(n_states))
         se_y = float(means_y.std(ddof=1) / np.sqrt(n_states))
-    total = n_states * plan.m
+    # Summed as Python ints, since n_states * plan.m may pass 2**63.
+    tallies = tuple(tuple(map(sum, zip(*axis))) for axis in zip(*(est.tallies for est in states)))
     delta = 1.0 if a == b else 0.0
     scale = (d + 1) / d
-    value = complex(scale * avg_x - delta / d, scale * avg_y)
-    return ChiEstimate(a, b, ch.n, value, scale * se_x, scale * se_y, "SEQPT", shots=2 * total, seed=stream.seed)
+    value = complex(scale * float(means_x.mean()) - delta / d, scale * float(means_y.mean()))
+    return Estimate(value, scale * se_x, scale * se_y, tallies)
 
 
 def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:

@@ -26,10 +26,12 @@ The outcome statistics depend only on the 2×2 readout block
 g_ij = <psi_i|rho|psi_j>, i, j in {a, b}: on axis X,
 p_plus/minus = (g_aa + g_bb ± 2 Re g_ab) / 4 (Im on axis Y), and
 p_zero = 1 - p_plus - p_minus. ``ancilla_readout`` is the one home of that
-rule; every sampler, here and in ``qpt``, draws from a block it computes
-directly. ``seqst_exact``, the independent oracle, reads the whole fiducial
-block t = S† rho S / 2 of rho_F, with S = [psi_b, psi_a]. Both read only
-u_i = psi_i† F for the factor F of rho = F F†: O(D r) work, O(D) when pure.
+rule, and ``sample_block`` the one shot loop: every sampler, here and in
+``qpt``, draws m runs per axis from a block it computes directly into one
+``Estimate``. ``seqst_exact``, the independent oracle, reads the whole
+fiducial block t = S† rho S / 2 of rho_F, with S = [psi_b, psi_a]. Both
+read only u_i = psi_i† F for the factor F of rho = F F†: O(D r) work, O(D)
+when pure.
 
 The conventional Pauli-expectation route (standard_pauli_qst) is included
 as a baseline: rho = (1/D) sum_i Tr(rho P_i) P_i.
@@ -41,7 +43,7 @@ import numpy as np
 
 from .core import GATES, DensityMatrix, apply_gates, haar_random_unitary, unitarity_residual
 from .errors import DimensionMismatch, IndexOutOfRange, ParamOutOfRange
-from .estimation import RandomStream, ShotPlan, sample_categorical_partitioned
+from .estimation import RandomStream, ShotPlan, sample_categorical
 from .pauli import pauli_coefficients, pauli_labels
 
 
@@ -114,35 +116,18 @@ class PreparationBasis:
 
 
 @dataclass(frozen=True)
-class EstimateReport:
-    """A sampled estimate of one coefficient with shot tallies and error bars.
+class Estimate:
+    """A sampled coefficient with the standard errors of its two parts.
 
-    ``tallies_x`` / ``tallies_y`` count (+1, -1, 0) outcomes over m_shots
-    runs per axis; standard errors are sqrt(var/m) of the outcome values.
+    ``tallies`` holds the (+1, -1, 0) outcome counts of the X runs, then of
+    the Y runs. The standard errors are sqrt(var/m) of the outcome values,
+    or what an estimator derives from them.
     """
 
-    a: int
-    b: int
-    estimate: complex
+    value: complex
     se_re: float
     se_im: float
-    m_shots: int
-    tallies_x: tuple
-    tallies_y: tuple
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "re": self.estimate.real,
-            "im": self.estimate.imag,
-            "se_re": self.se_re,
-            "se_im": self.se_im,
-            "m_shots": self.m_shots,
-            "tallies": {"x": list(self.tallies_x), "y": list(self.tallies_y)},
-            "seed": self.seed,
-        }
+    tallies: tuple
 
 
 def seqst_exact(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> complex:
@@ -185,23 +170,26 @@ def ancilla_readout(block: tuple, axis: str) -> tuple:
     return p_plus, p_minus, max(1.0 - p_plus - p_minus, 0.0)
 
 
-def sample_readout(block: tuple, axis: str, m: int, stream: RandomStream, workers: int = 1) -> tuple:
-    """Draw m runs on one axis: (+1, -1, 0) tallies, outcome mean, sqrt(var/m)."""
-    tallies = sample_categorical_partitioned(ancilla_readout(block, axis), m, stream, workers)
-    mean = (tallies[0] - tallies[1]) / m
-    var = (tallies[0] + tallies[1]) / m - mean**2
-    return tallies, float(mean), float(np.sqrt(max(var, 0.0) / m))
+def sample_block(block: tuple, m: int, streams: tuple, workers: int) -> Estimate:
+    """Draw m runs per axis of the block (g_aa, g_bb, g_ab), X from streams[0] and Y from streams[1].
+
+    The value is the mean outcome on X plus i times that on Y, with
+    standard errors sqrt(var/m); draws may be split across ``workers``.
+    """
+    parts = []
+    for axis, stream in zip("XY", streams):
+        tallies = sample_categorical(ancilla_readout(block, axis), m, stream, workers)
+        mean = (tallies[0] - tallies[1]) / m
+        var = (tallies[0] + tallies[1]) / m - mean**2
+        parts.append((float(mean), float(np.sqrt(max(var, 0.0) / m)), tuple(int(t) for t in tallies)))
+    (re, se_re, tx), (im, se_im, ty) = parts
+    return Estimate(complex(re, im), se_re, se_im, (tx, ty))
 
 
 def _state_block(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int) -> tuple:
     """(g_aa, g_bb, g_ab) with g_ij = <psi_i|rho|psi_j> = sum_k u_i[k] conj(u_j[k])."""
     u_a, u_b = _prepared(rho, basis, a, b)
     return np.vdot(u_a, u_a).real, np.vdot(u_b, u_b).real, np.vdot(u_b, u_a)
-
-
-def seqst_outcome_distribution(rho: DensityMatrix, basis: PreparationBasis, a: int, b: int, axis: str) -> tuple:
-    """Probabilities (p_plus, p_minus, p_zero); p_plus - p_minus is Re(alpha_ab) on "X", Im on "Y"."""
-    return ancilla_readout(_state_block(rho, basis, a, b), axis)
 
 
 def seqst_sample(
@@ -212,26 +200,13 @@ def seqst_sample(
     plan: ShotPlan,
     stream: RandomStream,
     workers: int = 1,
-) -> EstimateReport:
+) -> Estimate:
     """Estimate alpha_ab from plan.m sampled runs per measurement axis.
 
     Deterministic for a given stream; shot draws may be partitioned across
     `workers` derived substreams.
     """
-    block = _state_block(rho, basis, a, b)
-    tx, mean_x, se_x = sample_readout(block, "X", plan.m, stream.substream(0), workers)
-    ty, mean_y, se_y = sample_readout(block, "Y", plan.m, stream.substream(1), workers)
-    return EstimateReport(
-        a=a,
-        b=b,
-        estimate=complex(mean_x, mean_y),
-        se_re=se_x,
-        se_im=se_y,
-        m_shots=plan.m,
-        tallies_x=tuple(int(t) for t in tx),
-        tallies_y=tuple(int(t) for t in ty),
-        seed=stream.seed,
-    )
+    return sample_block(_state_block(rho, basis, a, b), plan.m, (stream.substream(0), stream.substream(1)), workers)
 
 
 def standard_pauli_qst(rho: DensityMatrix) -> list:

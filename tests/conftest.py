@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from functools import reduce
 from itertools import product
 
@@ -5,6 +8,7 @@ import numpy as np
 from scipy import stats
 
 from seqtomo import DensityMatrix, PreparationBasis, maximally_entangled_state
+from seqtomo.cli import main
 
 # Literal single-qubit Paulis, independent of the package's (x, z) encoding.
 SIGMA = {
@@ -82,3 +86,11 @@ def chi_square_pvalue(observed, probs) -> float:
         return 1.0
     stat, pvalue = stats.chisquare(observed, expected)
     return float(pvalue)
+
+
+def estimate_block(*args: str) -> dict:
+    """The ``estimate`` block of the JSON report of ``seqtomo run`` with these arguments."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", *args]) == 0
+    return json.loads(out.getvalue())["results"]["estimate"]

@@ -21,8 +21,7 @@ from seqtomo import (
     ShotPlan,
     aapt_full_chi,
     chernoff_plan,
-    dcqd_diagonal,
-    dcqd_diagonal_sample,
+    dcqd_distribution,
     entangled_state_circuit,
     haar_random_state,
     kraus_to_chi,
@@ -31,14 +30,14 @@ from seqtomo import (
     random_density_matrix,
     sample_categorical,
     seqpt_exact_average,
-    seqpt_outcome_distribution,
     seqst_exact,
-    seqst_outcome_distribution,
     seqst_qpt_exact,
     seqst_sample,
     validate_channel,
     zoo_catalog,
 )
+from seqtomo import qpt
+from seqtomo.seqst import _state_block, ancilla_readout
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -97,7 +96,7 @@ def test_criterion_3_dcqd_diagonal():
     channels = list(zoo_catalog(1).items()) + list(zoo_catalog(2).items())
     for name, ch in channels:
         chi = kraus_to_chi(ch).entries
-        vals = [dcqd_diagonal(ch, k) for k in range(4**ch.n)]
+        vals = np.minimum(dcqd_distribution(ch), 1)
         worst = max(worst, max(abs(v - chi[k, k].real) for k, v in enumerate(vals)))
         worst_sum = max(worst_sum, abs(sum(vals) - 1.0))
     ok = worst <= 1e-9 and worst_sum <= 1e-8
@@ -137,7 +136,7 @@ def test_criterion_5_chernoff_calibration():
     exact = seqst_exact(rho, basis, 0, 1)
     assert abs(exact - 0.5) < 1e-12
     misses = sum(
-        abs(seqst_sample(rho, basis, 0, 1, plan, RandomStream(seed)).estimate.real - 0.5) > 0.1
+        abs(seqst_sample(rho, basis, 0, 1, plan, RandomStream(seed)).value.real - 0.5) > 0.1
         for seed in range(1000)
     )
     elapsed = time.perf_counter() - start
@@ -180,26 +179,26 @@ def test_criterion_7_sampling_distribution_fit():
 
     basis1 = PreparationBasis.computational(1)
     plus = DensityMatrix.from_factor(np.array([1, 1], dtype=complex) / np.sqrt(2))
-    probs = seqst_outcome_distribution(plus, basis1, 0, 1, "X")
+    probs = ancilla_readout(_state_block(plus, basis1, 0, 1), "X")
     tallies = sample_categorical(probs, shots, RandomStream(1))
     pvalues["seqst |+> X"] = chi_square_pvalue(tallies, probs)
 
     basis2 = PreparationBasis.random_unitary_columns(2, rng)
     rho2 = random_density_matrix(4, rng)
-    probs = seqst_outcome_distribution(rho2, basis2, 1, 2, "Y")
+    probs = ancilla_readout(_state_block(rho2, basis2, 1, 2), "Y")
     tallies = sample_categorical(probs, shots, RandomStream(2))
     pvalues["seqst random Y"] = chi_square_pvalue(tallies, probs)
 
     for cname in ("bit_flip(0.3)", "amplitude_damping(0.3)"):
         ch = zoo_catalog(1)[cname]
-        probs = [dcqd_diagonal(ch, k) for k in range(4)]
-        rows = dcqd_diagonal_sample(ch, ShotPlan(0.1, 0.05, shots), RandomStream(3))
+        probs = np.minimum(dcqd_distribution(ch), 1)
+        rows = qpt.dcqd_sample_rows(probs, range(4), ShotPlan(0.1, 0.05, shots), RandomStream(3))
         tallies = [round(f * shots) for _, f, _ in rows]
         pvalues[f"dcqd {cname}"] = chi_square_pvalue(tallies, probs)
 
     ch = zoo_catalog(1)["depolarizing(0.2)"]
     psi = haar_random_state(2, rng)
-    probs = seqpt_outcome_distribution(ch, 1, 2, psi, "X")
+    probs = ancilla_readout(qpt._seqpt_block(ch, 1, 2, psi), "X")
     tallies = sample_categorical(probs, shots, RandomStream(4))
     pvalues["seqpt depolarizing X"] = chi_square_pvalue(tallies, probs)
 

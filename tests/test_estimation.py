@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqtomo import RandomStream, chernoff_plan, sample_categorical, sample_categorical_partitioned
+from seqtomo import RandomStream, chernoff_plan, sample_categorical
 from seqtomo.errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
 from seqtomo.estimation import CHUNK_LIMIT
 
@@ -107,16 +107,24 @@ class TestSampleCategorical:
 
 
 class TestPartitionedSampling:
+    @pytest.mark.parametrize("m", [1, 17, 738])
+    def test_one_worker_is_one_multinomial_draw_from_the_stream(self, m):
+        probs = [0.25, 0.25, 0.5]
+        stream = RandomStream(4, (1, 2))
+        got = sample_categorical(probs, m, stream, workers=1)
+        np.testing.assert_array_equal(got, stream.generator().multinomial(m, probs))
+        assert got.dtype == np.int64
+
     def test_tallies_sum_and_determinism(self):
         probs = [0.25, 0.25, 0.5]
-        t2 = sample_categorical_partitioned(probs, 999, RandomStream(5), workers=4)
+        t2 = sample_categorical(probs, 999, RandomStream(5), workers=4)
         assert t2.sum() == 999
-        t3 = sample_categorical_partitioned(probs, 999, RandomStream(5), workers=4)
+        t3 = sample_categorical(probs, 999, RandomStream(5), workers=4)
         np.testing.assert_array_equal(t2, t3)
 
     def test_partition_equals_sum_of_chunks(self):
         probs = [0.7, 0.3]
-        whole = sample_categorical_partitioned(probs, 100, RandomStream(9), workers=3)
+        whole = sample_categorical(probs, 100, RandomStream(9), workers=3)
         parts = sum(
             sample_categorical(probs, chunk, RandomStream(9).substream(w))
             for w, chunk in enumerate([34, 33, 33])
@@ -125,16 +133,16 @@ class TestPartitionedSampling:
 
     def test_worker_validation(self):
         with pytest.raises(ParamOutOfRange):
-            sample_categorical_partitioned([1.0], 10, RandomStream(0), workers=0)
+            sample_categorical([1.0], 10, RandomStream(0), workers=0)
 
     @pytest.mark.parametrize("m", [2, 7, 50])
     def test_workers_beyond_m_change_nothing(self, m):
         # chunks w >= m draw nothing, so any workers >= m tallies like workers = m
         probs = [0.2, 0.3, 0.5]
         for seed in range(20):
-            want = sample_categorical_partitioned(probs, m, RandomStream(seed), workers=m)
+            want = sample_categorical(probs, m, RandomStream(seed), workers=m)
             for workers in (m + 1, m + 5, 3 * m, 10**12):
-                got = sample_categorical_partitioned(probs, m, RandomStream(seed), workers=workers)
+                got = sample_categorical(probs, m, RandomStream(seed), workers=workers)
                 np.testing.assert_array_equal(got, want)
 
     def test_chunks_over_the_limit_are_refused_before_any_draw(self, monkeypatch):
@@ -144,20 +152,20 @@ class TestPartitionedSampling:
         monkeypatch.setattr(RandomStream, "generator", refuse)
         for workers in (CHUNK_LIMIT + 1, 10**12):
             with pytest.raises(SizeLimitExceeded):
-                sample_categorical_partitioned([0.5, 0.5], CHUNK_LIMIT + 1, RandomStream(0), workers=workers)
+                sample_categorical([0.5, 0.5], CHUNK_LIMIT + 1, RandomStream(0), workers=workers)
 
     def test_chunks_at_the_limit_run(self):
-        tallies = sample_categorical_partitioned([0.5, 0.5], 10**6, RandomStream(0), workers=CHUNK_LIMIT)
+        tallies = sample_categorical([0.5, 0.5], 10**6, RandomStream(0), workers=CHUNK_LIMIT)
         assert tallies.sum() == 10**6
         # min(workers, m) counts, so a small m runs under any worker count
-        tallies = sample_categorical_partitioned([0.5, 0.5], CHUNK_LIMIT, RandomStream(0), workers=10**12)
+        tallies = sample_categorical([0.5, 0.5], CHUNK_LIMIT, RandomStream(0), workers=10**12)
         assert tallies.sum() == CHUNK_LIMIT
 
     def test_chunk_validation_survives_many_workers(self):
         with pytest.raises(InvalidDistribution):
-            sample_categorical_partitioned([0.5, 0.6], 0, RandomStream(0), workers=4)
+            sample_categorical([0.5, 0.6], 0, RandomStream(0), workers=4)
         with pytest.raises(InvalidDistribution):
-            sample_categorical_partitioned([1.0], -3, RandomStream(0), workers=4)
+            sample_categorical([1.0], -3, RandomStream(0), workers=4)
 
 
 class TestEmpiricalChernoff:

@@ -6,18 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import channel_to_json, chi_square_pvalue, choi_basis, choi_state, dense_pauli_basis
+from conftest import channel_to_json, chi_square_pvalue, choi_basis, choi_state, dense_pauli_basis, estimate_block
 
 from seqtomo import (
-    ChiEstimate,
     ChiMatrix,
     KrausChannel,
     RandomStream,
     aapt_full_chi,
     chernoff_plan,
     channel_zoo,
-    dcqd_diagonal,
-    dcqd_diagonal_sample,
     dcqd_distribution,
     entangled_state_circuit,
     haar_random_state,
@@ -26,7 +23,6 @@ from seqtomo import (
     random_channel,
     seqpt_estimate,
     seqpt_exact_average,
-    seqpt_outcome_distribution,
     seqst_exact,
     seqst_qpt_exact,
     seqst_qpt_sample,
@@ -41,6 +37,7 @@ from seqtomo.cli import main
 from seqtomo.errors import IndexOutOfRange, SizeLimitExceeded
 from seqtomo.estimation import CHUNK_LIMIT, ShotPlan
 from seqtomo.pauli import pauli_masks
+from seqtomo.seqst import ancilla_readout, sample_block
 
 # depolarizing(0.3)⊗3 ⊗ identity(7): n = 10 at Kraus rank 64, a 1 GiB Kraus
 # stack that the channel budget admits and every dual-state route refuses.
@@ -94,20 +91,20 @@ class TestAapt:
 
 class TestDcqdDiagonal:
     def test_identity_survival_probability(self):
-        ch = channel_zoo("identity")
-        assert abs(dcqd_diagonal(ch, 0) - 1.0) < 1e-12
+        probs = dcqd_distribution(channel_zoo("identity"))
+        assert abs(min(probs[0], 1) - 1.0) < 1e-12
         for k in (1, 2, 3):
-            assert abs(dcqd_diagonal(ch, k)) < 1e-12
+            assert abs(probs[k]) < 1e-12
 
     def test_depolarizing_diagonal(self):
         p = 0.6
         ch = channel_zoo("depolarizing", p=p)
-        assert abs(dcqd_diagonal(ch, 1) - p / 4) < 1e-9
+        assert abs(min(dcqd_distribution(ch)[1], 1) - p / 4) < 1e-9
 
     @pytest.mark.parametrize("name,ch", list(zoo_catalog(1).items()) + list(zoo_catalog(2).items()))
     def test_sums_to_one_and_matches_aapt(self, name, ch):
         chi = aapt_full_chi(ch).entries
-        vals = [dcqd_diagonal(ch, k) for k in range(4**ch.n)]
+        vals = np.minimum(dcqd_distribution(ch), 1)
         assert abs(sum(vals) - 1.0) < 1e-8, name
         for k, v in enumerate(vals):
             assert 0.0 <= v <= 1.0
@@ -117,11 +114,10 @@ class TestDcqdDiagonal:
 # Each qpt entry point that reads Pauli indices, with the index under test at m.
 _PLAN = ShotPlan(0.1, 0.05, 10)
 _INDEXED = {
-    "dcqd_diagonal": lambda ch, m: dcqd_diagonal(ch, m),
     "seqst_qpt_exact": lambda ch, m: seqst_qpt_exact(ch, m, 0),
     "seqst_qpt_sample": lambda ch, m: seqst_qpt_sample(ch, 0, m, _PLAN, RandomStream(0)),
-    "seqpt_outcome_distribution": lambda ch, m: seqpt_outcome_distribution(
-        ch, m, 0, haar_random_state(ch.dim, np.random.default_rng(0)), "X"
+    "seqpt_outcome_distribution": lambda ch, m: ancilla_readout(
+        qpt._seqpt_block(ch, m, 0, haar_random_state(ch.dim, np.random.default_rng(0))), "X"
     ),
     "seqpt_estimate": lambda ch, m: seqpt_estimate(ch, 0, m, 1, _PLAN, RandomStream(0)),
     "seqpt_exact_average": lambda ch, m: seqpt_exact_average(ch, m, 0),
@@ -139,16 +135,21 @@ class TestIndexValidation:
         _INDEXED[route](ch, 4**n - 1)
 
 
+def dcqd_rows(ch, plan, stream) -> list:
+    """(k, frequency, stderr) for every Pauli index k, drawn from the exact DCQD distribution."""
+    return qpt.dcqd_sample_rows(dcqd_distribution(ch), range(4**ch.n), plan, stream)
+
+
 class TestDcqdSampling:
     def test_identity_all_survive(self):
-        rows = dcqd_diagonal_sample(channel_zoo("identity"), ShotPlan(0.1, 0.05, 200), RandomStream(0))
+        rows = dcqd_rows(channel_zoo("identity"), ShotPlan(0.1, 0.05, 200), RandomStream(0))
         assert rows[0][1] == 1.0
         assert all(freq == 0.0 for _, freq, _ in rows[1:])
 
     def test_half_bit_flip_frequencies(self):
         # chi diagonal of bit_flip(0.5) is (0.5, 0.5, 0, 0)
         ch = channel_zoo("bit_flip", p=0.5)
-        rows = dcqd_diagonal_sample(ch, ShotPlan(0.1, 0.05, 10_000), RandomStream(1))
+        rows = dcqd_rows(ch, ShotPlan(0.1, 0.05, 10_000), RandomStream(1))
         freqs = [f for _, f, _ in rows]
         assert abs(freqs[0] - 0.5) < 0.02 and abs(freqs[1] - 0.5) < 0.02
         assert freqs[2] == 0.0 and freqs[3] == 0.0
@@ -156,8 +157,8 @@ class TestDcqdSampling:
     @pytest.mark.parametrize("name", ["bit_flip(0.3)", "depolarizing(0.2)", "amplitude_damping(0.3)"])
     def test_goodness_of_fit(self, name):
         ch = zoo_catalog(1)[name]
-        probs = [dcqd_diagonal(ch, k) for k in range(4)]
-        rows = dcqd_diagonal_sample(ch, ShotPlan(0.1, 0.05, 10_000), RandomStream(2))
+        probs = np.minimum(dcqd_distribution(ch), 1)
+        rows = dcqd_rows(ch, ShotPlan(0.1, 0.05, 10_000), RandomStream(2))
         tallies = [round(f * 10_000) for _, f, _ in rows]
         assert chi_square_pvalue(tallies, probs) > 0.001
 
@@ -165,9 +166,9 @@ class TestDcqdSampling:
         # frequencies are means of {0,1} outcomes, so the [-1,1] plan is conservative
         ch = channel_zoo("depolarizing", p=0.3)
         plan = chernoff_plan(0.1, 0.05)
-        exact = dcqd_diagonal(ch, 0)
+        exact = min(dcqd_distribution(ch)[0], 1)
         covered = sum(
-            abs(dict((k, f) for k, f, _ in dcqd_diagonal_sample(ch, plan, RandomStream(seed)))[0] - exact) <= 0.1
+            abs(dict((k, f) for k, f, _ in dcqd_rows(ch, plan, RandomStream(seed)))[0] - exact) <= 0.1
             for seed in range(200)
         )
         assert covered / 200 >= 1 - 0.05 - 0.03
@@ -225,8 +226,9 @@ class TestSeqstQpt:
     def test_sample_identity_is_deterministic(self):
         est = seqst_qpt_sample(channel_zoo("identity"), 0, 0, ShotPlan(0.1, 0.05, 64), RandomStream(0))
         assert est.value.real == 1.0
-        assert est.protocol == "SEQST-QPT"
-        assert est.shots == 128
+        assert est.tallies[0] == (64, 0, 0)
+        data = estimate_block("--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0")
+        assert (data["protocol"], data["re"], data["shots"]) == ("SEQST-QPT", 1.0, 2 * chernoff_plan(0.1, 0.05).m)
 
     def test_sample_coverage_on_depolarizing(self):
         # chi_00 = 1 - 3p/4 = 0.85 at p = 0.2
@@ -250,13 +252,16 @@ class TestSeqstQpt:
         assert hits / 200 >= 0.95
 
     def test_estimate_serialization(self):
-        est = seqst_qpt_sample(
-            channel_zoo("depolarizing", p=0.2), 0, 3, ShotPlan(0.1, 0.05, 32), RandomStream(5)
-        )
-        data = est.to_json()
+        args = ["--protocol", "seqst-qpt", "--channel", "depolarizing:p=0.2", "--a", "0", "--b", "3"]
+        data = estimate_block(*args, "--epsilon", "0.5", "--seed", "5")
+        plan = chernoff_plan(0.5, 0.05)
+        assert set(data) == {"protocol", "a", "b", "re", "im", "se_re", "se_im", "shots", "seed"}
         assert data["protocol"] == "SEQST-QPT"
         assert data["a"] == "I" and data["b"] == "Z"
-        assert data["shots"] == 64 and data["seed"] == 5
+        assert data["shots"] == 2 * plan.m and data["seed"] == 5
+        est = seqst_qpt_sample(channel_zoo("depolarizing", p=0.2), 0, 3, plan, RandomStream(5))
+        want = {"re": est.value.real, "im": est.value.imag, "se_re": est.se_re, "se_im": est.se_im}
+        assert {key: data[key] for key in want} == want
 
 
 def oracle_channels(n, rng):
@@ -498,8 +503,7 @@ class TestReadoutBlockCrossChecks:
                 a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
                 stream = RandomStream(100 * n + i)
                 est = seqst_qpt_sample(ch, a, b, plan, stream)
-                rep = seqst_sample(choi_state(ch), choi_basis(n), a, b, plan, stream)
-                assert (est.value, est.se_re, est.se_im) == (rep.estimate, rep.se_re, rep.se_im)
+                assert est == seqst_sample(choi_state(ch), choi_basis(n), a, b, plan, stream)
 
     @staticmethod
     def dense_seqpt_distribution(ch, a, b, psi, axis):
@@ -527,7 +531,7 @@ class TestReadoutBlockCrossChecks:
             psi = haar_random_state(2**n, rng)
             a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
             for axis in ("X", "Y"):
-                got = seqpt_outcome_distribution(ch, a, b, psi, axis)
+                got = ancilla_readout(qpt._seqpt_block(ch, a, b, psi), axis)
                 want = self.dense_seqpt_distribution(ch, a, b, psi, axis)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -540,7 +544,7 @@ class TestReadoutBlockCrossChecks:
 
 def seqpt_single_state(ch, a, b, psi) -> tuple:
     """(x, y) = (p_plus - p_minus) on the X and Y axes: x + iy = <psi|E(P_a |psi><psi| P_b)|psi>."""
-    dx, dy = (seqpt_outcome_distribution(ch, a, b, psi, axis) for axis in "XY")
+    dx, dy = (ancilla_readout(qpt._seqpt_block(ch, a, b, psi), axis) for axis in "XY")
     assert abs(sum(dx) - 1.0) < 1e-10 and abs(sum(dy) - 1.0) < 1e-10
     return dx[0] - dx[1], dy[0] - dy[1]
 
@@ -652,8 +656,24 @@ class TestSeqptEstimate:
     def test_identity_diagonal_exact(self):
         est = seqpt_estimate(channel_zoo("identity"), 0, 0, 5, ShotPlan(0.1, 0.05, 40), RandomStream(0))
         assert est.value.real == 1.0
-        assert est.protocol == "SEQPT"
-        assert est.shots == 2 * 5 * 40
+        args = ["--protocol", "seqpt", "--channel", "identity", "--a", "0", "--b", "0", "--n-states", "5"]
+        data = estimate_block(*args)
+        assert (data["protocol"], data["re"], data["shots"]) == ("SEQPT", 1.0, 2 * 5 * chernoff_plan(0.1, 0.05).m)
+
+    @pytest.mark.parametrize("n_states, workers", [(1, 1), (6, 1), (4, 3)])
+    def test_tallies_sum_over_the_states(self, n_states, workers):
+        ch = channel_zoo("amplitude_damping", gamma=0.3)
+        plan = ShotPlan(0.1, 0.05, 37)
+        est = seqpt_estimate(ch, 1, 2, n_states, plan, RandomStream(8), workers)
+        assert [sum(axis) for axis in est.tallies] == [n_states * plan.m] * 2
+        # Each state draws its own runs: the sum of the per-state tallies.
+        per_state = []
+        for s in range(n_states):
+            ss = RandomStream(8).substream(s)
+            block = qpt._seqpt_block(ch, 1, 2, haar_random_state(2, ss.substream(0).generator()))
+            per_state.append(sample_block(block, plan.m, (ss.substream(1), ss.substream(2)), workers).tallies)
+        assert np.array_equal(est.tallies, np.sum(per_state, axis=0))
+        assert all(isinstance(t, int) for axis in est.tallies for t in axis)
 
     def test_depolarizing_diagonal_entry(self):
         # chi_11 = p/4 = 0.1 at p = 0.4
@@ -718,16 +738,18 @@ class TestEntangledCircuit:
         )
 
     def test_serialization_fields(self):
-        est = ChiEstimate(a=1, b=3, n=1, value=0.5 + 0.25j, se_re=0.01, se_im=0.02, protocol="SEQPT", shots=10, seed=4)
-        data = est.to_json()
+        args = ["--protocol", "seqpt", "--channel", "depolarizing:p=0.2", "--a", "1", "--b", "3", "--n-states", "3"]
+        data = estimate_block(*args, "--epsilon", "0.5", "--seed", "4")
+        plan = chernoff_plan(0.5, 0.05)
+        est = seqpt_estimate(channel_zoo("depolarizing", p=0.2), 1, 3, 3, plan, RandomStream(4))
         assert data == {
             "protocol": "SEQPT",
             "a": "X",
             "b": "Z",
-            "re": 0.5,
-            "im": 0.25,
-            "se_re": 0.01,
-            "se_im": 0.02,
-            "shots": 10,
+            "re": est.value.real,
+            "im": est.value.imag,
+            "se_re": est.se_re,
+            "se_im": est.se_im,
+            "shots": 2 * 3 * plan.m,
             "seed": 4,
         }

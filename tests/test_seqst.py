@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import SIGMA, chi_square_pvalue, choi_basis, choi_unitary, dense_pauli_basis
+from conftest import SIGMA, chi_square_pvalue, choi_basis, choi_unitary, dense_pauli_basis, estimate_block
 
 from seqtomo import (
     DensityMatrix,
@@ -13,7 +13,6 @@ from seqtomo import (
     haar_random_unitary,
     random_density_matrix,
     seqst_exact,
-    seqst_outcome_distribution,
     seqst_sample,
     standard_pauli_qst,
 )
@@ -21,7 +20,7 @@ from seqtomo.cli import build_state, main
 from seqtomo.errors import DimensionMismatch, IndexOutOfRange, ParamOutOfRange
 from seqtomo.estimation import ShotPlan
 from seqtomo.pauli import pauli_labels
-from seqtomo.seqst import _state_block
+from seqtomo.seqst import _state_block, ancilla_readout
 
 
 def plus_state_density() -> DensityMatrix:
@@ -374,12 +373,12 @@ class TestOutcomeDistribution:
     def test_fiducial_diagonal_is_deterministic(self):
         basis = PreparationBasis.computational(2)
         rho = basis.element(0)
-        np.testing.assert_allclose(seqst_outcome_distribution(rho, basis, 0, 0, "X"), (1, 0, 0), atol=1e-12)
+        np.testing.assert_allclose(ancilla_readout(_state_block(rho, basis, 0, 0), "X"), (1, 0, 0), atol=1e-12)
 
     def test_maximally_mixed_off_diagonal_balances(self):
         basis = PreparationBasis.computational(2)
         rho = DensityMatrix(np.eye(4) / 4)
-        p_plus, p_minus, _ = seqst_outcome_distribution(rho, basis, 0, 3, "X")
+        p_plus, p_minus, _ = ancilla_readout(_state_block(rho, basis, 0, 3), "X")
         assert abs(p_plus - p_minus) < 1e-12
 
     def test_against_projector_trace_oracle(self):
@@ -392,7 +391,7 @@ class TestOutcomeDistribution:
         for axis, splus in (("X", [1, 1]), ("Y", [1, 1j])):
             v = np.array(splus, dtype=complex) / np.sqrt(2)
             pp = np.trace(joint @ np.kron(p0, np.outer(v, v.conj()))).real
-            got = seqst_outcome_distribution(rho, basis, 1, 2, axis)
+            got = ancilla_readout(_state_block(rho, basis, 1, 2), axis)
             assert abs(got[0] - pp) < 1e-12
             assert abs(sum(got) - 1.0) < 1e-10
             assert all(0 <= p <= 1 for p in got)
@@ -402,15 +401,15 @@ class TestOutcomeDistribution:
         basis = PreparationBasis.random_unitary_columns(2, rng)
         rho = random_density_matrix(4, rng)
         alpha = seqst_exact(rho, basis, 0, 3)
-        px = seqst_outcome_distribution(rho, basis, 0, 3, "X")
-        py = seqst_outcome_distribution(rho, basis, 0, 3, "Y")
+        px = ancilla_readout(_state_block(rho, basis, 0, 3), "X")
+        py = ancilla_readout(_state_block(rho, basis, 0, 3), "Y")
         assert abs((px[0] - px[1]) - alpha.real) < 1e-9
         assert abs((py[0] - py[1]) - alpha.imag) < 1e-9
 
     def test_axis_validation(self):
         basis = PreparationBasis.computational(1)
         with pytest.raises(ValueError):
-            seqst_outcome_distribution(plus_state_density(), basis, 0, 0, "Z")
+            ancilla_readout(_state_block(plus_state_density(), basis, 0, 0), "Z")
 
 
 class TestSampling:
@@ -418,16 +417,16 @@ class TestSampling:
         basis = PreparationBasis.computational(2)
         rho = basis.element(0)
         rep = seqst_sample(rho, basis, 0, 0, ShotPlan(0.1, 0.05, 25), RandomStream(0))
-        assert rep.estimate.real == 1.0
+        assert rep.value.real == 1.0
         assert rep.se_re == 0.0
-        assert rep.tallies_x == (25, 0, 0)
+        assert rep.tallies[0] == (25, 0, 0)
 
     def test_single_shot_values(self):
         basis = PreparationBasis.computational(1)
         for seed in range(10):
             rep = seqst_sample(plus_state_density(), basis, 0, 1, ShotPlan(0.1, 0.05, 1), RandomStream(seed))
-            assert rep.estimate.real in (-1.0, 0.0, 1.0)
-            assert rep.estimate.imag in (-1.0, 0.0, 1.0)
+            assert rep.value.real in (-1.0, 0.0, 1.0)
+            assert rep.value.imag in (-1.0, 0.0, 1.0)
 
     def test_statistical_acceptance_at_planned_shots(self):
         # alpha_01 = 0.5 for |+><+| in the computational basis
@@ -438,7 +437,7 @@ class TestSampling:
         hits = 0
         for seed in range(200):
             rep = seqst_sample(rho, basis, 0, 1, plan, RandomStream(seed))
-            if abs(rep.estimate.real - 0.5) <= 0.05:
+            if abs(rep.value.real - 0.5) <= 0.05:
                 hits += 1
         assert hits / 200 >= 0.95
 
@@ -449,7 +448,7 @@ class TestSampling:
         exact = seqst_exact(rho, basis, 0, 1)
         plan = ShotPlan(0.1, 0.05, 100)
         estimates = np.array(
-            [seqst_sample(rho, basis, 0, 1, plan, RandomStream(seed)).estimate for seed in range(500)]
+            [seqst_sample(rho, basis, 0, 1, plan, RandomStream(seed)).value for seed in range(500)]
         )
         for part, target in ((estimates.real, exact.real), (estimates.imag, exact.imag)):
             se = part.std(ddof=1) / np.sqrt(len(part))
@@ -459,9 +458,9 @@ class TestSampling:
         rng = np.random.default_rng(23)
         basis = PreparationBasis.random_unitary_columns(2, rng)
         rho = random_density_matrix(4, rng)
-        probs = seqst_outcome_distribution(rho, basis, 1, 3, "X")
+        probs = ancilla_readout(_state_block(rho, basis, 1, 3), "X")
         rep = seqst_sample(rho, basis, 1, 3, ShotPlan(0.1, 0.05, 10_000), RandomStream(5))
-        assert chi_square_pvalue(rep.tallies_x, probs) > 0.001
+        assert chi_square_pvalue(rep.tallies[0], probs) > 0.001
 
     def test_determinism_and_worker_partitioning(self):
         basis = PreparationBasis.computational(1)
@@ -473,16 +472,19 @@ class TestSampling:
         r3 = seqst_sample(rho, basis, 0, 1, plan, RandomStream(9), workers=3)
         r4 = seqst_sample(rho, basis, 0, 1, plan, RandomStream(9), workers=3)
         assert r3 == r4
-        assert sum(r3.tallies_x) == plan.m
+        assert sum(r3.tallies[0]) == plan.m
 
     def test_report_serialization(self):
-        basis = PreparationBasis.computational(1)
-        rep = seqst_sample(plus_state_density(), basis, 0, 1, ShotPlan(0.2, 0.1, 10), RandomStream(3))
-        data = rep.to_json()
+        plan = chernoff_plan(0.5, 0.1)
+        args = ["--protocol", "seqst-state", "--state", '{"kind": "plus"}', "--a", "0", "--b", "1"]
+        data = estimate_block(*args, "--epsilon", "0.5", "--delta", "0.1", "--seed", "3")
         assert set(data) == {"a", "b", "re", "im", "se_re", "se_im", "m_shots", "tallies", "seed"}
-        assert data["m_shots"] == 10
-        assert sum(data["tallies"]["x"]) == 10
-        assert data["seed"] == 3
+        assert (data["a"], data["b"], data["m_shots"], data["seed"]) == (0, 1, plan.m, 3)
+        assert [sum(data["tallies"][axis]) for axis in "xy"] == [plan.m, plan.m]
+        rep = seqst_sample(plus_state_density(), PreparationBasis.computational(1), 0, 1, plan, RandomStream(3))
+        want = {"re": rep.value.real, "im": rep.value.imag, "se_re": rep.se_re, "se_im": rep.se_im}
+        assert {key: data[key] for key in want} == want
+        assert [data["tallies"]["x"], data["tallies"]["y"]] == list(map(list, rep.tallies))
 
 
 class TestStandardQst:
