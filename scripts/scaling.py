@@ -1,14 +1,15 @@
 """Largest n per protocol: time and max RSS of one `seqtomo run` at each n, and the oracles it reports.
 
-For every protocol, runs `python -m seqtomo.cli run` at n = 1..ceiling + 1
-on a rank-2 channel (bit_flip ⊗ identity), a random_mixed state or, in the
-pure-state row, the plus state read at a = b = 0 in the Pauli-X basis, one
-child process at a time, and records its wall time, max RSS (the child's
-own rusage) and exit code. There alpha_00 = 1, so the X runs are certain
-and the Y runs draw p = (1/2, 1/2, 0), the largest variance of a run. From each report it records the oracle check
-the report carries, and for sampled protocols the largest abs_error beside
-the plan's epsilon. Fails unless every n up to the ceiling exits 0 with
-every oracle check within ORACLE_TOL, and ceiling + 1 exits 3. Writes
+For every protocol, runs `python -m seqtomo.cli run --seed n` at
+n = 1..ceiling + 1 on a rank-2 channel (bit_flip ⊗ identity), a random_mixed
+state or, in the pure-state row, the plus state read at a = b = 0 in the
+Pauli-X basis. There alpha_00 = 1, so the X runs are certain and the Y runs
+draw p = (1/2, 1/2, 0), the largest variance of a run. Runs one child
+process at a time and records its wall time, max RSS (the child's own
+rusage) and exit code. From each report it records the oracle check the
+report carries, and for sampled protocols the largest abs_error beside the
+plan's epsilon. Fails unless every n up to the ceiling exits 0 with every
+oracle check within ORACLE_TOL, and ceiling + 1 exits 3. Writes
 BENCH_scaling.json at the repository root.
 
     python scripts/scaling.py
@@ -41,7 +42,7 @@ PROTOCOLS = {
     "dcqd-diag --target all-diagonal": (9, lambda n: ["--channel", _channel(n), "--target", "all-diagonal"]),
     "dcqd-diag --a 1": (10, lambda n: ["--channel", _channel(n), "--a", "1"]),
     "seqst-qpt": (10, lambda n: ["--channel", _channel(n), "--a", "1", "--b", "2"]),
-    "seqpt": (6, lambda n: ["--channel", _channel(n), "--a", "1", "--b", "2", "--n-states", "10"]),
+    "seqpt": (10, lambda n: ["--channel", _channel(n), "--a", "1", "--b", "2", "--n-states", "10"]),
     "validate": (5, lambda n: ["--channel", _channel(n)]),
 }
 # The largest deviation an oracle check may report.
@@ -108,7 +109,7 @@ def main() -> int:
         protocol = label.split()[0]
         runs = []
         for n in range(1, ceiling + 2):
-            argv = [sys.executable, "-m", "seqtomo.cli", "run", "--protocol", protocol, *args(n)]
+            argv = [sys.executable, "-m", "seqtomo.cli", "run", "--protocol", protocol, "--seed", str(n), *args(n)]
             # A child's max RSS counts that of the process it was spawned from, so each
             # is spawned from a fresh fork of this process, before any report is parsed.
             with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as fresh:

@@ -337,9 +337,10 @@ def execute(cfg: ExperimentConfig) -> dict:
         est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
     else:
         _require(cfg.n_states is not None and cfg.n_states >= 1, "protocol seqpt needs n_states >= 1")
+        # The estimate first: its size check refuses a Kraus stack before the oracle's r products run.
+        est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
         avg_x, avg_y = seqpt_exact_average(ch, cfg.a, cfg.b)
         results = {"exact_average": {"x": avg_x, "y": avg_y}}
-        est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
     exact = chi_block(ch, cfg.a, cfg.b)[2]
     a, b = pauli_word(ch.n, cfg.a), pauli_word(ch.n, cfg.b)
     shots = 2 * (cfg.n_states or 1) * plan.m  # m runs per axis of each input state

@@ -30,9 +30,9 @@ direct Kraus-to-chi conversion:
   system state averaged over the Haar measure; the averages obey
       avg_x = (D Re(chi_ab) + delta_ab) / (D + 1),
       avg_y =  D Im(chi_ab) / (D + 1),
-  inverted to recover chi_ab. ``seqpt_exact_average`` evaluates the Haar
-  integral in closed form through the two-copy identity
-  ∫ |psi><psi|⊗|psi><psi| dpsi = (I + SWAP) / (D(D+1)).
+  inverted to recover chi_ab. ``seqpt_exact_average`` contracts the Haar
+  integral to D×D products, (Tr A Tr B + Tr(AB)) / (D(D+1)) for A = K_k P_a
+  and B = P_b K_k†; the tests check it on the stabilizer states, a 2-design.
 
 Both selective samplers draw through ``seqst.sample_block``, from a
 readout block built from the Kraus operators, into one ``seqst.Estimate``.
@@ -66,11 +66,10 @@ from .seqst import Estimate, PreparationBasis, fiducial_readout, sample_block
 # SEQST-QPT oracle read; each route budgets one operator more for |Phi> and
 # index arrays. tracemalloc measures 2.1 to 3.1 stacks (n = 5..8, rank
 # 1..16), the most at rank 1. ``aapt_full_chi`` adds channels.CHI_COPIES
-# chi matrices (2.0), and ``seqpt_exact_average`` holds TWO_COPY_CHIS
-# chi-sized operators (2.0 to 2.3, n = 4..5). tests/test_qpt.py checks the
-# bounds.
+# chi matrices (2.0). ``seqpt_exact_average`` holds P_a, P_b, K_k P_a and
+# K_k P_b at any rank (4.0 to 4.1, n = 5..10). tests/test_qpt.py checks them.
 BELL_STACKS = 3
-TWO_COPY_CHIS = 3
+HAAR_OPERATORS = 5
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,8 @@ def dcqd_distribution(ch: KrausChannel) -> np.ndarray:
 def dcqd_sample_rows(probs: np.ndarray, indices, plan: ShotPlan, stream: RandomStream, workers: int = 1) -> list:
     """(k, frequency, stderr) for each index k in ``indices``, from plan.m draws of a ``dcqd_distribution``."""
     ks = np.asarray(indices, dtype=int)
+    if np.any((ks < 0) | (ks >= len(probs))):
+        raise IndexOutOfRange(f"DCQD indices must lie in [0, {len(probs)})")
     f = sample_categorical(probs, plan.m, stream, workers)[ks] / plan.m
     return list(zip(ks.tolist(), f.tolist(), np.sqrt(f * (1.0 - f) / plan.m).tolist()))
 
@@ -172,8 +173,7 @@ def seqst_qpt_sample(
 
 
 def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: DensityMatrix) -> tuple:
-    """The readout block of the SEQPT circuit for one pure input state psi."""
-    check_indices(ch.n, a, b)
+    """The readout block of the SEQPT circuit for one pure input state psi; ``pauli_matrix`` checks a and b."""
     if psi.dim != ch.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != channel dim {ch.dim}")
     (v,) = psi.factor.T  # a ValueError for a state of rank above 1
@@ -197,12 +197,13 @@ def seqpt_estimate(
     Pools plan.m outcomes per axis per state, then inverts the Haar-average
     relations: Re = ((D+1) avg_x - delta_ab)/D, Im = (D+1) avg_y / D. The
     tallies are summed over the states. Over ``estimation.CHUNK_LIMIT``
-    chunks, n_states * min(workers, plan.m), raise SizeLimitExceeded before
-    any draw.
+    chunks, n_states * min(workers, plan.m), or past the budgets for a Kraus
+    stack, one Pauli and index arrays, raise SizeLimitExceeded before any draw.
     """
     if n_states < 1:
         raise IndexOutOfRange(f"n_states must be >= 1, got {n_states}")
     check_indices(ch.n, a, b)
+    check_size("the SEQPT readout block", ch.n, len(ch.kraus_ops) + 2)
     check_chunks(n_states * min(workers, plan.m))
     d = ch.dim
     states = []
@@ -231,20 +232,17 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
     """The Haar averages (avg_x, avg_y) of the single-state expectations.
 
     Evaluated in closed form: the average of <psi|A|psi><psi|B|psi> equals
-    Tr((A ⊗ B)(I + SWAP)) / (D(D+1)), applied to A = K_k P_a, B = P_b K_k†
-    and summed over the Kraus operators. TWO_COPY_CHIS D²×D² operators over
-    the budgets of ``check_size`` (n >= 7) raise SizeLimitExceeded.
+    (Tr A Tr B + Tr(AB)) / (D(D+1)), applied to A = K_k P_a, B = P_b K_k†
+    and summed over the Kraus operators: Tr(AB) = vdot(K_k P_b, K_k P_a)
+    takes two D×D products. Past the budgets (n >= 11), SizeLimitExceeded.
     """
     check_indices(ch.n, a, b)
-    check_size("the two-copy operator", ch.n, TWO_COPY_CHIS * 4**ch.n + 1)
-    d = ch.dim
+    check_size("the Haar average", ch.n, HAAR_OPERATORS)
     pa, pb = pauli_matrix(ch.n, a), pauli_matrix(ch.n, b)
-    # SWAP[i d + j, j d + i] = 1: the identity with its two row factors exchanged.
-    swap = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
-    two_copy = (np.eye(d * d) + swap) / (d * (d + 1))
     avg = 0j
     for k in ch.kraus_ops:
-        avg += np.einsum("ij,ji->", np.kron(k @ pa, pb @ k.conj().T), two_copy)
+        avg += np.vdot(pa, k) * np.vdot(pb, k).conj() + np.vdot(k @ pb, k @ pa)
+    avg /= ch.dim * (ch.dim + 1)
     return float(avg.real), float(avg.imag)
 
 

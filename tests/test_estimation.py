@@ -4,9 +4,22 @@ import sys
 import numpy as np
 import pytest
 
-from seqtomo import RandomStream, chernoff_plan, sample_categorical
+from seqtomo import (
+    PreparationBasis,
+    RandomStream,
+    chernoff_plan,
+    channel_zoo,
+    dcqd_distribution,
+    random_channel,
+    random_density_matrix,
+    sample_categorical,
+    seqpt_estimate,
+    seqst_qpt_sample,
+    seqst_sample,
+)
 from seqtomo.errors import InvalidDistribution, ParamOutOfRange, SizeLimitExceeded
-from seqtomo.estimation import CHUNK_LIMIT
+from seqtomo.estimation import CHUNK_LIMIT, ShotPlan
+from seqtomo.qpt import dcqd_sample_rows
 
 
 class TestChernoffPlan:
@@ -182,3 +195,36 @@ class TestEmpiricalChernoff:
             if abs(mean - mu) > epsilon:
                 misses += 1
         assert misses / 1000 <= delta
+
+
+def shot_error(tallies, m) -> float:
+    """sqrt(var/m) of m outcomes in {+1, -1, 0} with these (+1, -1, 0) tallies."""
+    plus, minus, _ = tallies
+    mean = (plus - minus) / m
+    return np.sqrt(((plus + minus) / m - mean**2) / m)
+
+
+class TestErrorBars:
+    """Each reported standard error, recomputed from the estimate's own draws."""
+
+    PLAN = ShotPlan(0.1, 0.05, 500)
+
+    def test_each_standard_error_follows_its_formula(self):
+        rng = np.random.default_rng(7)
+        m = self.PLAN.m
+        rho = random_density_matrix(4, rng)
+        ch = random_channel(2, 2, rng)
+        for est in (
+            seqst_sample(rho, PreparationBasis.random_unitary_columns(2, rng), 1, 2, self.PLAN, RandomStream(1)),
+            seqst_qpt_sample(ch, 3, 6, self.PLAN, RandomStream(2)),
+        ):
+            assert np.allclose((est.se_re, est.se_im), [shot_error(t, m) for t in est.tallies], rtol=1e-12, atol=0)
+        probs = dcqd_distribution(channel_zoo("bit_flip", p=0.3))
+        for _, f, se in dcqd_sample_rows(probs, range(4), self.PLAN, RandomStream(3)):
+            assert se == pytest.approx(np.sqrt(f * (1 - f) / m), rel=1e-12, abs=0)
+        # One input state: the shot error of its runs, scaled by the inversion's (D+1)/D.
+        for n in (1, 2):
+            d = 2**n
+            est = seqpt_estimate(random_channel(n, 2, rng), 1, 2, 1, self.PLAN, RandomStream(4))
+            want = [(d + 1) / d * shot_error(t, m) for t in est.tallies]
+            assert np.allclose((est.se_re, est.se_im), want, rtol=1e-12, atol=0)

@@ -162,6 +162,14 @@ class TestDcqdSampling:
         tallies = [round(f * 10_000) for _, f, _ in rows]
         assert chi_square_pvalue(tallies, probs) > 0.001
 
+    def test_refuses_indices_outside_the_distribution(self):
+        probs = dcqd_distribution(channel_zoo("bit_flip", p=0.3))
+        plan = ShotPlan(0.1, 0.05, 10)
+        for k in (-1, 4):
+            with pytest.raises(IndexOutOfRange):
+                qpt.dcqd_sample_rows(probs, [0, k], plan, RandomStream(0))
+        assert [k for k, _, _ in qpt.dcqd_sample_rows(probs, [3, 0], plan, RandomStream(0))] == [3, 0]
+
     def test_coverage_of_planned_interval(self):
         # frequencies are means of {0,1} outcomes, so the [-1,1] plan is conservative
         ch = channel_zoo("depolarizing", p=0.3)
@@ -229,6 +237,15 @@ class TestSeqstQpt:
         assert est.tallies[0] == (64, 0, 0)
         data = estimate_block("--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0")
         assert (data["protocol"], data["re"], data["shots"]) == ("SEQST-QPT", 1.0, 2 * chernoff_plan(0.1, 0.05).m)
+
+    def test_readout_clamps_a_rounding_excess(self, capsys):
+        # chi_00 = 1 + 5e-10, within the trace tolerance: unclamped, p_zero would be -5e-10.
+        ch = KrausChannel(1, [np.sqrt(1 + 5e-10) * np.eye(2)])
+        est = seqst_qpt_sample(ch, 0, 0, ShotPlan(0.1, 0.05, 64), RandomStream(0))
+        assert est.tallies[0] == (64, 0, 0)
+        args = ["run", "--protocol", "seqst-qpt", "--channel", json.dumps(channel_to_json(ch)), "--a", "0", "--b", "0"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["estimate"]["re"] == 1.0
 
     def test_sample_coverage_on_depolarizing(self):
         # chi_00 = 1 - 3p/4 = 0.85 at p = 0.2
@@ -354,6 +371,8 @@ class TestCoefficientRoute:
             (qpt.BELL_STACKS * rank + 1, lambda: seqst_qpt_exact(ch, 5, 7)),
             (qpt.BELL_STACKS * rank + 1, lambda: dcqd_distribution(ch)),
             (channels.DIAGONAL_STACKS * rank + 1, lambda: chi_diagonal(ch)),
+            (qpt.HAAR_OPERATORS, lambda: seqpt_exact_average(ch, 5, 7)),
+            (rank + 2, lambda: seqpt_estimate(ch, 5, 7, 2, _PLAN, RandomStream(0))),
         ]
         if n == 5:  # the chi routes; one chi takes 16 MB here and 268 MB at n = 6
             chi, chis = kraus_to_chi(ch), 4**n
@@ -362,14 +381,13 @@ class TestCoefficientRoute:
                 # the estimate counts the chi it is given, which the peak does not
                 ((channels.VALIDITY_CHIS - 1) * chis + 2, lambda: validate_channel(chi)),
                 (channels.CHI_COPIES * chis + qpt.BELL_STACKS * rank + 1, lambda: aapt_full_chi(ch)),
-                (qpt.TWO_COPY_CHIS * chis + 1, lambda: seqpt_exact_average(ch, 5, 7)),
             ]
         for operators, route in routes:
             assert self.peak(route) <= operators * 16 * 4**n
 
     @pytest.mark.parametrize(
         "route, ceiling",
-        [(kraus_to_chi, 6), (aapt_full_chi, 6), (functools.partial(seqpt_exact_average, a=5, b=7), 6), (validate_channel, 5)],
+        [(kraus_to_chi, 6), (aapt_full_chi, 6), (functools.partial(seqpt_exact_average, a=5, b=7), 10), (validate_channel, 5)],
     )
     def test_chi_routes_refuse_one_qubit_past_their_ceiling_before_allocating(self, monkeypatch, route, ceiling):
         # The estimates read only n and the rank, so a one-qubit argument stands in for one on more qubits.
@@ -389,14 +407,24 @@ class TestCoefficientRoute:
         ch = KrausChannel(1, [np.eye(2)])
         monkeypatch.setattr(ch, "n", 10)
         monkeypatch.setattr(ch, "kraus_ops", [np.eye(2)] * 64)
-        for route in (lambda: seqst_qpt_exact(ch, 0, 0), lambda: dcqd_distribution(ch), lambda: chi_diagonal(ch)):
+        for route in (
+            lambda: seqst_qpt_exact(ch, 0, 0),
+            lambda: dcqd_distribution(ch),
+            lambda: chi_diagonal(ch),
+            lambda: seqpt_estimate(ch, 0, 0, 1, _PLAN, RandomStream(0)),
+        ):
             with pytest.raises(SizeLimitExceeded):
                 route()
 
-    def test_seqpt_refuses_its_two_copy_operator_before_allocating_it(self):
-        # At n = 7 the D²×D² operator would take 4 GiB.
-        ch = channel_zoo("identity", n=7)
-        assert self.peak(lambda: pytest.raises(SizeLimitExceeded, seqpt_exact_average, ch, 0, 0)) < 2**20
+    def test_seqpt_budgets_a_fixed_operator_count_whatever_the_rank(self, monkeypatch):
+        # HAAR_OPERATORS D×D operators beside the channel, at rank 4 as at rank 1.
+        ch = random_channel(3, 4, np.random.default_rng(32))
+        need = qpt.HAAR_OPERATORS * 16 * 4**3
+        monkeypatch.setattr(core, "WORKING_SET_MAX_BYTES", need)
+        seqpt_exact_average(ch, 5, 7)
+        monkeypatch.setattr(core, "WORKING_SET_MAX_BYTES", need - 1)
+        with pytest.raises(SizeLimitExceeded):
+            seqpt_exact_average(ch, 5, 7)
 
 
 class TestBellRoute:
@@ -617,7 +645,7 @@ class TestSeqptAverages:
 
     @staticmethod
     def loop_swap_average(ch, a, b):
-        """The closed form with SWAP built entry by entry, the reference for bit-identical results."""
+        """The dense two-copy route: sum_k Tr((K_k P_a ⊗ P_b K_k†)(I + SWAP)) / (D(D+1)), SWAP built by loops."""
         d = ch.dim
         basis = dense_pauli_basis(ch.n)
         swap = np.zeros((d * d, d * d))
@@ -631,11 +659,14 @@ class TestSeqptAverages:
         return float(avg.real), float(avg.imag)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_equals_the_loop_built_swap_exactly(self, n):
+    def test_agrees_with_the_loop_built_swap(self, n):
         rng = np.random.default_rng(47 + n)
-        ch = random_channel(n, 2, rng)
-        for a, b in [(0, 0), (4**n - 1, 1)] + [tuple(int(v) for v in rng.integers(0, 4**n, size=2)) for _ in range(3)]:
-            assert seqpt_exact_average(ch, a, b) == self.loop_swap_average(ch, a, b)
+        for rank in (1, 2, 4):
+            ch = random_channel(n, rank, rng)
+            pairs = [(0, 0), (4**n - 1, 1)] + [tuple(int(v) for v in rng.integers(0, 4**n, size=2)) for _ in range(3)]
+            for a, b in pairs:
+                got, want = seqpt_exact_average(ch, a, b), self.loop_swap_average(ch, a, b)
+                assert np.allclose(got, want, rtol=0, atol=1e-14), (rank, a, b)
 
     def test_monte_carlo_single_state_average_converges(self):
         # Haar-sample the exact single-state values and compare to the closed form
@@ -650,6 +681,65 @@ class TestSeqptAverages:
         avg_x, avg_y = seqpt_exact_average(ch, 0, 1)
         assert abs(np.mean(xs) - avg_x) < 4 * np.std(xs) / np.sqrt(len(xs)) + 1e-6
         assert abs(np.mean(ys) - avg_y) < 4 * np.std(ys) / np.sqrt(len(ys)) + 1e-6
+
+
+def stabilizer_states(n: int) -> np.ndarray:
+    """The n-qubit stabilizer states, one row each, up to global phase.
+
+    A breadth-first search from |0...0> under h and s on each qubit and cnot
+    on neighbouring qubits, each gate a kron of literal matrices.
+    """
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    s = np.diag([1, 1j])
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+    def on(gate, q):
+        width = gate.shape[0].bit_length() - 1
+        return functools.reduce(np.kron, [np.eye(2**q), gate, np.eye(2 ** (n - q - width))])
+
+    gates = [on(g, q) for g in (h, s) for q in range(n)] + [on(cnot, q) for q in range(n - 1)]
+
+    def key(psi):
+        lead = psi[np.flatnonzero(np.abs(psi) > 1e-9)[0]]
+        return tuple(np.round(psi * abs(lead) / lead, 9).tolist())
+
+    start = np.eye(2**n, dtype=complex)[0]
+    seen, frontier = {key(start): start}, [start]
+    while frontier:
+        reached = {key(phi): phi for phi in (g @ psi for psi in frontier for g in gates)}
+        frontier = [phi for k, phi in reached.items() if k not in seen]
+        seen.update(reached)
+    return np.stack(list(seen.values()))
+
+
+class TestStabilizerDesign:
+    """The Haar oracle against a finite exact 2-design: the stabilizer states
+    form a 3-design (Kueng & Gross, arXiv:1510.02767), so their uniform average
+    of <psi|K P_a|psi><psi|P_b K†|psi> is the Haar average."""
+
+    @pytest.mark.parametrize("n, count", [(1, 6), (2, 60), (3, 1080)])
+    def test_count_and_frame_potential(self, n, count):
+        states = stabilizer_states(n)
+        d = 2**n
+        assert len(states) == count
+        frame = np.mean(np.abs(states.conj() @ states.T) ** 4)
+        assert abs(frame - 2 / (d * (d + 1))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_design_average_is_the_exact_average(self, n):
+        states, paulis = stabilizer_states(n), dense_pauli_basis(n)
+        rng = np.random.default_rng(140 + n)
+        for rank in (1, 2, 4):
+            ch = random_channel(n, rank, rng)
+            for _ in range(3):
+                a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
+                avg = 0j
+                for k in ch.kraus_ops:
+                    # <psi|K P_m|psi> for every state psi, m = a, b
+                    wa, wb = (np.einsum("si,ij,sj->s", states.conj(), k @ paulis[m], states) for m in (a, b))
+                    avg += np.mean(wa * wb.conj())
+                got = seqpt_exact_average(ch, a, b)
+                assert np.allclose(got, (avg.real, avg.imag), rtol=0, atol=1e-12), (rank, a, b)
 
 
 class TestSeqptEstimate:
