@@ -10,7 +10,6 @@ from .core import (
     haar_random_state,
     haar_random_unitary,
     maximally_entangled_state,
-    partial_trace,
     random_density_matrix,
     tensor,
 )
@@ -21,7 +20,6 @@ from .channels import (
     ValidityReport,
     channel_from_json,
     channel_zoo,
-    chi_to_kraus,
     compose_channels,
     kraus_to_chi,
     random_channel,
@@ -70,7 +68,6 @@ __all__ = [
     "channel_from_json",
     "channel_zoo",
     "chernoff_plan",
-    "chi_to_kraus",
     "compose_channels",
     "dcqd_distribution",
     "entangled_state_circuit",
@@ -79,7 +76,6 @@ __all__ = [
     "haar_random_unitary",
     "kraus_to_chi",
     "maximally_entangled_state",
-    "partial_trace",
     "pauli_coefficients",
     "pauli_combination",
     "pauli_matrix",

@@ -8,9 +8,10 @@ and is positive semidefinite (complete positivity); ``validate_channel``
 reports all three predicates with their numerical residuals and does
 not throw on a malformed matrix, so it can be diagnosed.
 
-Sizes follow the one policy of ``core.check_size``: a Kraus stack is rank
-dense D×D operators, a chi matrix 4**n of them, and each route states its
-peak in these units beside it. Building a channel over the budgets, or
+A channel is one read-only (r, D, D) Kraus stack, built once and read as
+it is. Sizes follow the one policy of ``core.check_size``: a Kraus stack is
+rank dense D×D operators, a chi matrix 4**n of them, and each route states
+its peak in these units beside it. Building a channel over the budgets, or
 running a route whose peak would exceed them, raises SizeLimitExceeded
 before anything is allocated.
 
@@ -24,24 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GATES, check_size, unitarity_residual
-from .errors import ConfigError, DimensionMismatch, NotCompletelyPositive, ParamOutOfRange, UnknownChannel
+from .errors import ConfigError, DimensionMismatch, ParamOutOfRange, UnknownChannel
 from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
-
-# Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
-# treated as numerical zeros when extracting Kraus operators; anything
-# below the lower cutoff is a genuine negativity.
-CHI_EIG_ZERO_LO = -1e-7
-CHI_EIG_ZERO_HI = 1e-9
 
 # Peak working sets, checked by ``core.check_size`` with one operator more
 # for index arrays; tests/test_qpt.py checks each bound. ``chi_diagonal``
-# holds DIAGONAL_STACKS Kraus stacks (tracemalloc: 3.0 to 3.5, n = 6..9,
-# rank 2..16). ``kraus_to_chi`` holds CHI_COPIES chi matrices, as ChiMatrix
+# holds DIAGONAL_STACKS Kraus stacks (tracemalloc: 2.5 to 3.1, n = 5..9,
+# rank 1..16). ``kraus_to_chi`` holds CHI_COPIES chi matrices, as ChiMatrix
 # copies its input, besides the coefficients' stacks (2.0, n = 4..5).
 # ``validate_channel`` holds VALIDITY_CHIS, the chi it is given included,
 # and two operators more, for its index tables and D×D trace (4.0 chi and
 # 1.6 to 2.1 operators, n = 4..5): so n <= 5.
-DIAGONAL_STACKS = 4
+DIAGONAL_STACKS = 3
 CHI_COPIES = 2
 VALIDITY_CHIS = 4
 
@@ -51,26 +46,24 @@ VALIDITY_ATOL = 1e-9
 
 
 class KrausChannel:
-    """A channel given by Kraus operators on n qubits.
+    """A channel given by Kraus operators on n qubits, held as one read-only (r, D, D) stack.
 
-    Construction checks shapes only; trace preservation is a property
-    (``completeness_residual``) so that deliberately corrupted channels can
-    still be represented and diagnosed.
+    A complex ndarray stack is adopted without a copy and made read-only; a
+    sequence of D×D matrices is stacked. Construction checks shapes only;
+    trace preservation is a property (``completeness_residual``) so that
+    deliberately corrupted channels can still be represented and diagnosed.
     """
 
     def __init__(self, n: int, kraus_ops):
         if n < 1:
             raise DimensionMismatch("need at least one qubit")
         d = 2**n
-        ops = tuple(np.array(k, dtype=complex) for k in kraus_ops)
-        if not ops:
-            raise DimensionMismatch("need at least one Kraus operator")
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatch(f"Kraus operator shape {k.shape} != ({d}, {d})")
-            k.setflags(write=False)
+        shapes = {np.shape(k) for k in kraus_ops}
+        if shapes != {(d, d)}:
+            raise DimensionMismatch(f"need Kraus operators of shape ({d}, {d}), got shapes {sorted(shapes)}")
         self.n = n
-        self.kraus_ops = ops
+        self.kraus_ops = np.asarray(kraus_ops, dtype=complex)
+        self.kraus_ops.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -147,7 +140,7 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     """
     check_size("a chi matrix", ch.n, CHI_COPIES * 4**ch.n + DIAGONAL_STACKS * len(ch.kraus_ops) + 1)
     # c[k, m] = Tr(P_m K_k) / D  (Pauli matrices are Hermitian)
-    c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
+    c = pauli_coefficients(ch.kraus_ops) / ch.dim
     chi = np.einsum("km,kn->mn", c, c.conj())
     return ChiMatrix(ch.n, chi)
 
@@ -164,22 +157,8 @@ def chi_diagonal(ch: KrausChannel) -> np.ndarray:
     One ``pauli_coefficients`` call on the Kraus stack: DIAGONAL_STACKS bounds its peak.
     """
     check_size("the chi diagonal", ch.n, DIAGONAL_STACKS * len(ch.kraus_ops) + 1)
-    c = pauli_coefficients(np.stack(ch.kraus_ops)) / ch.dim
+    c = pauli_coefficients(ch.kraus_ops) / ch.dim
     return np.sum(c.real**2 + c.imag**2, axis=0)
-
-
-def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
-    """Extract Kraus operators from a positive chi matrix by eigendecomposition.
-
-    K_k = sqrt(l_k) sum_m v_mk P_m for eigenpairs (l_k, v_k). Eigenvalues in
-    the numerical-zero window are dropped; below it, NotCompletelyPositive.
-    """
-    herm = (chi.entries + chi.entries.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
-    if vals.min() < CHI_EIG_ZERO_LO:
-        raise NotCompletelyPositive(f"chi has eigenvalue {vals.min():.3e}")
-    keep = vals >= CHI_EIG_ZERO_HI
-    return KrausChannel(chi.n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
 
 
 def validate_channel(chi: ChiMatrix) -> ValidityReport:
@@ -247,7 +226,7 @@ def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
     if name == "identity":
         n = 1 if n is None else n
         check_size("a Kraus stack", n, 1)
-        return KrausChannel(n, [np.eye(2**n, dtype=complex)])
+        return KrausChannel(n, np.eye(2**n, dtype=complex)[None])
     if name == "unitary":
         if "u" in params:
             try:
@@ -292,7 +271,9 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     if first.n != then.n:
         raise DimensionMismatch(f"cannot compose channels on {first.n} and {then.n} qubits")
     check_size("a Kraus stack", first.n, len(first.kraus_ops) * len(then.kraus_ops))
-    return KrausChannel(first.n, (b @ a for b in then.kraus_ops for a in first.kraus_ops))
+    # Entry (k, l) is then_k @ first_l, as the pairwise products in that order.
+    stack = then.kraus_ops[:, None] @ first.kraus_ops
+    return KrausChannel(first.n, stack.reshape(-1, first.dim, first.dim))
 
 
 def tensor_channels(*factors: KrausChannel) -> KrausChannel:
@@ -300,8 +281,9 @@ def tensor_channels(*factors: KrausChannel) -> KrausChannel:
     check_size("a Kraus stack", sum(f.n for f in factors), math.prod(len(f.kraus_ops) for f in factors))
     out = factors[0]
     for f in factors[1:]:
-        # A generator, so that each product is freed once KrausChannel has copied it.
-        out = KrausChannel(out.n + f.n, (np.kron(ka, kb) for ka in out.kraus_ops for kb in f.kraus_ops))
+        # Entry (k, l) is kron(out_k, f_l), written once into the stack the channel adopts.
+        stack = np.einsum("kij,lpq->klipjq", out.kraus_ops, f.kraus_ops, order="C")
+        out = KrausChannel(out.n + f.n, stack.reshape(-1, out.dim * f.dim, out.dim * f.dim))
     return out
 
 

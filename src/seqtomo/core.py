@@ -161,24 +161,6 @@ def unitarity_residual(u) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
-    """Trace out one factor of a bipartite state.
-
-    Args:
-        rho: state on a Hilbert space of dimension D_A * D_B.
-        dims: (D_A, D_B), with subsystem A on the leading index bits.
-        keep: "A" or "B", the subsystem left after tracing.
-    """
-    da, db = dims
-    if da * db != rho.dim:
-        raise DimensionMismatch(f"dims {dims} do not factor dimension {rho.dim}")
-    if keep not in ("A", "B"):
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    # rho's factor F[(i, j), k] holds the traced index j among its columns in rho_A = F_A F_A†.
-    f = rho.factor.reshape(da, db, -1)
-    return DensityMatrix.from_factor(f.reshape(da, -1) if keep == "A" else f.transpose(1, 0, 2).reshape(db, -1))
-
-
 def maximally_entangled_state(n: int) -> DensityMatrix:
     """The state sum_i |ii> / sqrt(D) on two n-qubit registers, D = 2**n."""
     if n < 1:

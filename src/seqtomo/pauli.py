@@ -11,12 +11,13 @@ Y or Z), qubit 0 the most significant bit, and, as in Aaronson & Gottesman
     P_m = i^{|x∧z|} X^x Z^z,   so   P_m|j> = i^{|x∧z|} (-1)^{|z∧j|} |j⊕x>.
 
 That fixes the sign convention of the package: Y = iXZ = [[0, -i], [i, 0]].
-Dense work goes through the D×D sign matrix (-1)^{|j∧k|}: ``pauli_matrix``
-scatters one Pauli, ``pauli_coefficient`` takes chosen Tr(P_m A) with a
-gather of D entries each, ``pauli_coefficients`` takes every Tr(P_m A) with
-a gather and one product by it, ``pauli_combination`` builds
-sum_m v_m P_m, and ``pauli_masks`` hands out (x, z, phase). Only the
-O(4**n) index tables and the sign matrix are cached, never a dense Pauli.
+Chosen Paulis cost O(D) each and build no table: their (x, z, phase) come
+from the index bits and the sign row (-1)^{|z∧j|} from one parity rule.
+``times_pauli`` is A·P_m as a gather of columns (``pauli_matrix`` is that
+gather on I), and ``pauli_coefficient`` takes chosen Tr(P_m A) from D
+entries each. Only ``pauli_coefficients`` (every Tr(P_m A)),
+``pauli_combination`` (sum_m v_m P_m) and ``pauli_masks(n)`` read the
+cached 4**n tables and D×D sign matrix. No dense Pauli is ever cached.
 """
 
 from functools import lru_cache
@@ -51,37 +52,54 @@ def pauli_word(n: int, m: int) -> str:
     return np.base_repr(m, 4).rjust(n, "0").translate(_DIGITS)
 
 
+def _masks(n: int, m) -> tuple:
+    """(x, z, phase) of an index or index array m, from its bits: base-4 digit q, from the last, is mask bit q."""
+    m = np.asarray(m)
+    x, z, ys = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
+    for q in range(n):
+        digit = (m >> 2 * q) & 3
+        zq = digit >> 1
+        xq = (digit ^ zq) & 1
+        x |= xq << q
+        z |= zq << q
+        ys += xq & zq
+    return x, z, np.array([1, 1j, -1, -1j])[ys % 4]
+
+
+def _signs(n: int, z) -> np.ndarray:
+    """(-1)^{|z∧j|} over j in [0, 2**n), one row per mask of z: the parity of z∧j, its bits folded by shifts."""
+    v = np.asarray(z)[..., None] & np.arange(2**n)
+    shift = 1
+    while shift < n:
+        v ^= v >> shift
+        shift <<= 1
+    return 1.0 - 2.0 * (v & 1)
+
+
 @lru_cache(maxsize=None)
 def _tables(n: int) -> tuple:
-    """(x, z, phase, index, sign) for n qubits.
+    """(x, z, phase, index, sign) over all 4**n indices, for the routes that read every Pauli.
 
     x[m], z[m] and phase[m] = i^{|x∧z|} describe P_m; index[x, z] = m
     inverts them; sign[j, k] = (-1)^{|j∧k|}.
     """
     check_indices(n)
     m = np.arange(4**n)
-    x, z, ys = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
-    for q in range(n):
-        digit = (m >> 2 * q) & 3  # the letter on mask bit q
-        zq = digit >> 1
-        xq = (digit ^ zq) & 1
-        x |= xq << q
-        z |= zq << q
-        ys += xq & zq
+    x, z, phase = _masks(n, m)
     index = np.empty((2**n, 2**n), dtype=m.dtype)
     index[x, z] = m
-    sign = np.ones((1, 1))
-    for _ in range(n):
-        sign = np.kron(sign, [[1.0, 1.0], [1.0, -1.0]])
-    tables = (x, z, np.array([1, 1j, -1, -1j])[ys % 4], index, sign)
+    tables = (x, z, phase, index, _signs(n, np.arange(2**n)))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def pauli_masks(n: int) -> tuple:
-    """(x, z, phase) over the 4**n indices: P_m = phase[m] X^x[m] Z^z[m], phase = i^{|x∧z|}."""
-    return _tables(n)[:3]
+def pauli_masks(n: int, m=None) -> tuple:
+    """(x, z, phase) of the indices m from their bits, or of all 4**n from the tables: P_m = phase X^x Z^z."""
+    if m is None:
+        return _tables(n)[:3]
+    check_indices(n, *np.ravel(m))
+    return _masks(n, m)
 
 
 def _qubits(size: int, base: int) -> int:
@@ -92,13 +110,24 @@ def _qubits(size: int, base: int) -> int:
     return n
 
 
+def times_pauli(a, m: int) -> np.ndarray:
+    """A·P_m as a new array, P_m acting on the last axis of a: a row, a D×D matrix or a stack of them.
+
+    Column j is phase (-1)^{|z∧j|} A[..., j⊕x]: a gather and a product by D
+    factors, in the size of A, where the dense product costs D times that.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = _qubits(a.shape[-1], 2)
+    x, z, phase = pauli_masks(n, m)
+    out = np.take(a, np.arange(a.shape[-1]) ^ x, axis=-1)  # C-ordered, unlike a[..., j ^ x]
+    out *= phase * _signs(n, z)
+    return out
+
+
 def pauli_matrix(n: int, m: int) -> np.ndarray:
-    """The dense, read-only 2**n × 2**n matrix of P_m, entries exactly 0, ±1 or ±i."""
+    """The dense, read-only 2**n × 2**n matrix of P_m, entries exactly 0, ±1 or ±i: ``times_pauli`` on I."""
     check_indices(n, m)
-    x, z, phase, _, sign = _tables(n)
-    j = np.arange(2**n)
-    out = np.zeros((j.size, j.size), dtype=complex)
-    out[j ^ x[m], j] = phase[m] * sign[z[m]]
+    out = times_pauli(np.eye(2**n, dtype=complex), m)
     out.setflags(write=False)
     return out
 
@@ -107,20 +136,18 @@ def pauli_coefficient(mats, m) -> np.ndarray:
     """Tr(P_m A) for each D×D matrix A of ``mats`` and an index m, or an array of them.
 
     Tr(P_m A) = i^{|x∧z|} sum_j (-1)^{|z∧j|} A[j, j⊕x]: a gather of D entries
-    per matrix and index. ``mats`` is a sequence of matrices or a stack along
-    its first axis, read one matrix at a time and never copied whole; the
-    result is shaped (len(mats), m...). An index outside [0, 4**n) raises
-    IndexOutOfRange.
+    per matrix and index, with no table built. ``mats`` is a stack along its
+    first axis or a sequence of matrices; the result is shaped
+    (len(mats), m...). An index outside [0, 4**n) raises IndexOutOfRange.
     """
-    d = np.shape(mats[0])[-1]
-    x, z, phase, _, sign = _tables(_qubits(d, 2))
-    m = np.asarray(m)
-    if np.any((m < 0) | (m >= x.size)):
-        raise IndexOutOfRange(f"Pauli index {m} outside [0, {x.size})")
+    mats = np.asarray(mats)
+    d = mats.shape[-1]
+    n = _qubits(d, 2)
+    x, z, phase = pauli_masks(n, m)
     j = np.arange(d)
-    flat = j * d + (j ^ x[m][..., None])  # A[j, j⊕x] in the flattened A
-    entries = np.array([np.ravel(a)[flat] for a in mats])
-    return phase[m] * np.sum(entries * sign[z[m]], axis=-1)
+    flat = j * d + (j ^ x[..., None])  # A[j, j⊕x] in the flattened A
+    entries = np.take(mats.reshape(len(mats), d * d), flat, axis=1)
+    return phase * np.sum(entries * _signs(n, z), axis=-1)
 
 
 def pauli_coefficients(a) -> np.ndarray:

@@ -7,7 +7,8 @@ in the orthonormal basis {(P_k ⊗ I)|I>}:
 
     chi_mn = <r_m| rho_E |r_n>.
 
-No route builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
+No route forms a dense Pauli (P_m acts by ``pauli.times_pauli``), and none
+builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
 purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and ``_bell_amplitudes`` runs the
 gate list of U_Phi† on it with ``core.apply_gates``, the simulator that the
 bases of ``seqst`` run too. U_Phi† turns the Bell-type measurement in
@@ -31,8 +32,9 @@ direct Kraus-to-chi conversion:
       avg_x = (D Re(chi_ab) + delta_ab) / (D + 1),
       avg_y =  D Im(chi_ab) / (D + 1),
   inverted to recover chi_ab. ``seqpt_exact_average`` contracts the Haar
-  integral to D×D products, (Tr A Tr B + Tr(AB)) / (D(D+1)) for A = K_k P_a
-  and B = P_b K_k†; the tests check it on the stabilizer states, a 2-design.
+  integral to (Tr A Tr B + Tr(AB)) / (D(D+1)) for A = K_k P_a and
+  B = P_b K_k†, with K_k P_m a gather of K_k's columns; the tests check it
+  on the stabilizer states, a 2-design.
 
 Both selective samplers draw through ``seqst.sample_block``, from a
 readout block built from the Kraus operators, into one ``seqst.Estimate``.
@@ -40,9 +42,11 @@ For SEQST-QPT the block is ``channels.chi_block``,
 g_ij = chi_ij = sum_k c_ki conj(c_kj) with c_km = Tr(P_m K_k)/D gathered
 from D entries of each K_k, which also gives the CLI's exact chi_ab of
 SEQST-QPT and SEQPT. For SEQPT
-g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>). The Bell readout
-of the purified dual state and the closed-form Haar integral stay as the
-oracles; the readout shares nothing with the gather.
+g_ij = sum_k <psi|K_k P_i|psi> conj(<psi|K_k P_j|psi>), with <psi|K_k P_m
+the row <psi|K_k gathered by P_m. None of the single-entry routes
+(``chi_block``, SEQST-QPT, SEQPT) builds the 4**n Pauli tables. The Bell
+readout of the purified dual state and the closed-form Haar integral stay
+as the oracles; the readout shares nothing with the gather.
 
 No route has a qubit ceiling of its own. Each states its peak working set
 in dense D×D operators beside it (the dual state is rank of them, a chi
@@ -58,7 +62,7 @@ from .core import DensityMatrix, apply_gates, check_size, haar_random_state
 from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical
-from .pauli import check_indices, pauli_masks, pauli_matrix
+from .pauli import check_indices, pauli_masks, times_pauli
 from .seqst import Estimate, PreparationBasis, fiducial_readout, sample_block
 
 # Peak working sets, in Kraus stacks (rank operators, the size of the
@@ -66,10 +70,12 @@ from .seqst import Estimate, PreparationBasis, fiducial_readout, sample_block
 # SEQST-QPT oracle read; each route budgets one operator more for |Phi> and
 # index arrays. tracemalloc measures 2.1 to 3.1 stacks (n = 5..8, rank
 # 1..16), the most at rank 1. ``aapt_full_chi`` adds channels.CHI_COPIES
-# chi matrices (2.0). ``seqpt_exact_average`` holds P_a, P_b, K_k P_a and
-# K_k P_b at any rank (4.0 to 4.1, n = 5..10). tests/test_qpt.py checks them.
+# chi matrices (2.0). ``seqpt_exact_average`` holds K_k P_a, K_k P_b and a
+# product buffer of up to 128 KiB at any rank (2.0 to 3.2, n = 5..10, the
+# most at n = 5). ``seqpt_estimate`` budgets the Kraus stack it reads and one
+# operator; it holds 0.01 to 0.7 (n = 5..10). tests/test_qpt.py checks them.
 BELL_STACKS = 3
-HAAR_OPERATORS = 5
+HAAR_OPERATORS = 4
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ def _check_dual_trace(ch: KrausChannel) -> None:
 
     That deviation is at most ``validate_channel``'s trace-preservation residual.
     """
-    trace = sum(np.vdot(k, k).real for k in ch.kraus_ops) / ch.dim
+    trace = np.vdot(ch.kraus_ops, ch.kraus_ops).real / ch.dim
     if abs(trace - 1.0) > VALIDITY_ATOL:
         raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
 
@@ -92,11 +98,11 @@ def _dual_branches(ch: KrausChannel) -> np.ndarray:
     """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits."""
     n, d = ch.n, ch.dim
     phi = entangled_state_circuit(n)[0].factor.reshape(d, d)
-    return (np.stack(ch.kraus_ops) @ phi).reshape((-1,) + (2,) * (2 * n))
+    return (ch.kraus_ops @ phi).reshape((-1,) + (2,) * (2 * n))
 
 
-def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
-    """A[k, m] = <r_m|(K_k ⊗ I)|Phi> for r_m = (P_m ⊗ I)|Phi>, read after U_Phi†.
+def _bell_amplitudes(ch: KrausChannel, indices=None) -> np.ndarray:
+    """A[k, m] = <r_m|(K_k ⊗ I)|Phi> for r_m = (P_m ⊗ I)|Phi>, read after U_Phi†, over the indices m or all 4**n.
 
     U_Phi† maps r_m to conj(phase_m)|z_m>|x_m>, with (x, z, phase) from
     ``pauli_masks``. Past the budgets of ``check_size`` for BELL_STACKS
@@ -106,7 +112,7 @@ def _bell_amplitudes(ch: KrausChannel) -> np.ndarray:
     _check_dual_trace(ch)
     # The dual state is a temporary, so U_Phi†'s first gate frees it.
     bell = apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
-    x, z, phase = pauli_masks(ch.n)
+    x, z, phase = pauli_masks(ch.n, indices)
     amps = bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
     amps *= phase  # in place: no third copy of the dual state
     return amps
@@ -149,7 +155,7 @@ def seqst_qpt_exact(ch: KrausChannel, a: int, b: int) -> complex:
     readout would exceed the budgets of ``check_size`` raises SizeLimitExceeded.
     """
     check_indices(ch.n, a, b)
-    amps = _bell_amplitudes(ch)[:, [b, a]]
+    amps = _bell_amplitudes(ch, [b, a])
     # The ancilla's |+> contributes the factor 1/2 of every entry.
     return fiducial_readout(amps.T @ amps.conj() / 2)
 
@@ -173,13 +179,13 @@ def seqst_qpt_sample(
 
 
 def _seqpt_block(ch: KrausChannel, a: int, b: int, psi: DensityMatrix) -> tuple:
-    """The readout block of the SEQPT circuit for one pure input state psi; ``pauli_matrix`` checks a and b."""
+    """The readout block of the SEQPT circuit for one pure input state psi; ``times_pauli`` checks a and b."""
     if psi.dim != ch.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != channel dim {ch.dim}")
     (v,) = psi.factor.T  # a ValueError for a state of rank above 1
-    kraus = np.stack(ch.kraus_ops)
+    rows = v.conj() @ ch.kraus_ops  # rows[k] = <psi|K_k
     # w[k] = <psi|K_k P_m|psi> for m = a, b.
-    wa, wb = ((kraus @ (pauli_matrix(ch.n, m) @ v)) @ v.conj() for m in (a, b))
+    wa, wb = (times_pauli(rows, m) @ v for m in (a, b))
     return np.vdot(wa, wa).real, np.vdot(wb, wb).real, np.vdot(wb, wa)
 
 
@@ -197,13 +203,13 @@ def seqpt_estimate(
     Pools plan.m outcomes per axis per state, then inverts the Haar-average
     relations: Re = ((D+1) avg_x - delta_ab)/D, Im = (D+1) avg_y / D. The
     tallies are summed over the states. Over ``estimation.CHUNK_LIMIT``
-    chunks, n_states * min(workers, plan.m), or past the budgets for a Kraus
-    stack, one Pauli and index arrays, raise SizeLimitExceeded before any draw.
+    chunks, n_states * min(workers, plan.m), or past the budgets for the
+    Kraus stack and one operator, raise SizeLimitExceeded before any draw.
     """
     if n_states < 1:
         raise IndexOutOfRange(f"n_states must be >= 1, got {n_states}")
     check_indices(ch.n, a, b)
-    check_size("the SEQPT readout block", ch.n, len(ch.kraus_ops) + 2)
+    check_size("the SEQPT readout block", ch.n, len(ch.kraus_ops) + 1)
     check_chunks(n_states * min(workers, plan.m))
     d = ch.dim
     states = []
@@ -233,15 +239,17 @@ def seqpt_exact_average(ch: KrausChannel, a: int, b: int) -> tuple:
 
     Evaluated in closed form: the average of <psi|A|psi><psi|B|psi> equals
     (Tr A Tr B + Tr(AB)) / (D(D+1)), applied to A = K_k P_a, B = P_b K_k†
-    and summed over the Kraus operators: Tr(AB) = vdot(K_k P_b, K_k P_a)
-    takes two D×D products. Past the budgets (n >= 11), SizeLimitExceeded.
+    and summed over the Kraus operators: Tr(AB) = vdot(K_k P_b, K_k P_a),
+    with each K_k P_m a gather of K_k's columns. Past the budgets (n >= 11),
+    SizeLimitExceeded.
     """
     check_indices(ch.n, a, b)
     check_size("the Haar average", ch.n, HAAR_OPERATORS)
-    pa, pb = pauli_matrix(ch.n, a), pauli_matrix(ch.n, b)
     avg = 0j
     for k in ch.kraus_ops:
-        avg += np.vdot(pa, k) * np.vdot(pb, k).conj() + np.vdot(k @ pb, k @ pa)
+        ka, kb = times_pauli(k, a), times_pauli(k, b)
+        avg += np.trace(ka) * np.trace(kb).conj() + np.vdot(kb, ka)
+        del ka, kb  # so that the next pair is not built beside this one
     avg /= ch.dim * (ch.dim + 1)
     return float(avg.real), float(avg.imag)
 

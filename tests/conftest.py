@@ -7,8 +7,15 @@ from itertools import product
 import numpy as np
 from scipy import stats
 
-from seqtomo import DensityMatrix, PreparationBasis, maximally_entangled_state
+from seqtomo import DensityMatrix, KrausChannel, PreparationBasis, maximally_entangled_state, pauli_combination
 from seqtomo.cli import main
+from seqtomo.errors import DimensionMismatch, NotCompletelyPositive
+
+# Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
+# treated as numerical zeros when extracting Kraus operators; anything
+# below the lower cutoff is a genuine negativity.
+CHI_EIG_ZERO_LO = -1e-7
+CHI_EIG_ZERO_HI = 1e-9
 
 # Literal single-qubit Paulis, independent of the package's (x, z) encoding.
 SIGMA = {
@@ -27,6 +34,38 @@ def dense_pauli(letters: str) -> np.ndarray:
 def dense_pauli_basis(n: int) -> np.ndarray:
     """All 4**n Paulis, stacked in base-4 index order (I=0, X=1, Y=2, Z=3, qubit 0 most significant)."""
     return np.stack([dense_pauli("".join(w)) for w in product("IXYZ", repeat=n)])
+
+
+def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
+    """Trace out one factor of a bipartite state.
+
+    Args:
+        rho: state on a Hilbert space of dimension D_A * D_B.
+        dims: (D_A, D_B), with subsystem A on the leading index bits.
+        keep: "A" or "B", the subsystem left after tracing.
+    """
+    da, db = dims
+    if da * db != rho.dim:
+        raise DimensionMismatch(f"dims {dims} do not factor dimension {rho.dim}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    # rho's factor F[(i, j), k] holds the traced index j among its columns in rho_A = F_A F_A†.
+    f = rho.factor.reshape(da, db, -1)
+    return DensityMatrix.from_factor(f.reshape(da, -1) if keep == "A" else f.transpose(1, 0, 2).reshape(db, -1))
+
+
+def chi_to_kraus(chi) -> KrausChannel:
+    """Extract Kraus operators from a positive chi matrix by eigendecomposition.
+
+    K_k = sqrt(l_k) sum_m v_mk P_m for eigenpairs (l_k, v_k). Eigenvalues in
+    the numerical-zero window are dropped; below it, NotCompletelyPositive.
+    """
+    herm = (chi.entries + chi.entries.conj().T) / 2
+    vals, vecs = np.linalg.eigh(herm)
+    if vals.min() < CHI_EIG_ZERO_LO:
+        raise NotCompletelyPositive(f"chi has eigenvalue {vals.min():.3e}")
+    keep = vals >= CHI_EIG_ZERO_HI
+    return KrausChannel(chi.n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
 
 
 def apply_kraus(ch, rho) -> DensityMatrix:

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import apply_kraus, channel_to_json, choi_state, dense_pauli_basis
+from conftest import apply_kraus, channel_to_json, chi_to_kraus, choi_state, dense_pauli_basis, partial_trace
 
 from seqtomo import (
     ChiMatrix,
@@ -8,11 +10,9 @@ from seqtomo import (
     KrausChannel,
     channel_from_json,
     channel_zoo,
-    chi_to_kraus,
     compose_channels,
     kraus_to_chi,
     maximally_entangled_state,
-    partial_trace,
     random_channel,
     random_density_matrix,
     tensor_channels,
@@ -224,6 +224,31 @@ class TestZoo:
         folded = tensor_channels(tensor_channels(f[0], f[1]), f[2])
         for got, want in zip(tensor_channels(*f).kraus_ops, folded.kraus_ops, strict=True):
             np.testing.assert_array_equal(got, want)
+
+    def test_compose_equals_the_pairwise_products(self):
+        first = random_channel(2, 3, np.random.default_rng(50))
+        then = random_channel(2, 2, np.random.default_rng(51))
+        want = [b @ a for b in then.kraus_ops for a in first.kraus_ops]
+        np.testing.assert_array_equal(compose_channels(first, then).kraus_ops, want)
+
+    def test_kraus_stack_is_one_read_only_array(self):
+        ch = tensor_channels(channel_zoo("depolarizing", p=0.2), channel_zoo("identity", n=2))
+        assert isinstance(ch.kraus_ops, np.ndarray) and ch.kraus_ops.shape == (4, 8, 8)
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0, 0, 0] = 2.0
+
+    def test_tensor_builds_its_stack_once(self):
+        # Rank 64 on 8 qubits, a 64 MiB stack: a second copy would double the peak.
+        dep = {"name": "depolarizing", "params": {"p": 0.3}}
+        spec = {"name": "tensor", "params": {"factors": [dep] * 3 + [{"name": "identity", "params": {"n": 5}}]}}
+        tracemalloc.start()
+        try:
+            ch = channel_from_json(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ch.kraus_ops.nbytes == 64 * 16 * 4**8
+        assert peak <= 1.1 * ch.kraus_ops.nbytes
 
     def test_identity_size_ceiling(self):
         assert channel_zoo("identity", n=10).n == 10  # one 16 MiB operator

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from conftest import partial_trace
 
 from seqtomo import (
     DensityMatrix,
     haar_random_state,
     haar_random_unitary,
     maximally_entangled_state,
-    partial_trace,
     random_density_matrix,
     tensor,
 )

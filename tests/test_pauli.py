@@ -12,7 +12,7 @@ from seqtomo import (
     standard_pauli_qst,
 )
 from seqtomo.errors import DimensionMismatch, IndexOutOfRange, SeqtomoError
-from seqtomo.pauli import pauli_coefficient, pauli_labels, pauli_masks, pauli_word
+from seqtomo.pauli import pauli_coefficient, pauli_labels, pauli_masks, pauli_word, times_pauli
 
 
 class TestLabels:
@@ -85,6 +85,33 @@ class TestMatrices:
 def random_stack(rng, count, n):
     d = 2**n
     return rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+
+
+class TestGather:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_dense_product_bit_for_bit(self, n):
+        # P_m has one entry 0, ±1 or ±i per column, so A @ P_m rounds nothing either.
+        a = random_stack(np.random.default_rng(40 + n), 3, n)
+        for m, p in enumerate(dense_pauli_basis(n)):
+            np.testing.assert_array_equal(times_pauli(a, m), a @ p)
+
+    def test_acts_on_the_last_axis_of_a_row(self):
+        rng = np.random.default_rng(44)
+        rows = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        np.testing.assert_array_equal(times_pauli(rows, 27), rows @ dense_pauli_basis(3)[27])
+
+    @pytest.mark.parametrize("m", [-1, 16])
+    def test_refuses_an_index_outside_the_basis(self, m):
+        with pytest.raises(IndexOutOfRange):
+            times_pauli(np.eye(4), m)
+
+    def test_chosen_masks_match_the_tables(self):
+        x, z, phase = pauli_masks(4)
+        chosen = [0, 5, 77, 255]
+        for got, want in zip(pauli_masks(4, chosen), (x, z, phase)):
+            np.testing.assert_array_equal(got, want[chosen])
+        with pytest.raises(IndexOutOfRange):
+            pauli_masks(2, [3, 16])
 
 
 class TestCoefficients:

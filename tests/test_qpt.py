@@ -31,7 +31,7 @@ from seqtomo import (
     validate_channel,
     zoo_catalog,
 )
-from seqtomo import channels, core, qpt
+from seqtomo import channels, core, pauli, qpt
 from seqtomo.channels import chi_block, chi_diagonal
 from seqtomo.cli import main
 from seqtomo.errors import IndexOutOfRange, SizeLimitExceeded
@@ -372,7 +372,8 @@ class TestCoefficientRoute:
             (qpt.BELL_STACKS * rank + 1, lambda: dcqd_distribution(ch)),
             (channels.DIAGONAL_STACKS * rank + 1, lambda: chi_diagonal(ch)),
             (qpt.HAAR_OPERATORS, lambda: seqpt_exact_average(ch, 5, 7)),
-            (rank + 2, lambda: seqpt_estimate(ch, 5, 7, 2, _PLAN, RandomStream(0))),
+            # the Kraus stack it reads, which the peak does not count, and one operator
+            (rank + 1, lambda: seqpt_estimate(ch, 5, 7, 2, _PLAN, RandomStream(0))),
         ]
         if n == 5:  # the chi routes; one chi takes 16 MB here and 268 MB at n = 6
             chi, chis = kraus_to_chi(ch), 4**n
@@ -400,6 +401,17 @@ class TestCoefficientRoute:
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
+
+    def test_single_entry_routes_build_no_table_over_every_pauli(self):
+        # Each reads two Paulis, so none needs the 4**n index tables or the D×D sign matrix.
+        ch = random_channel(6, 2, np.random.default_rng(6))
+        pauli._tables.cache_clear()
+        seqst_qpt_sample(ch, 5, 7, _PLAN, RandomStream(0))
+        seqst_qpt_exact(ch, 5, 7)
+        chi_block(ch, 5, 7)
+        seqpt_estimate(ch, 5, 7, 2, _PLAN, RandomStream(0))
+        seqpt_exact_average(ch, 5, 7)
+        assert pauli._tables.cache_info().currsize == 0
 
     def test_every_route_refuses_the_rank_64_channel_at_ten_qubits(self, monkeypatch):
         # The same verdicts as for depolarizing⊗3 ⊗ identity(7), without its 1 GiB stack:
