@@ -15,17 +15,14 @@ from .core import (
 )
 from .pauli import pauli_coefficients, pauli_combination, pauli_matrix
 from .channels import (
-    ChiMatrix,
     KrausChannel,
     ValidityReport,
     channel_from_json,
     channel_zoo,
     compose_channels,
     kraus_to_chi,
-    random_channel,
     tensor_channels,
     validate_channel,
-    zoo_catalog,
     zoo_descriptions,
 )
 from .seqst import (
@@ -55,7 +52,6 @@ from . import errors
 
 __all__ = [
     "ATOL",
-    "ChiMatrix",
     "DensityMatrix",
     "Estimate",
     "GateCounts",
@@ -79,7 +75,6 @@ __all__ = [
     "pauli_coefficients",
     "pauli_combination",
     "pauli_matrix",
-    "random_channel",
     "random_density_matrix",
     "sample_categorical",
     "seqpt_estimate",
@@ -92,6 +87,5 @@ __all__ = [
     "tensor",
     "tensor_channels",
     "validate_channel",
-    "zoo_catalog",
     "zoo_descriptions",
 ]

@@ -6,14 +6,15 @@ The chi matrix of a physical channel is Hermitian (hermiticity
 preservation), satisfies sum_mn chi_mn P_n† P_m = I (trace preservation),
 and is positive semidefinite (complete positivity); ``validate_channel``
 reports all three predicates with their numerical residuals and does
-not throw on a malformed matrix, so it can be diagnosed.
+not throw on an unphysical matrix, so it can be diagnosed.
 
 A channel is one read-only (r, D, D) Kraus stack, built once and read as
-it is. Sizes follow the one policy of ``core.check_size``: a Kraus stack is
-rank dense D×D operators, a chi matrix 4**n of them, and each route states
-its peak in these units beside it. Building a channel over the budgets, or
-running a route whose peak would exceed them, raises SizeLimitExceeded
-before anything is allocated.
+it is, and its chi one read-only (4**n, 4**n) array. Sizes follow the one
+policy of ``core.check_size``: a Kraus stack is rank dense D×D operators, a
+chi matrix 4**n of them, and each route states its peak in these units
+beside it. Building a channel over the budgets, or running a route whose
+peak would exceed them, raises SizeLimitExceeded before anything is
+allocated.
 
 Only trace-preserving, dimension-preserving qubit channels are in scope.
 """
@@ -31,13 +32,12 @@ from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
 # Peak working sets, checked by ``core.check_size`` with one operator more
 # for index arrays; tests/test_qpt.py checks each bound. ``chi_diagonal``
 # holds DIAGONAL_STACKS Kraus stacks (tracemalloc: 2.5 to 3.1, n = 5..9,
-# rank 1..16). ``kraus_to_chi`` holds CHI_COPIES chi matrices, as ChiMatrix
-# copies its input, besides the coefficients' stacks (2.0, n = 4..5).
-# ``validate_channel`` holds VALIDITY_CHIS, the chi it is given included,
-# and two operators more, for its index tables and D×D trace (4.0 chi and
-# 1.6 to 2.1 operators, n = 4..5): so n <= 5.
+# rank 1..16). ``kraus_to_chi`` holds the one chi it returns besides the
+# coefficients' stacks (1.0, n = 5..6). ``validate_channel`` holds
+# VALIDITY_CHIS, the chi it is given included, and two operators more, for
+# its index tables and D×D trace (4.0 chi and 1.6 to 2.1 operators,
+# n = 4..5): so n <= 5.
 DIAGONAL_STACKS = 3
-CHI_COPIES = 2
 VALIDITY_CHIS = 4
 
 # Tolerance of the ``validate_channel`` predicates and of the dual-state
@@ -78,33 +78,6 @@ class KrausChannel:
         return f"KrausChannel(n={self.n}, rank={len(self.kraus_ops)})"
 
 
-class ChiMatrix:
-    """A D²×D² process matrix over the Pauli basis, D = 2**n.
-
-    Entry (m, n) multiplies P_m rho P_n† in the channel expansion. The
-    constructor checks the shape only; physicality is assessed by
-    ``validate_channel``.
-    """
-
-    def __init__(self, n: int, entries):
-        if n < 1:
-            raise DimensionMismatch("need at least one qubit")
-        d2 = 4**n
-        m = np.array(np.asarray(entries, dtype=complex))
-        if m.shape != (d2, d2):
-            raise DimensionMismatch(f"chi matrix shape {m.shape} != ({d2}, {d2})")
-        m.setflags(write=False)
-        self.n = n
-        self.entries = m
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
-    def __repr__(self):
-        return f"ChiMatrix(n={self.n})"
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """The three channel predicates with their numerical evidence."""
@@ -131,18 +104,19 @@ class ValidityReport:
         }
 
 
-def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
-    """Expand each Kraus operator over the Pauli basis and form chi.
+def kraus_to_chi(ch: KrausChannel) -> np.ndarray:
+    """Expand each Kraus operator over the Pauli basis and form chi, a read-only (4**n, 4**n) array.
 
     K_k = sum_m c_km P_m with c_km = Tr(P_m† K_k) / D, and
     chi_mn = sum_k c_km conj(c_kn). Over its byte estimate (n >= 7),
     SizeLimitExceeded.
     """
-    check_size("a chi matrix", ch.n, CHI_COPIES * 4**ch.n + DIAGONAL_STACKS * len(ch.kraus_ops) + 1)
+    check_size("a chi matrix", ch.n, 4**ch.n + DIAGONAL_STACKS * len(ch.kraus_ops) + 1)
     # c[k, m] = Tr(P_m K_k) / D  (Pauli matrices are Hermitian)
     c = pauli_coefficients(ch.kraus_ops) / ch.dim
     chi = np.einsum("km,kn->mn", c, c.conj())
-    return ChiMatrix(ch.n, chi)
+    chi.setflags(write=False)
+    return chi
 
 
 def chi_block(ch: KrausChannel, a: int, b: int) -> tuple:
@@ -161,20 +135,25 @@ def chi_diagonal(ch: KrausChannel) -> np.ndarray:
     return np.sum(c.real**2 + c.imag**2, axis=0)
 
 
-def validate_channel(chi: ChiMatrix) -> ValidityReport:
-    """Report hermiticity, trace preservation and complete positivity.
+def validate_channel(chi) -> ValidityReport:
+    """Report hermiticity, trace preservation and complete positivity of a (4**n, 4**n) chi.
 
     Positivity is assessed on the Hermitian part (chi + chi†)/2, so a purely
-    anti-Hermitian defect shows up only in the hermiticity predicate. Over
-    its byte estimate (n >= 6), SizeLimitExceeded.
+    anti-Hermitian defect shows up only in the hermiticity predicate. Any
+    other shape raises DimensionMismatch, and a chi over its byte estimate
+    (n >= 6) SizeLimitExceeded, both from ``np.shape`` alone.
     """
-    check_size("the validity check", chi.n, VALIDITY_CHIS * 4**chi.n + 2)
-    m = chi.entries
+    shape = np.shape(chi)
+    n = (shape[0].bit_length() - 1) // 2 if shape else 0
+    if n < 1 or shape != (4**n, 4**n):
+        raise DimensionMismatch(f"chi must have shape (4**n, 4**n) for some n >= 1, got {shape}")
+    check_size("the validity check", n, VALIDITY_CHIS * 4**n + 2)
+    m = np.asarray(chi, dtype=complex)
     herm_res = float(np.max(np.abs(m - m.conj().T)))
     # With L_a = sum_b chi_ab P_b (pauli_combination(m)), the b = b' trace of
     # [r, b, b', c] = sum_a L_a[r, b] P_a[b', c] is sum_ab chi_ab P_b† P_a.
     tp = np.einsum("rbbc->rc", pauli_combination(np.moveaxis(pauli_combination(m), 0, -1)))
-    tp_res = float(np.max(np.abs(tp - np.eye(chi.dim))))
+    tp_res = float(np.max(np.abs(tp - np.eye(2**n))))
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
     return ValidityReport(
         hermitian=herm_res <= VALIDITY_ATOL,
@@ -287,16 +266,6 @@ def tensor_channels(*factors: KrausChannel) -> KrausChannel:
     return out
 
 
-def random_channel(n: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
-    """A random CPTP channel from normalized Ginibre Kraus operators."""
-    d = 2**n
-    gs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(kraus_rank)]
-    s = sum(g.conj().T @ g for g in gs)
-    vals, vecs = np.linalg.eigh(s)
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.conj().T
-    return KrausChannel(n, [g @ inv_sqrt for g in gs])
-
-
 def zoo_descriptions() -> dict:
     """Name -> parameter description for every zoo channel."""
     return {
@@ -310,36 +279,6 @@ def zoo_descriptions() -> dict:
         "tensor": "factors: list of channel specs",
         "compose": "first, then: channel specs",
     }
-
-
-def zoo_catalog(n: int = 1) -> dict:
-    """Canonical named instances that the tests and the acceptance suite sweep.
-
-    n=1 covers every zoo family; n=2 gives representative products and a
-    two-qubit unitary.
-    """
-    if n == 1:
-        return {
-            "identity": channel_zoo("identity"),
-            "hadamard": channel_zoo("unitary", gate="h"),
-            "bit_flip(0.3)": channel_zoo("bit_flip", p=0.3),
-            "phase_flip(0.3)": channel_zoo("phase_flip", p=0.3),
-            "bit_phase_flip(0.3)": channel_zoo("bit_phase_flip", p=0.3),
-            "depolarizing(0.2)": channel_zoo("depolarizing", p=0.2),
-            "amplitude_damping(0.3)": channel_zoo("amplitude_damping", gamma=0.3),
-        }
-    if n == 2:
-        return {
-            "identity": channel_zoo("identity", n=2),
-            "cnot": channel_zoo("unitary", gate="cnot"),
-            "bit_flip(0.2) ⊗ amplitude_damping(0.4)": tensor_channels(
-                channel_zoo("bit_flip", p=0.2), channel_zoo("amplitude_damping", gamma=0.4)
-            ),
-            "depolarizing(0.5) ⊗ phase_flip(0.1)": tensor_channels(
-                channel_zoo("depolarizing", p=0.5), channel_zoo("phase_flip", p=0.1)
-            ),
-        }
-    raise ParamOutOfRange(f"catalog provided for n in {{1, 2}}, got {n}")
 
 
 # ---------------------------------------------------------------------------

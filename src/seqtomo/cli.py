@@ -297,8 +297,8 @@ def execute(cfg: ExperimentConfig) -> dict:
         oracle = kraus_to_chi(ch)
         return {
             "n": ch.n,
-            "chi": np.stack((chi.entries.real, chi.entries.imag), axis=-1).tolist(),
-            "oracle_max_abs_diff": float(np.max(np.abs(chi.entries - oracle.entries))),
+            "chi": np.stack((chi.real, chi.imag), axis=-1).tolist(),
+            "oracle_max_abs_diff": float(np.max(np.abs(chi - oracle))),
         }
 
     if cfg.protocol == "dcqd-diag":

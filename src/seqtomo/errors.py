@@ -13,10 +13,6 @@ class DimensionMismatch(SeqtomoError):
     """Operands have incompatible dimensions."""
 
 
-class NotCompletelyPositive(SeqtomoError):
-    """A process matrix has a genuinely negative eigenvalue."""
-
-
 class UnknownChannel(SeqtomoError):
     """A channel spec names no zoo channel or a parameter its channel lacks, or is malformed."""
 

@@ -9,7 +9,8 @@ in the orthonormal basis {(P_k ⊗ I)|I>}:
 
 No route forms a dense Pauli (P_m acts by ``pauli.times_pauli``), and none
 builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
-purification sum_k |k> ⊗ (K_k ⊗ I)|I>, and ``_bell_amplitudes`` runs the
+purification sum_k |k> ⊗ (K_k ⊗ I)|I>, each K_k's columns scaled by the
+diagonal of |I> read as a D×D matrix, and ``_bell_amplitudes`` runs the
 gate list of U_Phi† on it with ``core.apply_gates``, the simulator that the
 bases of ``seqst`` run too. U_Phi† turns the Bell-type measurement in
 {(P_m ⊗ I)|I>} into a computational one with amplitudes
@@ -19,7 +20,8 @@ exact dual-state route.
 Four routes to chi coefficients are implemented, each checkable against the
 direct Kraus-to-chi conversion:
 
-- aapt_full_chi: full state tomography of rho_E, chi = Aᵀ conj(A).
+- aapt_full_chi: full state tomography of rho_E, chi = Aᵀ conj(A), one
+  read-only (4**n, 4**n) array like ``channels.kraus_to_chi``'s.
 - dcqd_distribution: the diagonal chi_kk = sum_r |A[r, k]|² as outcome
   probabilities of the Bell-type measurement (DCQD), which
   ``dcqd_sample_rows`` samples.
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, apply_gates, check_size, haar_random_state
-from .channels import CHI_COPIES, VALIDITY_ATOL, ChiMatrix, KrausChannel, chi_block
+from .channels import VALIDITY_ATOL, KrausChannel, chi_block
 from .errors import DimensionMismatch, IndexOutOfRange
 from .estimation import RandomStream, ShotPlan, check_chunks, sample_categorical
 from .pauli import check_indices, pauli_masks, times_pauli
@@ -69,8 +71,8 @@ from .seqst import Estimate, PreparationBasis, fiducial_readout, sample_block
 # purified dual state), of the Bell-basis amplitudes that aapt, DCQD and the
 # SEQST-QPT oracle read; each route budgets one operator more for |Phi> and
 # index arrays. tracemalloc measures 2.1 to 3.1 stacks (n = 5..8, rank
-# 1..16), the most at rank 1. ``aapt_full_chi`` adds channels.CHI_COPIES
-# chi matrices (2.0). ``seqpt_exact_average`` holds K_k P_a, K_k P_b and a
+# 1..16), the most at rank 1. ``aapt_full_chi`` adds the one chi matrix it
+# returns (1.0). ``seqpt_exact_average`` holds K_k P_a, K_k P_b and a
 # product buffer of up to 128 KiB at any rank (2.0 to 3.2, n = 5..10, the
 # most at n = 5). ``seqpt_estimate`` budgets the Kraus stack it reads and one
 # operator; it holds 0.01 to 0.7 (n = 5..10). tests/test_qpt.py checks them.
@@ -95,10 +97,17 @@ def _check_dual_trace(ch: KrausChannel) -> None:
 
 
 def _dual_branches(ch: KrausChannel) -> np.ndarray:
-    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits."""
+    """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits.
+
+    |Phi> as a D×D matrix is diagonal, so each branch scales K_k's columns.
+    A circuit whose |Phi> has weight off the diagonal raises RuntimeError.
+    """
     n, d = ch.n, ch.dim
     phi = entangled_state_circuit(n)[0].factor.reshape(d, d)
-    return (ch.kraus_ops @ phi).reshape((-1,) + (2,) * (2 * n))
+    diagonal = np.diagonal(phi)
+    if np.count_nonzero(phi) != np.count_nonzero(diagonal):
+        raise RuntimeError("the entangling circuit prepared a |Phi> with weight off its diagonal")
+    return (ch.kraus_ops * diagonal).reshape((-1,) + (2,) * (2 * n))
 
 
 def _bell_amplitudes(ch: KrausChannel, indices=None) -> np.ndarray:
@@ -118,11 +127,13 @@ def _bell_amplitudes(ch: KrausChannel, indices=None) -> np.ndarray:
     return amps
 
 
-def aapt_full_chi(ch: KrausChannel) -> ChiMatrix:
-    """The full process matrix chi_mn = <r_m| rho_E |r_n> = sum_k A[k, m] conj(A[k, n]) (``_bell_amplitudes``)."""
-    check_size("the full chi", ch.n, CHI_COPIES * 4**ch.n + BELL_STACKS * len(ch.kraus_ops) + 1)
+def aapt_full_chi(ch: KrausChannel) -> np.ndarray:
+    """The full process matrix chi_mn = <r_m| rho_E |r_n> = sum_k A[k, m] conj(A[k, n]) (``_bell_amplitudes``), read-only."""
+    check_size("the full chi", ch.n, 4**ch.n + BELL_STACKS * len(ch.kraus_ops) + 1)
     amps = _bell_amplitudes(ch)
-    return ChiMatrix(ch.n, amps.T @ amps.conj())
+    chi = amps.T @ amps.conj()
+    chi.setflags(write=False)
+    return chi
 
 
 def dcqd_distribution(ch: KrausChannel) -> np.ndarray:

@@ -7,9 +7,17 @@ from itertools import product
 import numpy as np
 from scipy import stats
 
-from seqtomo import DensityMatrix, KrausChannel, PreparationBasis, maximally_entangled_state, pauli_combination
+from seqtomo import (
+    DensityMatrix,
+    KrausChannel,
+    PreparationBasis,
+    channel_zoo,
+    maximally_entangled_state,
+    pauli_combination,
+    tensor_channels,
+)
 from seqtomo.cli import main
-from seqtomo.errors import DimensionMismatch, NotCompletelyPositive
+from seqtomo.errors import DimensionMismatch, ParamOutOfRange, SeqtomoError
 
 # Eigenvalues of a chi matrix in (CHI_EIG_ZERO_LO, CHI_EIG_ZERO_HI) are
 # treated as numerical zeros when extracting Kraus operators; anything
@@ -54,18 +62,63 @@ def partial_trace(rho: DensityMatrix, dims: tuple, keep: str) -> DensityMatrix:
     return DensityMatrix.from_factor(f.reshape(da, -1) if keep == "A" else f.transpose(1, 0, 2).reshape(db, -1))
 
 
+class NotCompletelyPositive(SeqtomoError):
+    """A process matrix has a genuinely negative eigenvalue."""
+
+
 def chi_to_kraus(chi) -> KrausChannel:
-    """Extract Kraus operators from a positive chi matrix by eigendecomposition.
+    """Extract Kraus operators from a positive (4**n, 4**n) chi matrix by eigendecomposition.
 
     K_k = sqrt(l_k) sum_m v_mk P_m for eigenpairs (l_k, v_k). Eigenvalues in
     the numerical-zero window are dropped; below it, NotCompletelyPositive.
     """
-    herm = (chi.entries + chi.entries.conj().T) / 2
+    herm = (chi + chi.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
     if vals.min() < CHI_EIG_ZERO_LO:
         raise NotCompletelyPositive(f"chi has eigenvalue {vals.min():.3e}")
     keep = vals >= CHI_EIG_ZERO_HI
-    return KrausChannel(chi.n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
+    n = (len(chi).bit_length() - 1) // 2
+    return KrausChannel(n, np.sqrt(vals[keep])[:, None, None] * pauli_combination(vecs[:, keep].T))
+
+
+def random_channel(n: int, kraus_rank: int, rng: np.random.Generator) -> KrausChannel:
+    """A random CPTP channel from normalized Ginibre Kraus operators."""
+    d = 2**n
+    gs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(kraus_rank)]
+    s = sum(g.conj().T @ g for g in gs)
+    vals, vecs = np.linalg.eigh(s)
+    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.conj().T
+    return KrausChannel(n, [g @ inv_sqrt for g in gs])
+
+
+def zoo_catalog(n: int = 1) -> dict:
+    """Canonical named instances that the tests and the acceptance suite sweep.
+
+    n=1 covers every zoo family; n=2 gives representative products and a
+    two-qubit unitary.
+    """
+    if n == 1:
+        return {
+            "identity": channel_zoo("identity"),
+            "hadamard": channel_zoo("unitary", gate="h"),
+            "bit_flip(0.3)": channel_zoo("bit_flip", p=0.3),
+            "phase_flip(0.3)": channel_zoo("phase_flip", p=0.3),
+            "bit_phase_flip(0.3)": channel_zoo("bit_phase_flip", p=0.3),
+            "depolarizing(0.2)": channel_zoo("depolarizing", p=0.2),
+            "amplitude_damping(0.3)": channel_zoo("amplitude_damping", gamma=0.3),
+        }
+    if n == 2:
+        return {
+            "identity": channel_zoo("identity", n=2),
+            "cnot": channel_zoo("unitary", gate="cnot"),
+            "bit_flip(0.2) ⊗ amplitude_damping(0.4)": tensor_channels(
+                channel_zoo("bit_flip", p=0.2), channel_zoo("amplitude_damping", gamma=0.4)
+            ),
+            "depolarizing(0.5) ⊗ phase_flip(0.1)": tensor_channels(
+                channel_zoo("depolarizing", p=0.5), channel_zoo("phase_flip", p=0.1)
+            ),
+        }
+    raise ParamOutOfRange(f"catalog provided for n in {{1, 2}}, got {n}")
 
 
 def apply_kraus(ch, rho) -> DensityMatrix:

@@ -11,10 +11,9 @@ import sys
 import time
 
 import numpy as np
-from conftest import chi_square_pvalue
+from conftest import chi_square_pvalue, random_channel, zoo_catalog
 
 from seqtomo import (
-    ChiMatrix,
     DensityMatrix,
     PreparationBasis,
     RandomStream,
@@ -26,7 +25,6 @@ from seqtomo import (
     haar_random_state,
     kraus_to_chi,
     maximally_entangled_state,
-    random_channel,
     random_density_matrix,
     sample_categorical,
     seqpt_exact_average,
@@ -34,7 +32,6 @@ from seqtomo import (
     seqst_qpt_exact,
     seqst_sample,
     validate_channel,
-    zoo_catalog,
 )
 from seqtomo import qpt
 from seqtomo.seqst import _state_block, ancilla_readout
@@ -68,8 +65,8 @@ def test_criterion_2_protocol_concordance():
     start = time.perf_counter()
     worst = 0.0
     for name, ch in zoo_catalog(1).items():
-        conv = kraus_to_chi(ch).entries
-        full = aapt_full_chi(ch).entries
+        conv = kraus_to_chi(ch)
+        full = aapt_full_chi(ch)
         worst = max(worst, float(np.max(np.abs(full - conv))))
         for a in range(4):
             for b in range(4):
@@ -78,8 +75,8 @@ def test_criterion_2_protocol_concordance():
     rng = np.random.default_rng(202)
     for _ in range(10):
         ch = random_channel(2, int(rng.integers(1, 5)), rng)
-        conv = kraus_to_chi(ch).entries
-        full = aapt_full_chi(ch).entries
+        conv = kraus_to_chi(ch)
+        full = aapt_full_chi(ch)
         worst = max(worst, float(np.max(np.abs(full - conv))))
         for _ in range(40):
             a, b = (int(v) for v in rng.integers(0, 16, size=2))
@@ -95,7 +92,7 @@ def test_criterion_3_dcqd_diagonal():
     worst_sum = 0.0
     channels = list(zoo_catalog(1).items()) + list(zoo_catalog(2).items())
     for name, ch in channels:
-        chi = kraus_to_chi(ch).entries
+        chi = kraus_to_chi(ch)
         vals = np.minimum(dcqd_distribution(ch), 1)
         worst = max(worst, max(abs(v - chi[k, k].real) for k, v in enumerate(vals)))
         worst_sum = max(worst_sum, abs(sum(vals) - 1.0))
@@ -108,7 +105,7 @@ def test_criterion_4_haar_average_identity():
     rng = np.random.default_rng(303)
     single = list(zoo_catalog(1).values()) + [random_channel(1, 3, rng)]
     for ch in single:
-        chi = kraus_to_chi(ch).entries
+        chi = kraus_to_chi(ch)
         for a in range(4):
             for b in range(4):
                 avg_x, avg_y = seqpt_exact_average(ch, a, b)
@@ -116,7 +113,7 @@ def test_criterion_4_haar_average_identity():
                 worst = max(worst, abs(avg_x - (2 * chi[a, b].real + delta) / 3))
                 worst = max(worst, abs(avg_y - 2 * chi[a, b].imag / 3))
     ch2 = random_channel(2, 4, rng)
-    chi2 = kraus_to_chi(ch2).entries
+    chi2 = kraus_to_chi(ch2)
     for _ in range(50):
         a, b = (int(v) for v in rng.integers(0, 16, size=2))
         avg_x, avg_y = seqpt_exact_average(ch2, a, b)
@@ -150,22 +147,22 @@ def test_criterion_6_validity_predicates_and_mutants():
         if not validate_channel(kraus_to_chi(ch)).all_valid:
             issues.append(f"{name} failed validation")
 
-    base = kraus_to_chi(zoo_catalog(1)["depolarizing(0.2)"]).entries.copy()
+    base = kraus_to_chi(zoo_catalog(1)["depolarizing(0.2)"])
 
     # anti-Hermitian defect between anticommuting Paulis: trace preservation
     # and the Hermitian-part spectrum are untouched
     mutant = base.copy()
     mutant[1, 2] += 0.01j
     mutant[2, 1] += 0.01j
-    r = validate_channel(ChiMatrix(1, mutant))
+    r = validate_channel(mutant)
     if not (not r.hermitian and r.trace_preserving and r.completely_positive):
         issues.append(f"non-Hermitian mutant: {r}")
 
-    r = validate_channel(ChiMatrix(1, 0.5 * base))
+    r = validate_channel(0.5 * base)
     if not (r.hermitian and not r.trace_preserving and r.completely_positive):
         issues.append(f"scaled mutant: {r}")
 
-    r = validate_channel(ChiMatrix(1, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)))
+    r = validate_channel(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
     if not (r.hermitian and r.trace_preserving and not r.completely_positive):
         issues.append(f"negative-eigenvalue mutant: {r}")
 

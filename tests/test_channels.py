@@ -2,10 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import apply_kraus, channel_to_json, chi_to_kraus, choi_state, dense_pauli_basis, partial_trace
+from conftest import (
+    NotCompletelyPositive,
+    apply_kraus,
+    channel_to_json,
+    chi_to_kraus,
+    choi_state,
+    dense_pauli_basis,
+    partial_trace,
+    random_channel,
+    zoo_catalog,
+)
 
 from seqtomo import (
-    ChiMatrix,
     DensityMatrix,
     KrausChannel,
     channel_from_json,
@@ -13,15 +22,12 @@ from seqtomo import (
     compose_channels,
     kraus_to_chi,
     maximally_entangled_state,
-    random_channel,
     random_density_matrix,
     tensor_channels,
     validate_channel,
-    zoo_catalog,
 )
 from seqtomo.errors import (
     DimensionMismatch,
-    NotCompletelyPositive,
     ParamOutOfRange,
     SizeLimitExceeded,
     UnknownChannel,
@@ -56,13 +62,13 @@ class TestApply:
 
 class TestConversions:
     def test_identity_chi(self):
-        chi = kraus_to_chi(channel_zoo("identity")).entries
+        chi = kraus_to_chi(channel_zoo("identity"))
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
         np.testing.assert_allclose(chi, want, atol=1e-12)
 
     def test_unitary_x_channel(self):
-        chi = kraus_to_chi(KrausChannel(1, [X])).entries
+        chi = kraus_to_chi(KrausChannel(1, [X]))
         want = np.zeros((4, 4))
         want[1, 1] = 1.0
         np.testing.assert_allclose(chi, want, atol=1e-12)
@@ -70,13 +76,13 @@ class TestConversions:
     @pytest.mark.parametrize("p", [0.1, 0.37, 0.8])
     def test_depolarizing_diagonal(self, p):
         # coefficient-expansion oracle: diag(1 - 3p/4, p/4, p/4, p/4)
-        chi = kraus_to_chi(channel_zoo("depolarizing", p=p)).entries
+        chi = kraus_to_chi(channel_zoo("depolarizing", p=p))
         np.testing.assert_allclose(chi, np.diag([1 - 3 * p / 4, p / 4, p / 4, p / 4]), atol=1e-12)
 
     def test_chi_to_kraus_identity(self):
         chi = np.zeros((4, 4), dtype=complex)
         chi[0, 0] = 1.0
-        ops = chi_to_kraus(ChiMatrix(1, chi)).kraus_ops
+        ops = chi_to_kraus(chi).kraus_ops
         assert len(ops) == 1
         # single Kraus equal to I up to a global phase
         phase = ops[0][0, 0] / abs(ops[0][0, 0])
@@ -84,7 +90,7 @@ class TestConversions:
 
     def test_chi_to_kraus_depolarizing(self):
         p = 0.4
-        chi = ChiMatrix(1, np.diag([1 - 3 * p / 4, p / 4, p / 4, p / 4]).astype(complex))
+        chi = np.diag([1 - 3 * p / 4, p / 4, p / 4, p / 4]).astype(complex)
         ops = chi_to_kraus(chi).kraus_ops
         assert len(ops) == 4
         # eigendecomposition of a diagonal chi: each Kraus is proportional to one Pauli
@@ -95,7 +101,7 @@ class TestConversions:
             assert overlaps[-1] > 1e-8 and overlaps[-2] < 1e-10
 
     def test_negative_chi_rejected(self):
-        chi = ChiMatrix(1, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+        chi = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(NotCompletelyPositive):
             chi_to_kraus(chi)
 
@@ -104,7 +110,7 @@ class TestConversions:
         rng = np.random.default_rng(4)
         chi = kraus_to_chi(ch)
         np.testing.assert_allclose(
-            kraus_to_chi(chi_to_kraus(chi)).entries, chi.entries, atol=1e-8, err_msg=name
+            kraus_to_chi(chi_to_kraus(chi)), chi, atol=1e-8, err_msg=name
         )
         back = chi_to_kraus(chi)
         for _ in range(20):
@@ -137,7 +143,7 @@ class TestChoiState:
     def test_matches_chi_expansion(self):
         # sum_mn chi_mn (P_m ⊗ I)|I><I|(P_n ⊗ I)† reproduces the dual state
         ch = channel_zoo("amplitude_damping", gamma=0.45)
-        chi = kraus_to_chi(ch).entries
+        chi = kraus_to_chi(ch)
         phi = maximally_entangled_state(1).factor[:, 0]
         proj = np.outer(phi, phi.conj())
         basis = dense_pauli_basis(1)
@@ -158,9 +164,27 @@ class TestValidate:
         assert report.tp_residual < 1e-12
         assert report.min_eigenvalue > -1e-12
 
+    @pytest.mark.parametrize(
+        "chi",
+        [np.eye(3), np.zeros((4, 8)), np.eye(2), np.zeros(16), [[1, 0, 0, 0]] * 3, np.complex128(1)],
+        ids=["3x3", "4x8", "2x2", "16", "nested-3x4", "scalar"],
+    )
+    def test_refuses_a_chi_of_no_4n_shape(self, chi):
+        with pytest.raises(DimensionMismatch, match="shape"):
+            validate_channel(chi)
+
+    def test_refuses_a_shape_before_its_size(self):
+        # 2**13 rows, no power of four: its shape is refused before the budgets would be.
+        with pytest.raises(DimensionMismatch):
+            validate_channel(np.broadcast_to(np.complex128(0), (2**13, 2**13)))
+
+    def test_takes_a_nested_list(self):
+        chi = kraus_to_chi(channel_zoo("amplitude_damping", gamma=0.3))
+        assert validate_channel(chi.tolist()) == validate_channel(chi)
+
     def test_scaled_chi_breaks_trace_preservation(self):
         chi = kraus_to_chi(channel_zoo("identity"))
-        report = validate_channel(ChiMatrix(1, 0.5 * chi.entries))
+        report = validate_channel(0.5 * chi)
         assert report.hermitian and report.completely_positive
         assert not report.trace_preserving
         assert abs(report.tp_residual - 0.5) < 1e-12
@@ -283,7 +307,7 @@ class TestSerialization:
     def test_zoo_spec_round_trip(self):
         ch = channel_from_json({"name": "depolarizing", "params": {"p": 0.2}})
         np.testing.assert_allclose(
-            kraus_to_chi(ch).entries, np.diag([0.85, 0.05, 0.05, 0.05]), atol=1e-12
+            kraus_to_chi(ch), np.diag([0.85, 0.05, 0.05, 0.05]), atol=1e-12
         )
 
     def test_explicit_kraus_round_trip(self):

@@ -307,7 +307,7 @@ class TestRun:
         assert run_cli(args, out) == 0
         rows = list(csv.reader(out.read_text().splitlines()[2:]))
         assert rows[0] == ["m", "n", "label_m", "label_n", "re", "im"]
-        chi = kraus_to_chi(channel_zoo("amplitude_damping", gamma=0.3)).entries
+        chi = kraus_to_chi(channel_zoo("amplitude_damping", gamma=0.3))
         cells = [[str(m), str(k), a, b] for m, a in enumerate("IXYZ") for k, b in enumerate("IXYZ")]
         assert [row[:4] for row in rows[1:]] == cells
         got = np.array([complex(float(re), float(im)) for *_, re, im in rows[1:]]).reshape(4, 4)

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import random_channel
 
 from seqtomo import (
     PreparationBasis,
@@ -10,7 +11,6 @@ from seqtomo import (
     chernoff_plan,
     channel_zoo,
     dcqd_distribution,
-    random_channel,
     random_density_matrix,
     sample_categorical,
     seqpt_estimate,

@@ -6,10 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import channel_to_json, chi_square_pvalue, choi_basis, choi_state, dense_pauli_basis, estimate_block
+from conftest import (
+    channel_to_json,
+    chi_square_pvalue,
+    choi_basis,
+    choi_state,
+    dense_pauli_basis,
+    estimate_block,
+    random_channel,
+    zoo_catalog,
+)
 
 from seqtomo import (
-    ChiMatrix,
     KrausChannel,
     RandomStream,
     aapt_full_chi,
@@ -20,7 +28,6 @@ from seqtomo import (
     haar_random_state,
     kraus_to_chi,
     maximally_entangled_state,
-    random_channel,
     seqpt_estimate,
     seqpt_exact_average,
     seqst_exact,
@@ -29,7 +36,6 @@ from seqtomo import (
     seqst_sample,
     tensor_channels,
     validate_channel,
-    zoo_catalog,
 )
 from seqtomo import channels, core, pauli, qpt
 from seqtomo.channels import chi_block, chi_diagonal
@@ -65,14 +71,14 @@ class TestChoiBasis:
 
 class TestAapt:
     def test_identity_channel(self):
-        chi = aapt_full_chi(channel_zoo("identity")).entries
+        chi = aapt_full_chi(channel_zoo("identity"))
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
         np.testing.assert_allclose(chi, want, atol=1e-12)
 
     def test_unitary_z_channel(self):
         z = np.diag([1.0, -1.0]).astype(complex)
-        chi = aapt_full_chi(KrausChannel(1, [z])).entries
+        chi = aapt_full_chi(KrausChannel(1, [z]))
         want = np.zeros((4, 4))
         want[3, 3] = 1.0
         np.testing.assert_allclose(chi, want, atol=1e-12)
@@ -80,11 +86,11 @@ class TestAapt:
     def test_matches_conversion_oracle(self):
         ch = channel_zoo("amplitude_damping", gamma=0.3)
         np.testing.assert_allclose(
-            aapt_full_chi(ch).entries, kraus_to_chi(ch).entries, atol=1e-8
+            aapt_full_chi(ch), kraus_to_chi(ch), atol=1e-8
         )
 
     def test_size_limit(self):
-        # Two chi matrices of 4 GiB each at n = 7; the CLI's report refuses n = 5 already.
+        # One chi matrix of 4 GiB at n = 7; the CLI's report refuses n = 5 already.
         with pytest.raises(SizeLimitExceeded):
             aapt_full_chi(channel_zoo("identity", n=7))
 
@@ -103,7 +109,7 @@ class TestDcqdDiagonal:
 
     @pytest.mark.parametrize("name,ch", list(zoo_catalog(1).items()) + list(zoo_catalog(2).items()))
     def test_sums_to_one_and_matches_aapt(self, name, ch):
-        chi = aapt_full_chi(ch).entries
+        chi = aapt_full_chi(ch)
         vals = np.minimum(dcqd_distribution(ch), 1)
         assert abs(sum(vals) - 1.0) < 1e-8, name
         for k, v in enumerate(vals):
@@ -192,13 +198,13 @@ class TestSeqstQpt:
         ch = channel_zoo("unitary", gate="h")
         got = seqst_qpt_exact(ch, 1, 3)
         assert abs(got - 0.5) < 1e-10
-        assert abs(kraus_to_chi(ch).entries[1, 3] - 0.5) < 1e-12
+        assert abs(kraus_to_chi(ch)[1, 3] - 0.5) < 1e-12
 
     def test_random_channels_match_conversion(self):
         rng = np.random.default_rng(30)
         for n in (1, 2):
             ch = random_channel(n, 3, rng)
-            chi = kraus_to_chi(ch).entries
+            chi = kraus_to_chi(ch)
             for _ in range(6):
                 a, b = (int(v) for v in rng.integers(0, 4**n, size=2))
                 assert abs(seqst_qpt_exact(ch, a, b) - chi[a, b]) < 1e-8
@@ -307,7 +313,7 @@ class TestGateLevelOracle:
         rng = np.random.default_rng(80 + n)
         d2 = 4**n
         for ch in oracle_channels(n, rng):
-            chi = kraus_to_chi(ch).entries
+            chi = kraus_to_chi(ch)
             diag = int(rng.integers(d2))
             pairs = [(0, 0), (diag, diag), (d2 - 1, 1)]
             pairs += [tuple(int(v) for v in rng.integers(0, d2, size=2)) for _ in range(4)]
@@ -331,7 +337,7 @@ class TestCoefficientRoute:
     def test_block_matches_conversion(self, n):
         rng = np.random.default_rng(60 + n)
         for ch in oracle_channels(n, rng):
-            chi = kraus_to_chi(ch).entries
+            chi = kraus_to_chi(ch)
             pairs = [(0, 0), (4**n - 1, 1)] + [tuple(int(v) for v in rng.integers(0, 4**n, 2)) for _ in range(4)]
             for a, b in pairs:
                 got = chi_block(ch, a, b)
@@ -378,10 +384,11 @@ class TestCoefficientRoute:
         if n == 5:  # the chi routes; one chi takes 16 MB here and 268 MB at n = 6
             chi, chis = kraus_to_chi(ch), 4**n
             routes += [
-                (channels.CHI_COPIES * chis + channels.DIAGONAL_STACKS * rank + 1, lambda: kraus_to_chi(ch)),
+                # one chi, the one returned: a copy of it would not fit
+                (chis + channels.DIAGONAL_STACKS * rank + 1, lambda: kraus_to_chi(ch)),
                 # the estimate counts the chi it is given, which the peak does not
                 ((channels.VALIDITY_CHIS - 1) * chis + 2, lambda: validate_channel(chi)),
-                (channels.CHI_COPIES * chis + qpt.BELL_STACKS * rank + 1, lambda: aapt_full_chi(ch)),
+                (chis + qpt.BELL_STACKS * rank + 1, lambda: aapt_full_chi(ch)),
             ]
         for operators, route in routes:
             assert self.peak(route) <= operators * 16 * 4**n
@@ -391,9 +398,13 @@ class TestCoefficientRoute:
         [(kraus_to_chi, 6), (aapt_full_chi, 6), (functools.partial(seqpt_exact_average, a=5, b=7), 10), (validate_channel, 5)],
     )
     def test_chi_routes_refuse_one_qubit_past_their_ceiling_before_allocating(self, monkeypatch, route, ceiling):
-        # The estimates read only n and the rank, so a one-qubit argument stands in for one on more qubits.
-        arg = ChiMatrix(1, np.eye(4)) if route is validate_channel else KrausChannel(1, [np.eye(2)])
-        monkeypatch.setattr(arg, "n", ceiling + 1)
+        # The estimates read only n and the rank, so a one-qubit channel stands in for one on more
+        # qubits, and a chi broadcast from one zero for a chi with memory behind it.
+        if route is validate_channel:
+            arg = np.broadcast_to(np.complex128(0), (4 ** (ceiling + 1),) * 2)
+        else:
+            arg = KrausChannel(1, [np.eye(2)])
+            monkeypatch.setattr(arg, "n", ceiling + 1)
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitExceeded):
@@ -453,9 +464,9 @@ class TestBellRoute:
     @pytest.mark.parametrize("n", [1, 2])
     def test_aapt_matches_dense_route_and_conversion(self, n):
         for ch in oracle_channels(n, np.random.default_rng(90 + n)):
-            got = aapt_full_chi(ch).entries
+            got = aapt_full_chi(ch)
             np.testing.assert_allclose(got, self.dense_chi(ch), rtol=0, atol=1e-13, err_msg=repr(ch))
-            np.testing.assert_allclose(got, kraus_to_chi(ch).entries, rtol=0, atol=1e-13, err_msg=repr(ch))
+            np.testing.assert_allclose(got, kraus_to_chi(ch), rtol=0, atol=1e-13, err_msg=repr(ch))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dcqd_matches_dense_route_and_conversion(self, n):
@@ -463,7 +474,7 @@ class TestBellRoute:
             got = dcqd_distribution(ch)
             dense = self.dense_chi(ch).diagonal().real
             np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13, err_msg=repr(ch))
-            np.testing.assert_allclose(got, kraus_to_chi(ch).entries.diagonal().real, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got, kraus_to_chi(ch).diagonal().real, rtol=0, atol=1e-13)
 
     def test_dcqd_at_six_qubits_without_the_dense_dual_state(self):
         ch = random_channel(6, 2, np.random.default_rng(97))
@@ -484,6 +495,24 @@ class TestBellRoute:
             dcqd_distribution(ch)
         with pytest.raises(ValueError):
             aapt_full_chi(ch)
+
+    @pytest.mark.parametrize("route", [kraus_to_chi, aapt_full_chi])
+    def test_chi_is_one_read_only_array(self, route):
+        chi = route(random_channel(2, 2, np.random.default_rng(99)))
+        assert type(chi) is np.ndarray and chi.dtype == complex and chi.shape == (16, 16)
+        assert not chi.flags.writeable
+        with pytest.raises(ValueError):
+            chi[0, 0] = 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_routes_refuse_a_circuit_that_drops_a_cnot(self, monkeypatch, n):
+        # Without its last CNOT, U_Phi leaves weight off the diagonal of |Phi> as a D×D matrix.
+        gates = qpt._entangling_gates
+        monkeypatch.setattr(qpt, "_entangling_gates", lambda k: gates(k)[:-1])
+        ch = random_channel(n, 2, np.random.default_rng(n))
+        for route in (aapt_full_chi, dcqd_distribution, lambda c: seqst_qpt_exact(c, 1, 2)):
+            with pytest.raises(RuntimeError, match="off its diagonal"):
+                route(ch)
 
 
 class TestTraceTolerance:
@@ -634,7 +663,7 @@ class TestSeqptAverages:
     def test_single_qubit_exhaustive_identity_with_conversion(self):
         rng = np.random.default_rng(44)
         ch = random_channel(1, 3, rng)
-        chi = kraus_to_chi(ch).entries
+        chi = kraus_to_chi(ch)
         d = 2
         for a in range(4):
             for b in range(4):
@@ -646,7 +675,7 @@ class TestSeqptAverages:
     def test_two_qubit_random_pairs(self):
         rng = np.random.default_rng(45)
         ch = random_channel(2, 4, rng)
-        chi = kraus_to_chi(ch).entries
+        chi = kraus_to_chi(ch)
         d = 4
         for _ in range(50):
             a, b = (int(v) for v in rng.integers(0, 16, size=2))
@@ -793,7 +822,7 @@ class TestSeqptEstimate:
         # pooled outcomes across states still satisfy the Hoeffding budget,
         # inflated by the (D+1)/D inversion factor
         ch = channel_zoo("depolarizing", p=0.3)
-        chi = kraus_to_chi(ch).entries
+        chi = kraus_to_chi(ch)
         plan = chernoff_plan(0.2, 0.05)
         bound = 0.2 * 1.5  # (D+1)/D = 3/2 at one qubit
         covered = 0
@@ -822,8 +851,8 @@ class TestSeqptEstimate:
 class TestConcordance:
     @pytest.mark.parametrize("name,ch", list(zoo_catalog(1).items()))
     def test_three_routes_agree_single_qubit(self, name, ch):
-        conv = kraus_to_chi(ch).entries
-        aapt = aapt_full_chi(ch).entries
+        conv = kraus_to_chi(ch)
+        aapt = aapt_full_chi(ch)
         np.testing.assert_allclose(aapt, conv, atol=1e-8, err_msg=name)
         selective = np.array([[seqst_qpt_exact(ch, a, b) for b in range(4)] for a in range(4)])
         np.testing.assert_allclose(selective, conv, atol=1e-8, err_msg=name)
