@@ -43,7 +43,7 @@ PROTOCOLS = {
     "dcqd-diag --a 1": (10, lambda n: ["--channel", _channel(n), "--a", "1"]),
     "seqst-qpt": (10, lambda n: ["--channel", _channel(n), "--a", "1", "--b", "2"]),
     "seqpt": (10, lambda n: ["--channel", _channel(n), "--a", "1", "--b", "2", "--n-states", "10"]),
-    "validate": (5, lambda n: ["--channel", _channel(n)]),
+    "validate": (10, lambda n: ["--channel", _channel(n)]),
 }
 # The largest deviation an oracle check may report.
 ORACLE_TOL = 1e-9

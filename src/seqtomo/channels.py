@@ -4,9 +4,15 @@ A channel acts as E(rho) = sum_k K_k rho K_k†, or equivalently as
 E(rho) = sum_mn chi_mn P_m rho P_n† over the n-qubit Pauli basis {P_m}.
 The chi matrix of a physical channel is Hermitian (hermiticity
 preservation), satisfies sum_mn chi_mn P_n† P_m = I (trace preservation),
-and is positive semidefinite (complete positivity); ``validate_channel``
-reports all three predicates with their numerical residuals and does
-not throw on an unphysical matrix, so it can be diagnosed.
+and is positive semidefinite (complete positivity). Both routes to these
+predicates report them with their numerical residuals and do not throw on
+an unphysical channel, so it can be diagnosed. ``KrausChannel.validity``
+reads them from the Kraus stack without forming chi: chi = A A† for
+A[m, k] = Tr(P_m K_k)/D, so trace preservation is sum_k K_k† K_k = I and
+the nonzero spectrum of chi is that of the r×r Gram A† A. The CLI's
+``validate`` runs it. ``validate_channel`` judges a chi from outside the
+program on the dense (4**n, 4**n) matrix, and is the tests' reference for
+``validity``.
 
 A channel is one read-only (r, D, D) Kraus stack, built once and read as
 it is, and its chi one read-only (4**n, 4**n) array. Sizes follow the one
@@ -33,15 +39,21 @@ from .pauli import pauli_coefficient, pauli_coefficients, pauli_combination
 # for index arrays; tests/test_qpt.py checks each bound. ``chi_diagonal``
 # holds DIAGONAL_STACKS Kraus stacks (tracemalloc: 2.5 to 3.1, n = 5..9,
 # rank 1..16). ``kraus_to_chi`` holds the one chi it returns besides the
-# coefficients' stacks (1.0, n = 5..6). ``validate_channel`` holds
-# VALIDITY_CHIS, the chi it is given included, and two operators more, for
-# its index tables and D×D trace (4.0 chi and 1.6 to 2.1 operators,
-# n = 4..5): so n <= 5.
+# coefficients' stacks (1.0, n = 5..6). ``KrausChannel.validity`` holds
+# VALIDITY_STACKS Kraus stacks: three operators for the sum of K_k† K_k
+# (3.0 stacks at rank 1, n = 5..9), then a few copies of the Gram of the
+# stack's smaller side, min(r, 4**n)² entries, which is at most one stack
+# (3.1 to 4.4 stacks at r = 4**n, n = 2..4, and less on either side).
+# Only ``validate_channel``, for a chi from outside the program, is sized
+# in chi matrices: VALIDITY_CHIS, the chi it is given included, and two
+# operators more, for its index tables and D×D trace (4.0 chi and 1.6 to
+# 2.1 operators, n = 4..5): so n <= 5.
 DIAGONAL_STACKS = 3
+VALIDITY_STACKS = 5
 VALIDITY_CHIS = 4
 
-# Tolerance of the ``validate_channel`` predicates and of the dual-state
-# trace check in ``qpt``, so both call the same channels trace-preserving.
+# Tolerance of the validity predicates and of the dual-state trace check
+# in ``qpt``, so both call the same channels trace-preserving.
 VALIDITY_ATOL = 1e-9
 
 
@@ -70,9 +82,44 @@ class KrausChannel:
         return 2**self.n
 
     def completeness_residual(self) -> float:
-        """Max-norm deviation of sum_k K_k† K_k from the identity."""
-        s = sum(k.conj().T @ k for k in self.kraus_ops)
-        return float(np.max(np.abs(s - np.eye(self.dim))))
+        """Max-norm deviation of sum_k K_k† K_k from the identity, summed in place: three D×D operators."""
+        s = np.zeros((self.dim, self.dim), dtype=complex)
+        for k in self.kraus_ops:
+            s += k.conj().T @ k
+        s.flat[:: self.dim + 1] -= 1
+        return float(np.max(np.abs(s)))
+
+    def validity(self) -> "ValidityReport":
+        """The three predicates of this channel's chi, read from the Kraus stack without forming chi.
+
+        With S the stack as r rows of D² entries and A[m, k] = Tr(P_m K_k)/D,
+        chi = A A† is unitarily similar to Sᵀ S̄/D, so sum_ab chi_ab P_b† P_a is
+        sum_k K_k† K_k (``completeness_residual``), and chi's nonzero spectrum
+        is that of the r×r Gram S̄ Sᵀ/D, G_kl = Tr(K_k† K_l)/D. Positivity is
+        read on the Hermitian part of the smaller of the two: G for r < 4**n,
+        where chi has 4**n - r more zero eigenvalues, else Sᵀ S̄/D. The
+        hermiticity residual is max |G - G†| of the matrix computed. Over its
+        byte estimate, SizeLimitExceeded before anything is allocated.
+        """
+        r, chis = len(self.kraus_ops), 4**self.n
+        check_size("the validity check", self.n, VALIDITY_STACKS * r + 1)
+        tp_res = self.completeness_residual()
+        flat = self.kraus_ops.reshape(r, -1)
+        if r < chis:
+            # Row k is Tr(K_k† K_l) over every l, one operator conjugated at a time.
+            gram = np.empty((r, r), dtype=complex)
+            for k, op in enumerate(flat):
+                np.matmul(flat, op.conj(), out=gram[k])
+        else:
+            # Sᵀ S̄ summed over blocks of 4**n operators, one block conjugated at a time.
+            gram = np.zeros((chis, chis), dtype=complex)
+            for start in range(0, r, chis):
+                block = flat[start : start + chis]
+                gram += block.T @ block.conj()
+        gram /= self.dim
+        herm_res = float(np.max(np.abs(gram - gram.conj().T)))
+        min_eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0])
+        return ValidityReport.from_residuals(herm_res, tp_res, min(min_eig, 0.0) if r < chis else min_eig)
 
     def __repr__(self):
         return f"KrausChannel(n={self.n}, rank={len(self.kraus_ops)})"
@@ -88,6 +135,18 @@ class ValidityReport:
     tp_residual: float
     completely_positive: bool
     min_eigenvalue: float
+
+    @classmethod
+    def from_residuals(cls, hermitian_residual: float, tp_residual: float, min_eigenvalue: float) -> "ValidityReport":
+        """The verdicts of both validity routes: each residual held to VALIDITY_ATOL."""
+        return cls(
+            hermitian=hermitian_residual <= VALIDITY_ATOL,
+            hermitian_residual=hermitian_residual,
+            trace_preserving=tp_residual <= VALIDITY_ATOL,
+            tp_residual=tp_residual,
+            completely_positive=min_eigenvalue >= -VALIDITY_ATOL,
+            min_eigenvalue=min_eigenvalue,
+        )
 
     @property
     def all_valid(self) -> bool:
@@ -140,10 +199,15 @@ def validate_channel(chi) -> ValidityReport:
 
     Positivity is assessed on the Hermitian part (chi + chi†)/2, so a purely
     anti-Hermitian defect shows up only in the hermiticity predicate. Any
-    other shape raises DimensionMismatch, and a chi over its byte estimate
-    (n >= 6) SizeLimitExceeded, both from ``np.shape`` alone.
+    other shape, a ragged nested sequence included, raises DimensionMismatch,
+    and a chi over its byte estimate (n >= 6) SizeLimitExceeded, both from
+    ``np.shape`` alone. A channel held as Kraus operators is judged by
+    ``KrausChannel.validity``, which forms no chi.
     """
-    shape = np.shape(chi)
+    try:
+        shape = np.shape(chi)
+    except ValueError:  # numpy refuses the shape of a ragged nested sequence
+        raise DimensionMismatch("chi must have shape (4**n, 4**n) for some n >= 1, got a ragged sequence") from None
     n = (shape[0].bit_length() - 1) // 2 if shape else 0
     if n < 1 or shape != (4**n, 4**n):
         raise DimensionMismatch(f"chi must have shape (4**n, 4**n) for some n >= 1, got {shape}")
@@ -155,14 +219,7 @@ def validate_channel(chi) -> ValidityReport:
     tp = np.einsum("rbbc->rc", pauli_combination(np.moveaxis(pauli_combination(m), 0, -1)))
     tp_res = float(np.max(np.abs(tp - np.eye(2**n))))
     min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-    return ValidityReport(
-        hermitian=herm_res <= VALIDITY_ATOL,
-        hermitian_residual=herm_res,
-        trace_preserving=tp_res <= VALIDITY_ATOL,
-        tp_residual=tp_res,
-        completely_positive=min_eig >= -VALIDITY_ATOL,
-        min_eigenvalue=min_eig,
-    )
+    return ValidityReport.from_residuals(herm_res, tp_res, min_eig)
 
 
 # ---------------------------------------------------------------------------

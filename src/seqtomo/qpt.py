@@ -89,7 +89,8 @@ class GateCounts:
 def _check_dual_trace(ch: KrausChannel) -> None:
     """ValueError unless the dual state's trace Tr(sum_k K_k† K_k)/D is within VALIDITY_ATOL of 1.
 
-    That deviation is at most ``validate_channel``'s trace-preservation residual.
+    That deviation is at most the channel's ``completeness_residual``, the
+    trace-preservation residual that ``KrausChannel.validity`` reports.
     """
     trace = np.vdot(ch.kraus_ops, ch.kraus_ops).real / ch.dim
     if abs(trace - 1.0) > VALIDITY_ATOL:

@@ -26,6 +26,7 @@ from seqtomo import (
     tensor_channels,
     validate_channel,
 )
+from seqtomo import channels
 from seqtomo.errors import (
     DimensionMismatch,
     ParamOutOfRange,
@@ -166,8 +167,8 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "chi",
-        [np.eye(3), np.zeros((4, 8)), np.eye(2), np.zeros(16), [[1, 0, 0, 0]] * 3, np.complex128(1)],
-        ids=["3x3", "4x8", "2x2", "16", "nested-3x4", "scalar"],
+        [np.eye(3), np.zeros((4, 8)), np.eye(2), np.zeros(16), [[1, 0, 0, 0]] * 3, np.complex128(1), [[1, 0, 0, 0]] * 3 + [[1, 0]]],
+        ids=["3x3", "4x8", "2x2", "16", "nested-3x4", "scalar", "ragged"],
     )
     def test_refuses_a_chi_of_no_4n_shape(self, chi):
         with pytest.raises(DimensionMismatch, match="shape"):
@@ -204,6 +205,50 @@ class TestValidate:
         ops[0] = ops[0] + 0.05 * np.array([[0, 0], [1, 0]], dtype=complex)
         report = validate_channel(kraus_to_chi(KrausChannel(1, ops)))
         assert not report.all_valid
+
+
+def cross_check_channels():
+    """Channels whose rank falls below, at and above 4**n, and one that is not trace-preserving."""
+    out = all_zoo_channels()
+    depol = channel_zoo("depolarizing", p=0.2)
+    deep = depol
+    for _ in range(5):
+        deep = compose_channels(deep, depol)
+    out += [
+        ("depolarizing∘depolarizing", compose_channels(depol, depol)),  # r = 16 > 4**1
+        ("depolarizing composed six deep", deep),  # r = 4096, where the 4×4 side is read
+        ("amplitude_damping ⊗ depolarizing", tensor_channels(channel_zoo("amplitude_damping", gamma=0.3), depol)),
+        ("0.9 I", KrausChannel(1, [0.9 * I2])),
+    ]
+    out += [
+        (f"ginibre n={n} r={r}", random_channel(n, r, np.random.default_rng(100 * n + r)))
+        for n in (1, 2, 3)
+        for r in range(1, 21)
+    ]
+    return out
+
+
+class TestValidityFromKraus:
+    """``KrausChannel.validity`` against the dense ``validate_channel`` of ``kraus_to_chi``."""
+
+    @pytest.mark.parametrize("name,ch", cross_check_channels())
+    def test_matches_the_dense_route(self, name, ch):
+        got, want = ch.validity(), validate_channel(kraus_to_chi(ch))
+        assert (got.hermitian, got.trace_preserving, got.completely_positive) == (
+            want.hermitian,
+            want.trace_preserving,
+            want.completely_positive,
+        )
+        for field in ("hermitian_residual", "tp_residual", "min_eigenvalue"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+
+    def test_forms_no_chi(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("validity formed a chi")
+
+        for name in ("kraus_to_chi", "validate_channel", "pauli_coefficients", "pauli_combination"):
+            monkeypatch.setattr(channels, name, refuse)
+        assert channel_zoo("amplitude_damping", gamma=0.3).validity().all_valid
 
 
 class TestZoo:

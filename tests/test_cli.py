@@ -658,23 +658,23 @@ class TestConfigHandling:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["config"]["workers"] == 100000000
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["validate", "--channel", "identity:n=7"],
-            ["validate", "--channel", "identity:n=9"],
-        ],
-    )
-    def test_chi_over_the_dense_budget_exits_three_without_traceback(self, args):
-        # a 4 GiB (n = 7) or 1 TiB (n = 9) chi is refused before it is allocated
+    @pytest.mark.parametrize("n, code", [(7, 0), (9, 0), (11, 3)])
+    def test_validate_runs_to_the_kraus_budget_and_exits_three_past_it(self, n, code):
+        # validate forms no chi, which would take 4 GiB at n = 7 and 1 TiB at n = 9; at n = 11
+        # the Kraus stack itself is over the budgets and refused before it is allocated
         proc = subprocess.run(
-            [sys.executable, "-m", "seqtomo.cli", *args], capture_output=True, text=True, timeout=30
+            [sys.executable, "-m", "seqtomo.cli", "validate", "--channel", f"identity:n={n}"],
+            capture_output=True,
+            text=True,
+            timeout=30,
         )
-        n = int(args[-1].split("=")[1])
-        assert proc.returncode == 3
+        assert proc.returncode == code
         assert "Traceback" not in proc.stderr
-        assert f"the validity check of {channels.VALIDITY_CHIS * 4**n + 2} operator(s) on {n} qubits" in proc.stderr
-        assert proc.stdout == ""
+        if code:
+            assert f"a Kraus stack of 1 operator(s) on {n} qubits" in proc.stderr
+            assert proc.stdout == ""
+        else:
+            assert json.loads(proc.stdout)["results"]["all_valid"] is True
 
     def test_dual_state_over_the_byte_bound_exits_three_without_traceback(self):
         # depolarizing(0.3)⊗3 ⊗ identity(7): a 1 GiB Kraus stack of rank 64 on 10 qubits,
@@ -741,14 +741,14 @@ class Reached(Exception):
         raise cls
 
 
-# The ceilings that a report's rows or a chi-sized working set set: each
-# protocol's argv on n qubits, its largest n, and the route the CLI must
-# not reach past it.
+# The ceilings that a report's rows, a chi-sized working set or a Kraus
+# stack set: each protocol's argv on n qubits, its largest n, and the route
+# the CLI must not reach past it, with the namespace it is looked up in.
 CEILINGS = {
-    "aapt": ("run --protocol aapt --channel identity:n={n}", 4, "aapt_full_chi"),
-    "validate": ("validate --channel identity:n={n}", 5, "kraus_to_chi"),
-    "standard-qst": ('run --protocol standard-qst --state {"kind":"zero","n":{n}}', 9, "standard_pauli_qst"),
-    "dcqd-diag": ("run --protocol dcqd-diag --target all-diagonal --channel identity:n={n}", 9, "chi_diagonal"),
+    "aapt": ("run --protocol aapt --channel identity:n={n}", 4, (cli, "aapt_full_chi")),
+    "validate": ("validate --channel identity:n={n}", 10, (channels.KrausChannel, "validity")),
+    "standard-qst": ('run --protocol standard-qst --state {"kind":"zero","n":{n}}', 9, (cli, "standard_pauli_qst")),
+    "dcqd-diag": ("run --protocol dcqd-diag --target all-diagonal --channel identity:n={n}", 9, (cli, "chi_diagonal")),
 }
 
 
@@ -759,8 +759,8 @@ class TestCeilings:
 
     @pytest.mark.parametrize("protocol", sorted(CEILINGS))
     def test_one_qubit_past_the_ceiling_is_refused_before_the_route(self, monkeypatch, capsys, protocol):
-        _, ceiling, route = CEILINGS[protocol]
-        monkeypatch.setattr(cli, route, Reached.stub)
+        _, ceiling, (owner, route) = CEILINGS[protocol]
+        monkeypatch.setattr(owner, route, Reached.stub)
         with pytest.raises(Reached):
             main(self.argv(protocol, ceiling))
         assert main(self.argv(protocol, ceiling + 1)) == 3

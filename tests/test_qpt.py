@@ -380,6 +380,7 @@ class TestCoefficientRoute:
             (qpt.HAAR_OPERATORS, lambda: seqpt_exact_average(ch, 5, 7)),
             # the Kraus stack it reads, which the peak does not count, and one operator
             (rank + 1, lambda: seqpt_estimate(ch, 5, 7, 2, _PLAN, RandomStream(0))),
+            (channels.VALIDITY_STACKS * rank + 1, ch.validity),
         ]
         if n == 5:  # the chi routes; one chi takes 16 MB here and 268 MB at n = 6
             chi, chis = kraus_to_chi(ch), 4**n
@@ -392,6 +393,12 @@ class TestCoefficientRoute:
             ]
         for operators, route in routes:
             assert self.peak(route) <= operators * 16 * 4**n
+
+    @pytest.mark.parametrize("n, rank", [(2, 15), (2, 16), (2, 64), (3, 63), (3, 64), (3, 200), (4, 256)])
+    def test_validity_gram_stays_within_its_estimate_near_rank_4n(self, n, rank):
+        # Near r = 4**n the Gram of the stack's smaller side, not the sum of K_k† K_k, sets the peak.
+        ch = random_channel(n, rank, np.random.default_rng(n + rank))
+        assert self.peak(ch.validity) <= (channels.VALIDITY_STACKS * rank + 1) * 16 * 4**n
 
     @pytest.mark.parametrize(
         "route, ceiling",
@@ -435,6 +442,7 @@ class TestCoefficientRoute:
             lambda: dcqd_distribution(ch),
             lambda: chi_diagonal(ch),
             lambda: seqpt_estimate(ch, 0, 0, 1, _PLAN, RandomStream(0)),
+            ch.validity,
         ):
             with pytest.raises(SizeLimitExceeded):
                 route()
