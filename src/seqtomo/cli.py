@@ -392,8 +392,10 @@ def _json_values(values: list, level: int) -> list:
     Siblings are rendered together: scalars of one exact type in one C-level
     map; same-length lists flattened, rendered as one batch and regrouped by
     a ``%`` template; dicts with the same str keys one sorted key column at a
-    time. Anything else goes through json one value at a time; as strings
-    hold no raw newline, json's output is indented by prefixing its newlines.
+    time, and a lone dict in one pass over its cells, scalars spelled on the
+    spot (no cell but a float's reads nan or ±inf). Anything else goes
+    through json one value at a time; as strings hold no raw newline, json's
+    output is indented by prefixing its newlines.
     """
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
@@ -411,6 +413,12 @@ def _json_values(values: list, level: int) -> list:
         keys = keysets.pop() if len(keysets) == 1 else ()
         if keys and all(type(key) is str for key in keys):
             keys = tuple(sorted(keys))
+            if len(values) == 1:
+                cells = []
+                for v in map(values[0].__getitem__, keys):
+                    render = _SCALARS.get(type(v))
+                    cells.append(_json_values([v], level + 1)[0] if render is None else render(v))
+                return [_template(level, keys) % tuple(map(_FLOAT_WORDS.get, cells, cells))]
             columns = [_json_values(list(map(itemgetter(key), values)), level + 1) for key in keys]
             return list(map(_template(level, keys).__mod__, zip(*columns)))
     if len(values) > 1:

@@ -84,7 +84,7 @@ class RandomStream:
 def sample_categorical(probs, m: int, stream: RandomStream, workers: int = 1) -> np.ndarray:
     """Draw m outcomes from a categorical distribution; return per-category tallies.
 
-    probs must sum to 1 within 1e-9; entries down to -1e-12 are clamped to 0.
+    probs must sum to 1 within 1e-9 (a NaN fails); entries down to -1e-12 are clamped to 0.
     One worker draws all m from ``stream``. With k > 1 workers the m draws
     are split into k near-equal chunks and chunk w draws from
     ``stream.substream(w)``; tallies add commutatively, so the result is
@@ -100,11 +100,14 @@ def sample_categorical(probs, m: int, stream: RandomStream, workers: int = 1) ->
     p = np.asarray(probs, dtype=float)
     if m < 0:
         raise InvalidDistribution(f"shot count must be nonnegative, got {m}")
-    if np.any(p < -1e-12):
-        raise InvalidDistribution(f"negative probability {p.min()}")
-    p = np.clip(p, 0.0, None)
+    # Two reductions: initial=0.0 lets an empty vector reach the sum check.
+    low = p.min(initial=0.0)
+    if low < -1e-12:
+        raise InvalidDistribution(f"negative probability {low}")
+    if low < 0.0:
+        p = np.maximum(p, 0.0)
     total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise InvalidDistribution(f"probabilities sum to {total}, not 1")
     if m == 0:
         return np.zeros(p.size, dtype=np.int64)

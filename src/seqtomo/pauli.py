@@ -12,7 +12,9 @@ Y or Z), qubit 0 the most significant bit, and, as in Aaronson & Gottesman
 
 That fixes the sign convention of the package: Y = iXZ = [[0, -i], [i, 0]].
 Chosen Paulis cost O(D) each and build no table: their (x, z, phase) come
-from the index bits and the sign row (-1)^{|z∧j|} from one parity rule.
+from the index bits, decoded as Python ints by the one bit rule that the
+tables run on an index array, and the sign row (-1)^{|z∧j|} from one
+parity rule.
 ``times_pauli`` is A·P_m as a gather of columns (``pauli_matrix`` is that
 gather on I), and ``pauli_coefficient`` takes chosen Tr(P_m A) from D
 entries each. Only ``pauli_coefficients`` (every Tr(P_m A)),
@@ -52,10 +54,12 @@ def pauli_word(n: int, m: int) -> str:
     return np.base_repr(m, 4).rjust(n, "0").translate(_DIGITS)
 
 
+_PHASES = np.array([1, 1j, -1, -1j])  # i^k for k = |x∧z| mod 4
+
+
 def _masks(n: int, m) -> tuple:
-    """(x, z, phase) of an index or index array m, from its bits: base-4 digit q, from the last, is mask bit q."""
-    m = np.asarray(m)
-    x, z, ys = np.zeros_like(m), np.zeros_like(m), np.zeros_like(m)
+    """(x, z, |x∧z|) of an index m, a Python int or an int array, from its bits: base-4 digit q, from the last, is mask bit q."""
+    x = z = ys = 0
     for q in range(n):
         digit = (m >> 2 * q) & 3
         zq = digit >> 1
@@ -63,7 +67,7 @@ def _masks(n: int, m) -> tuple:
         x |= xq << q
         z |= zq << q
         ys += xq & zq
-    return x, z, np.array([1, 1j, -1, -1j])[ys % 4]
+    return x, z, ys
 
 
 def _signs(n: int, z) -> np.ndarray:
@@ -85,21 +89,29 @@ def _tables(n: int) -> tuple:
     """
     check_indices(n)
     m = np.arange(4**n)
-    x, z, phase = _masks(n, m)
+    x, z, ys = _masks(n, m)
     index = np.empty((2**n, 2**n), dtype=m.dtype)
     index[x, z] = m
-    tables = (x, z, phase, index, _signs(n, np.arange(2**n)))
+    tables = (x, z, _PHASES[ys % 4], index, _signs(n, np.arange(2**n)))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 def pauli_masks(n: int, m=None) -> tuple:
-    """(x, z, phase) of the indices m from their bits, or of all 4**n from the tables: P_m = phase X^x Z^z."""
+    """(x, z, phase) of the indices m, or of all 4**n from the tables: P_m = phase X^x Z^z.
+
+    Chosen indices are decoded as Python ints, skipping numpy's per-call
+    price; x and z take the dtype and shape of ``np.asarray(m)``.
+    """
     if m is None:
         return _tables(n)[:3]
-    check_indices(n, *np.ravel(m))
-    return _masks(n, m)
+    m = np.asarray(m)
+    ms = m.ravel().tolist()
+    check_indices(n, *ms)
+    decoded = np.array([_masks(n, k) for k in ms], dtype=m.dtype).reshape(len(ms), 3)
+    x, z, ys = (column.reshape(m.shape) for column in decoded.T)
+    return x, z, _PHASES[ys % 4]
 
 
 def _qubits(size: int, base: int) -> int:

@@ -10,7 +10,8 @@ in the orthonormal basis {(P_k ⊗ I)|I>}:
 No route forms a dense Pauli (P_m acts by ``pauli.times_pauli``), and none
 builds the D²×D² matrix rho_E: ``_dual_branches`` holds its
 purification sum_k |k> ⊗ (K_k ⊗ I)|I>, each K_k's columns scaled by the
-diagonal of |I> read as a D×D matrix, and ``_bell_amplitudes`` runs the
+diagonal of |I> read as a D×D matrix (prepared by the gate list once per
+circuit and n, ``_phi_diagonal``), and ``_bell_amplitudes`` runs the
 gate list of U_Phi† on it with ``core.apply_gates``, the simulator that the
 bases of ``seqst`` run too. U_Phi† turns the Bell-type measurement in
 {(P_m ⊗ I)|I>} into a computational one with amplitudes
@@ -57,6 +58,7 @@ allocated, when that peak would exceed the budgets.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,18 +99,30 @@ def _check_dual_trace(ch: KrausChannel) -> None:
         raise ValueError(f"dual state trace {trace} deviates from 1: the channel is not trace-preserving")
 
 
+@lru_cache(maxsize=16)
+def _phi_diagonal(n: int, gates: tuple) -> np.ndarray:
+    """The read-only diagonal of |Phi> = U_Phi|0...0> as a D×D matrix, with U_Phi the list ``gates`` on 2n qubits.
+
+    Memoized per (n, gates), so each circuit runs once per process and a
+    changed list runs anew. A |Phi> with weight off its diagonal raises
+    RuntimeError, which is never memoized.
+    """
+    d = 2**n
+    phi = PreparationBasis(2 * n, gates).element(0).factor.reshape(d, d)
+    diagonal = np.diagonal(phi).copy()
+    if np.count_nonzero(phi) != np.count_nonzero(diagonal):
+        raise RuntimeError("the entangling circuit prepared a |Phi> with weight off its diagonal")
+    diagonal.setflags(write=False)
+    return diagonal
+
+
 def _dual_branches(ch: KrausChannel) -> np.ndarray:
     """The purified dual state: branch k is (K_k ⊗ I)|Phi>, a (r, 2, ..., 2) tensor over 2n qubits.
 
-    |Phi> as a D×D matrix is diagonal, so each branch scales K_k's columns.
-    A circuit whose |Phi> has weight off the diagonal raises RuntimeError.
+    |Phi> as a D×D matrix is diagonal (``_phi_diagonal``), so each branch scales K_k's columns.
     """
-    n, d = ch.n, ch.dim
-    phi = entangled_state_circuit(n)[0].factor.reshape(d, d)
-    diagonal = np.diagonal(phi)
-    if np.count_nonzero(phi) != np.count_nonzero(diagonal):
-        raise RuntimeError("the entangling circuit prepared a |Phi> with weight off its diagonal")
-    return (ch.kraus_ops * diagonal).reshape((-1,) + (2,) * (2 * n))
+    diagonal = _phi_diagonal(ch.n, tuple(_entangling_gates(ch.n)))
+    return (ch.kraus_ops * diagonal).reshape((-1,) + (2,) * (2 * ch.n))
 
 
 def _bell_amplitudes(ch: KrausChannel, indices=None) -> np.ndarray:

@@ -151,11 +151,11 @@ def _prepared(rho: DensityMatrix, basis: PreparationBasis, *indices) -> np.ndarr
 def fiducial_readout(t: np.ndarray) -> complex:
     """Tr(rho_F P_0 ⊗ X) + i Tr(rho_F P_0 ⊗ Y) from the ancilla block t[c, c'] = Tr(block(c, c') P_0).
 
-    Tr(rho_F P_0 ⊗ s) = sum t[c, c'] s[c', c] for each ancilla Pauli s.
+    Tr(rho_F P_0 ⊗ s) = sum t[c, c'] s[c', c] for each ancilla Pauli s: t01 + t10
+    for X and i (t01 - t10) for Y, read in scalar complex arithmetic.
     """
-    x = np.sum(t * GATES["x"].T)
-    y = np.sum(t * GATES["y"].T)
-    return complex(x.real, y.real)
+    t01, t10 = t.item(0, 1), t.item(1, 0)
+    return complex(t01.real + t10.real, t10.imag - t01.imag)
 
 
 def ancilla_readout(block: tuple, axis: str) -> tuple:

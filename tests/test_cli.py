@@ -110,6 +110,14 @@ class TestRun:
         res = load_json(tmp_path / "report.json")["results"]
         assert res["circuit_exact"] == pytest.approx(res["exact"], abs=1e-13)
 
+    def test_two_seqst_qpt_runs_prepare_phi_once(self, tmp_path, monkeypatch):
+        qpt._phi_diagonal.cache_clear()
+        preparations = self.spy(monkeypatch, qpt, "PreparationBasis")
+        args = ["run", "--protocol", "seqst-qpt", "--channel", "bit_flip:p=0.3", "--a", "1", "--b", "2"]
+        for seed in ("1", "2"):
+            assert run_cli(args + ["--seed", seed], tmp_path / "report.json") == 0
+        assert preparations == [(2, tuple(qpt._entangling_gates(1)))]
+
     def test_seqst_qpt_within_planned_precision(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(
@@ -885,6 +893,23 @@ class TestJsonWriter:
 
     def test_int_keys_sort_as_json_does(self):
         value = {"rows": [{2: 0.5, 10: None}, {2: 1.5, 10: True}], "x": {}}
+        assert render_report(value, "json") == json_reference(value)
+
+    # A lone dict renders its scalar cells in one pass and its nested values through the batched paths.
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"f": 0.1, "i": -(2**70), "s": 'a"%s\\né', "t": True, "u": False, "z": None, "e": "", "g": 1e300},
+            {"nan": float("nan"), "inf": float("inf"), "ninf": -float("inf"), "neg0": -0.0, "np": np.float64(2.5)},
+            {"word": "nan", "int": 0, "inf": "inf", "%": "%s"},
+            {"list": [1, 2.5, None], "dict": {"b": [float("nan")], "a": {"c": -float("inf")}}, "x": 1},
+            {"empty_list": [], "empty_dict": {}, "rows": [{"k": 1}, {"k": 2}], "mixed": [1, "a", [2]]},
+            {1: "one", 10: 2.0, 2: None},
+            {"outer": {3: True, 20: [0.5]}, "v": -0.0},
+        ],
+        ids=["scalars", "float-words", "words-in-strings", "nested", "empties", "int-keys", "int-keys-nested"],
+    )
+    def test_single_dict_cells_match_json_dumps(self, value):
         assert render_report(value, "json") == json_reference(value)
 
     @pytest.mark.parametrize(

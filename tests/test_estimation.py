@@ -100,6 +100,28 @@ class TestSampleCategorical:
         with pytest.raises(InvalidDistribution):
             sample_categorical([0.5, 0.4], 10, RandomStream(0))
 
+    def test_negative_past_the_tolerance_is_refused_with_the_minimum(self):
+        with pytest.raises(InvalidDistribution, match=r"negative probability -2e-12$"):
+            sample_categorical([0.5, -2e-12, 0.5], 10, RandomStream(0))
+
+    def test_negative_within_the_tolerance_is_clamped_on_the_same_stream(self):
+        probs = [0.25, -5e-13, 0.75 + 5e-13]
+        clamped = np.array([0.25, 0.0, 0.75 + 5e-13])
+        want = RandomStream(11, (3,)).generator().multinomial(1000, clamped / clamped.sum())
+        tallies = sample_categorical(probs, 1000, RandomStream(11, (3,)))
+        np.testing.assert_array_equal(tallies, want)
+        assert tallies.tolist() == [266, 0, 734]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("probs", [[float("nan"), 1.0], [0.5, float("nan"), 0.5]])
+    def test_nan_probability_fails_the_sum_check(self, probs, workers):
+        with pytest.raises(InvalidDistribution, match="sum to nan"):
+            sample_categorical(probs, 10, RandomStream(0), workers)
+
+    def test_empty_vector_fails_the_sum_check(self):
+        with pytest.raises(InvalidDistribution, match="sum to 0.0"):
+            sample_categorical([], 10, RandomStream(0))
+
     def test_determinism(self):
         a = sample_categorical([0.3, 0.3, 0.4], 1000, RandomStream(7, (2,)))
         b = sample_categorical([0.3, 0.3, 0.4], 1000, RandomStream(7, (2,)))

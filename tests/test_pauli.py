@@ -114,6 +114,66 @@ class TestGather:
             pauli_masks(2, [3, 16])
 
 
+def masks_from_word(n, m):
+    """(x, z, phase) spelled from ``pauli_word``'s letters: X and Y set x, Y and Z set z, phase i^{#Y}; qubit 0 is bit n - 1."""
+    word = pauli_word(n, m)
+    x = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c in "XY")
+    z = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c in "YZ")
+    return x, z, 1j ** word.count("Y")
+
+
+class TestChosenMasks:
+    """Chosen indices are decoded as Python ints; the 4**n tables run the same bit rule on an array."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_index_matches_the_tables_and_the_letters(self, n):
+        tables = pauli_masks(n)
+        everything = pauli_masks(n, np.arange(4**n))
+        for got, want in zip(everything, tables):
+            np.testing.assert_array_equal(got, want)
+        for m in range(4**n):
+            x, z, phase = pauli_masks(n, m)
+            assert (x, z, phase) == (tables[0][m], tables[1][m], tables[2][m])
+            assert (x, z, phase) == masks_from_word(n, m)
+
+    @pytest.mark.parametrize("m", [4**31 - 1, 4**31 - 2, 2 * 4**30, 0x2D2D2D2D2D2D2D2D, 0])
+    def test_indices_at_thirty_one_qubits_match_the_letters(self, m):
+        x, z, phase = pauli_masks(31, m)
+        assert x.dtype == z.dtype == np.int64
+        assert (int(x), int(z), complex(phase)) == masks_from_word(31, m)
+
+    @pytest.mark.parametrize(
+        "m, dtype, shape",
+        [
+            (5, np.int64, ()),
+            (np.int64(5), np.int64, ()),
+            (np.int32(5), np.int32, ()),
+            ((1, 2), np.int64, (2,)),
+            ([3, 9, 60], np.int64, (3,)),
+            (np.array([0, 5, 63], dtype=np.int32), np.int32, (3,)),
+            (np.array([1, 2], dtype=np.uint64), np.uint64, (2,)),
+            (np.array([[1, 2], [3, 4]]), np.int64, (2, 2)),
+        ],
+        ids=["int", "int64", "int32", "tuple", "list", "int32-array", "uint64-array", "2d-array"],
+    )
+    def test_input_kinds_keep_their_dtype_and_shape(self, m, dtype, shape):
+        x, z, phase = pauli_masks(3, m)
+        for mask in (x, z):
+            assert type(mask) is np.ndarray and mask.dtype == dtype and mask.shape == shape
+        assert np.shape(phase) == shape and np.asarray(phase).dtype == complex
+        if shape == ():
+            assert type(phase) is np.complex128  # a numpy scalar, as indexing the tables gives
+        tables = pauli_masks(3)
+        flat = np.ravel(m).astype(int)
+        for got, want in zip((x, z, phase), tables):
+            np.testing.assert_array_equal(np.ravel(got), want[flat])
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, -1), (31, 4**31), (31, [0, 4**31])])
+    def test_refuses_an_index_outside_the_basis(self, n, m):
+        with pytest.raises(IndexOutOfRange):
+            pauli_masks(n, m)
+
+
 class TestCoefficients:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_dense_traces(self, n):

@@ -522,6 +522,18 @@ class TestBellRoute:
             with pytest.raises(RuntimeError, match="off its diagonal"):
                 route(ch)
 
+    def test_a_dropped_cnot_is_refused_after_a_good_run_at_the_same_n(self, monkeypatch):
+        # |Phi> is memoized by its gate list, so a patched list is run anew, and a refusal is never memoized.
+        ch = random_channel(2, 2, np.random.default_rng(7))
+        good = seqst_qpt_exact(ch, 1, 2)
+        gates = qpt._entangling_gates
+        monkeypatch.setattr(qpt, "_entangling_gates", lambda k: gates(k)[:-1])
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="off its diagonal"):
+                seqst_qpt_exact(ch, 1, 2)
+        monkeypatch.undo()
+        assert seqst_qpt_exact(ch, 1, 2) == good
+
 
 class TestTraceTolerance:
     """The dual-state routes accept every channel that ``validate`` calls trace-preserving."""
