@@ -1248,15 +1248,18 @@ CONFIGS = st.builds(
     JUNK,
 )
 
+# Each command that reads a config file, with the flags it needs besides.
+COMMANDS = [["run"], ["validate"], ["sweep", "--axis", "seed", "--values", "1,2"]]
+
 
 class TestJunkInput:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(config=CONFIGS, command=st.sampled_from(["run", "validate"]))
+    @given(config=CONFIGS, command=st.sampled_from(COMMANDS))
     def test_config_files_end_in_a_documented_exit(self, tmp_path, config, command):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main([command, "--config", str(path)]) in (0, 2, 3)
+            assert main([*command, "--config", str(path)]) in (0, 2, 3)
 
     @settings(max_examples=150, deadline=None)
     @given(channel=CHANNEL_SPECS, state=STATE_SPECS, basis=BASIS_SPECS, protocol=st.sampled_from(cli.PROTOCOLS))

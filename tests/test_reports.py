@@ -3,21 +3,27 @@
 ``data/reports.json`` holds, for each case, the argv of one ``seqtomo run``
 and the text it printed. Integers and strings must match exactly, floats to
 1e-12, and ``timing_seconds`` is ignored. The cases cover all seven
-protocols at n <= 3, ``--workers 3`` and one ``--format csv`` run. A change
-that alters a report on purpose re-pins the data with
+protocols at n <= 3, ``--workers 3``, and ``--format csv`` for every
+protocol. A change that alters a report on purpose re-pins the cases it
+alters, by id:
 
-    PYTHONPATH=src python tests/test_reports.py
+    PYTHONPATH=src python tests/test_reports.py CASE_ID [CASE_ID ...]
+
+With no id, every case is re-pinned, which also rewrites the cases listed in
+``CHANGED``. A new case is added by appending its ``id`` and ``argv`` to the
+data and re-pinning that id, which fills in its ``output``.
 """
 
 import contextlib
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from seqtomo.cli import main
+from seqtomo.cli import PROTOCOLS, main
 
 DATA = Path(__file__).parent / "data" / "reports.json"
 FLOAT_TOL = 1e-12
@@ -96,15 +102,25 @@ def test_report_matches_golden(case):
     assert differences(got, parse_output(case["output"])) == CHANGED.get(case["id"], [])
 
 
+def flag(argv: list, name: str):
+    """The value after ``name`` in ``argv``, or None if the flag is absent."""
+    return argv[argv.index(name) + 1] if name in argv else None
+
+
 def test_cases_cover_every_protocol_workers_and_csv():
     argvs = [c["argv"] for c in CASES]
-    protocols = {argv[argv.index("--protocol") + 1] for argv in argvs}
-    assert protocols == {"seqst-state", "standard-qst", "aapt", "dcqd-diag", "seqst-qpt", "seqpt", "validate"}
+    protocols = {flag(argv, "--protocol") for argv in argvs}
+    csv_protocols = {flag(argv, "--protocol") for argv in argvs if flag(argv, "--format") == "csv"}
+    assert protocols == csv_protocols == set(PROTOCOLS)
     assert any("--workers" in argv for argv in argvs)
-    assert any("--format" in argv and argv[argv.index("--format") + 1] == "csv" for argv in argvs)
 
 
 if __name__ == "__main__":
+    ids = set(sys.argv[1:])
+    unknown = ids - {case["id"] for case in CASES}
+    if unknown:
+        sys.exit(f"no case with id(s) {sorted(unknown)}")
     for case in CASES:
-        case["output"] = run_argv(case["argv"])
+        if not ids or case["id"] in ids:
+            case["output"] = run_argv(case["argv"])
     DATA.write_text(json.dumps(CASES, indent=1) + "\n")
