@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
-Every protocol is a subcommand target; each run writes a machine-readable
-report carrying the estimates, the exact oracle values recomputed in the
-same run, absolute errors, shot counts, wall-clock timing, the fully
-resolved configuration and the library version. Runs are deterministic for
-a fixed config and seed (only the timing field varies).
+A protocol is one entry of the runner table: the fields it reads, its run,
+its CSV rows and, for a single-target sampler, its sweep view. A report
+carries the estimates, the exact oracle values recomputed in the same run,
+absolute errors, shot counts, timing, the resolved config and the library
+version; only its timing varies between runs of one config and seed.
 
 Subcommands:
     run       execute one experiment from a config file and/or flags
@@ -46,20 +46,6 @@ from .qpt import (
     seqst_qpt_sample,
 )
 from .seqst import Estimate, PreparationBasis, seqst_exact, seqst_sample, standard_pauli_qst
-
-# The spec and index fields each protocol reads. epsilon, delta, seed,
-# workers, out and format are run-wide; target is checked on its own.
-_READS = {
-    "seqst-state": ("state", "basis", "a", "b"),
-    "standard-qst": ("state",),
-    "aapt": ("channel",),
-    "dcqd-diag": ("channel", "a"),
-    "seqst-qpt": ("channel", "a", "b"),
-    "seqpt": ("channel", "a", "b", "n_states"),
-    "validate": ("channel",),
-}
-PROTOCOLS = tuple(_READS)
-
 
 @dataclass
 class ExperimentConfig:
@@ -204,19 +190,27 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _validate_indices(cfg: ExperimentConfig, size: int, what: str) -> None:
-    if cfg.target == "all-diagonal":
-        return
-    _require(cfg.a is not None, f"protocol {cfg.protocol} needs index a (or target=all-diagonal)")
-    _require(0 <= cfg.a < size, f"index a={cfg.a} outside [0, {size}) for {what}")
-    if "b" in _READS[cfg.protocol]:
-        _require(cfg.b is not None, f"protocol {cfg.protocol} needs index b")
-        _require(0 <= cfg.b < size, f"index b={cfg.b} outside [0, {size}) for {what}")
+def _check_indices(cfg: ExperimentConfig, size: int, what: str) -> None:
+    """Refuse an index a or b that the protocol reads but is missing or outside [0, size); all-diagonal reads none."""
+    for key, hint in (("a", " (or target=all-diagonal)"), ("b", "")) if cfg.target != "all-diagonal" else ():
+        if key in _RUNNERS[cfg.protocol].reads:
+            value = getattr(cfg, key)
+            _require(value is not None, f"protocol {cfg.protocol} needs index {key}{hint}")
+            _require(0 <= value < size, f"index {key}={value} outside [0, {size}) for {what}")
 
 
 # ---------------------------------------------------------------------------
 # Protocol execution
 # ---------------------------------------------------------------------------
+
+
+class _Runner(typing.NamedTuple):
+    """One protocol. Its functions call the library through this module's globals, which tests and tracers replace."""
+
+    reads: tuple  # the spec and index fields it reads; the others are run-wide
+    run: typing.Callable  # (cfg, plan, stream) -> results, after execute's run-wide checks
+    rows: typing.Callable  # results -> the CSV header, then the rows
+    sweep: typing.Callable | None = None  # results -> (estimate, exact, m)
 
 
 def _pair(z: complex) -> list:
@@ -227,9 +221,157 @@ def _plan_json(plan: ShotPlan, seed: int) -> dict:
     return {"epsilon": plan.epsilon, "delta": plan.delta, "m": plan.m, "seed": seed}
 
 
-def _estimate_json(est: Estimate, **fields) -> dict:
-    """A report's ``estimate`` block: the sampled value and its standard errors, beside ``fields``."""
-    return {"re": est.value.real, "im": est.value.imag, "se_re": est.se_re, "se_im": est.se_im, **fields}
+def _sampled_results(n: int, est: Estimate, exact: complex, plan: ShotPlan, seed: int, **fields) -> dict:
+    """The results of one sampled entry: its estimate block with ``fields``, the exact value, the error and the plan."""
+    estimate = {"re": est.value.real, "im": est.value.imag, "se_re": est.se_re, "se_im": est.se_im, "seed": seed}
+    return {
+        "n": n,
+        "estimate": estimate | fields,
+        "exact": _pair(exact),
+        "abs_error": abs(est.value - exact),
+        "plan": _plan_json(plan, seed),
+    }
+
+
+def _columns(key: str, *columns: str) -> typing.Callable:
+    """The CSV rows of the list of dicts under ``key`` in the results: ``columns``, then those of each dict."""
+    return lambda res: chain([columns], map(itemgetter(*columns), res[key]))
+
+
+def _estimate_rows(res: dict) -> list:
+    est = res["estimate"]
+    row = [est["re"], est["im"], est["se_re"], est["se_im"], *res["exact"], res["abs_error"], res["plan"]["m"]]
+    return [("re", "im", "se_re", "se_im", "exact_re", "exact_im", "abs_error", "m"), row]
+
+
+def _estimate_view(res: dict) -> tuple:
+    return complex(res["estimate"]["re"], res["estimate"]["im"]), complex(*res["exact"]), res["plan"]["m"]
+
+
+def _run_seqst_state(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    rho = build_state(cfg.state)
+    n = int(np.log2(rho.dim))
+    basis = build_basis(cfg.basis, n)
+    _check_indices(cfg, basis.dim, "the state basis")
+    est = seqst_sample(rho, basis, cfg.a, cfg.b, plan, stream, cfg.workers)
+    exact = seqst_exact(rho, basis, cfg.a, cfg.b)
+    tallies = dict(zip("xy", map(list, est.tallies)))
+    results = _sampled_results(n, est, exact, plan, cfg.seed, a=cfg.a, b=cfg.b, m_shots=plan.m, tallies=tallies)
+    return {"basis": basis.name} | results
+
+
+def _run_standard_qst(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    n = _state_qubits(cfg.state)
+    check_size("the standard-qst report", n, rows=4**n)
+    pairs = standard_pauli_qst(build_state(cfg.state))
+    return {"n": n, "expectations": [{"label": word, "value": val} for word, val in pairs]}
+
+
+def _run_aapt(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    ch = channel_from_json(cfg.channel)
+    check_size("the aapt report", ch.n, rows=16**ch.n)
+    chi = aapt_full_chi(ch)
+    oracle = kraus_to_chi(ch)
+    return {
+        "n": ch.n,
+        "chi": np.stack((chi.real, chi.imag), axis=-1).tolist(),
+        "oracle_max_abs_diff": float(np.max(np.abs(chi - oracle))),
+    }
+
+
+def _chi_rows(res: dict):
+    cells = product(enumerate(pauli_labels(res["n"])), repeat=2)
+    rows = ((m, k, lm, lk, re, im) for ((m, lm), (k, lk)), (re, im) in zip(cells, chain.from_iterable(res["chi"])))
+    return chain([("m", "n", "label_m", "label_n", "re", "im")], rows)
+
+
+def _run_dcqd_diag(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    ch = channel_from_json(cfg.channel)
+    _check_indices(cfg, 4**ch.n, "the Pauli basis")
+    ks = range(4**ch.n) if cfg.target else [cfg.a]  # target is all-diagonal or None here
+    check_size("the dcqd-diag report", ch.n, rows=len(ks))
+    # The oracle first: its byte estimate is the larger, so a refusal comes before any work.
+    oracle = chi_diagonal(ch)
+    probs = dcqd_distribution(ch)
+    # The distribution the rows are drawn from; each exact chi_kk is reported clamped at 1.
+    diagonal = np.minimum(probs, 1.0)
+    labels = pauli_labels(ch.n) if cfg.target else {cfg.a: pauli_word(ch.n, cfg.a)}
+    payload = []
+    for k, freq, err in dcqd_sample_rows(probs, ks, plan, stream, cfg.workers):
+        exact = float(diagonal[k])
+        payload.append(
+            {
+                "k": k,
+                "label": labels[k],
+                "exact": exact,
+                "frequency": freq,
+                "stderr": err,
+                "abs_error": abs(freq - exact),
+            }
+        )
+    return {
+        "n": ch.n,
+        "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle))),
+        "plan": _plan_json(plan, cfg.seed),
+        "diagonal": payload,
+    }
+
+
+def _diagonal_view(res: dict) -> tuple:
+    (r,) = res["diagonal"]
+    return complex(r["frequency"], 0.0), complex(r["exact"], 0.0), res["plan"]["m"]
+
+
+def _run_seqst_qpt(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    ch = channel_from_json(cfg.channel)
+    _check_indices(cfg, 4**ch.n, "the Pauli basis")
+    results = {"circuit_exact": _pair(seqst_qpt_exact(ch, cfg.a, cfg.b))}
+    est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
+    return results | _chi_entry_results(cfg, ch, plan, est)
+
+
+def _run_seqpt(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    ch = channel_from_json(cfg.channel)
+    _check_indices(cfg, 4**ch.n, "the Pauli basis")
+    _require(cfg.n_states is not None and cfg.n_states >= 1, "protocol seqpt needs n_states >= 1")
+    # The estimate first: its size check refuses a Kraus stack before the oracle's r products run.
+    est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
+    avg_x, avg_y = seqpt_exact_average(ch, cfg.a, cfg.b)
+    return {"exact_average": {"x": avg_x, "y": avg_y}} | _chi_entry_results(cfg, ch, plan, est)
+
+
+def _chi_entry_results(cfg: ExperimentConfig, ch, plan: ShotPlan, est: Estimate) -> dict:
+    """The results seqst-qpt and seqpt share: the sampled chi_ab beside the exact one."""
+    exact = chi_block(ch, cfg.a, cfg.b)[2]
+    a, b = pauli_word(ch.n, cfg.a), pauli_word(ch.n, cfg.b)
+    shots = 2 * (cfg.n_states or 1) * plan.m  # m runs per axis of each input state
+    return _sampled_results(ch.n, est, exact, plan, cfg.seed, protocol=cfg.protocol.upper(), a=a, b=b, shots=shots)
+
+
+def _run_validate(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) -> dict:
+    # Read from the Kraus stack, which sizes itself before it allocates: no chi is formed.
+    ch = channel_from_json(cfg.channel)
+    report = ch.validity()
+    return {"n": ch.n, "validity": report.to_json(), "all_valid": report.all_valid}
+
+
+def _validity_rows(res: dict) -> list:
+    v = res["validity"]
+    evidence = {"hermitian": "residual", "trace_preserving": "residual", "completely_positive": "min_eigenvalue"}
+    return [("predicate", "ok", "evidence"), *((name, v[name]["ok"], v[name][key]) for name, key in evidence.items())]
+
+
+_DIAGONAL = ("k", "label", "exact", "frequency", "stderr")
+_RUNNERS = {
+    "seqst-state": _Runner(("state", "basis", "a", "b"), _run_seqst_state, _estimate_rows, _estimate_view),
+    "standard-qst": _Runner(("state",), _run_standard_qst, _columns("expectations", "label", "value")),
+    "aapt": _Runner(("channel",), _run_aapt, _chi_rows),
+    "dcqd-diag": _Runner(("channel", "a"), _run_dcqd_diag, _columns("diagonal", *_DIAGONAL), _diagonal_view),
+    "seqst-qpt": _Runner(("channel", "a", "b"), _run_seqst_qpt, _estimate_rows, _estimate_view),
+    "seqpt": _Runner(("channel", "a", "b", "n_states"), _run_seqpt, _estimate_rows, _estimate_view),
+    "validate": _Runner(("channel",), _run_validate, _validity_rows),
+}
+PROTOCOLS = tuple(_RUNNERS)
 
 
 def execute(cfg: ExperimentConfig) -> dict:
@@ -245,110 +387,14 @@ def execute(cfg: ExperimentConfig) -> dict:
         _require(cfg.a is None, "target=all-diagonal reads no index a")
     else:
         _require(cfg.target is None, f"target must be all, all-diagonal or omitted, got {cfg.target!r}")
-    reads = _READS[cfg.protocol]
+    reads = _RUNNERS[cfg.protocol].reads
     given = [key for key in ("channel", "state", "basis", "a", "b", "n_states") if getattr(cfg, key) is not None]
     unread = [key for key in given if key not in reads]
     _require(not unread, f"protocol {cfg.protocol} reads no {', '.join(unread)}")
     stream = RandomStream(cfg.seed)
-
-    if "channel" in reads:
-        _require(cfg.channel is not None, f"protocol {cfg.protocol} needs a channel spec")
-        ch = channel_from_json(cfg.channel)
-    else:
-        _require(cfg.state is not None, f"protocol {cfg.protocol} needs a state spec")
-        if cfg.protocol == "standard-qst":
-            n = _state_qubits(cfg.state)
-            check_size("the standard-qst report", n, rows=4**n)
-        rho = build_state(cfg.state)
-
-    if cfg.protocol == "validate":
-        # Read from the Kraus stack, which sizes itself before it allocates: no chi is formed.
-        report = ch.validity()
-        return {"n": ch.n, "validity": report.to_json(), "all_valid": report.all_valid}
-
-    if cfg.protocol == "standard-qst":
-        pairs = standard_pauli_qst(rho)
-        return {
-            "n": int(np.log2(rho.dim)),
-            "expectations": [{"label": word, "value": val} for word, val in pairs],
-        }
-
-    if cfg.protocol == "seqst-state":
-        n = int(np.log2(rho.dim))
-        basis = build_basis(cfg.basis, n)
-        _validate_indices(cfg, basis.dim, "the state basis")
-        est = seqst_sample(rho, basis, cfg.a, cfg.b, plan, stream, cfg.workers)
-        exact = seqst_exact(rho, basis, cfg.a, cfg.b)
-        tallies = dict(zip("xy", map(list, est.tallies)))
-        return {
-            "n": n,
-            "basis": basis.name,
-            "estimate": _estimate_json(est, a=cfg.a, b=cfg.b, m_shots=plan.m, tallies=tallies, seed=cfg.seed),
-            "exact": _pair(exact),
-            "abs_error": abs(est.value - exact),
-            "plan": _plan_json(plan, cfg.seed),
-        }
-
-    if cfg.protocol == "aapt":
-        check_size("the aapt report", ch.n, rows=16**ch.n)
-        chi = aapt_full_chi(ch)
-        oracle = kraus_to_chi(ch)
-        return {
-            "n": ch.n,
-            "chi": np.stack((chi.real, chi.imag), axis=-1).tolist(),
-            "oracle_max_abs_diff": float(np.max(np.abs(chi - oracle))),
-        }
-
-    if cfg.protocol == "dcqd-diag":
-        _validate_indices(cfg, 4**ch.n, "the Pauli basis")
-        ks = range(4**ch.n) if cfg.target else [cfg.a]  # target is all-diagonal or None here
-        check_size("the dcqd-diag report", ch.n, rows=len(ks))
-        # The oracle first: its byte estimate is the larger, so a refusal comes before any work.
-        oracle = chi_diagonal(ch)
-        probs = dcqd_distribution(ch)
-        # The distribution the rows are drawn from; each exact chi_kk is reported clamped at 1.
-        diagonal = np.minimum(probs, 1.0)
-        labels = pauli_labels(ch.n) if cfg.target else {cfg.a: pauli_word(ch.n, cfg.a)}
-        payload = []
-        for k, freq, err in dcqd_sample_rows(probs, ks, plan, stream, cfg.workers):
-            exact = float(diagonal[k])
-            payload.append(
-                {
-                    "k": k,
-                    "label": labels[k],
-                    "exact": exact,
-                    "frequency": freq,
-                    "stderr": err,
-                    "abs_error": abs(freq - exact),
-                }
-            )
-        return {
-            "n": ch.n,
-            "oracle_diagonal_max_abs_diff": float(np.max(np.abs(diagonal - oracle))),
-            "plan": _plan_json(plan, cfg.seed),
-            "diagonal": payload,
-        }
-
-    _validate_indices(cfg, 4**ch.n, "the Pauli basis")
-    if cfg.protocol == "seqst-qpt":
-        results = {"circuit_exact": _pair(seqst_qpt_exact(ch, cfg.a, cfg.b))}
-        est = seqst_qpt_sample(ch, cfg.a, cfg.b, plan, stream, workers=cfg.workers)
-    else:
-        _require(cfg.n_states is not None and cfg.n_states >= 1, "protocol seqpt needs n_states >= 1")
-        # The estimate first: its size check refuses a Kraus stack before the oracle's r products run.
-        est = seqpt_estimate(ch, cfg.a, cfg.b, cfg.n_states, plan, stream, cfg.workers)
-        avg_x, avg_y = seqpt_exact_average(ch, cfg.a, cfg.b)
-        results = {"exact_average": {"x": avg_x, "y": avg_y}}
-    exact = chi_block(ch, cfg.a, cfg.b)[2]
-    a, b = pauli_word(ch.n, cfg.a), pauli_word(ch.n, cfg.b)
-    shots = 2 * (cfg.n_states or 1) * plan.m  # m runs per axis of each input state
-    return results | {
-        "n": ch.n,
-        "estimate": _estimate_json(est, protocol=cfg.protocol.upper(), a=a, b=b, shots=shots, seed=cfg.seed),
-        "exact": _pair(exact),
-        "abs_error": abs(est.value - exact),
-        "plan": _plan_json(plan, cfg.seed),
-    }
+    for spec in ("channel", "state"):
+        _require(spec not in reads or getattr(cfg, spec) is not None, f"protocol {cfg.protocol} needs a {spec} spec")
+    return _RUNNERS[cfg.protocol].run(cfg, plan, stream)
 
 
 def run_report(cfg: ExperimentConfig) -> dict:
@@ -432,44 +478,7 @@ def render_report(report: dict, fmt: str) -> str:
     buf = io.StringIO()
     buf.write(f"# seqtomo {report['version']}\n")
     buf.write(f"# config: {json.dumps(report['config'], sort_keys=True)}\n")
-    w = csv.writer(buf)
-    res = report["results"]
-    if "chi" in res:
-        w.writerow(["m", "n", "label_m", "label_n", "re", "im"])
-        cells = product(enumerate(pauli_labels(res["n"])), repeat=2)
-        pairs = chain.from_iterable(res["chi"])
-        w.writerows((m, k, lm, lk, re, im) for ((m, lm), (k, lk)), (re, im) in zip(cells, pairs))
-    elif "diagonal" in res:
-        w.writerow(["k", "label", "exact", "frequency", "stderr"])
-        for r in res["diagonal"]:
-            w.writerow([r["k"], r["label"], r["exact"], r["frequency"], r["stderr"]])
-    elif "expectations" in res:
-        w.writerow(["label", "value"])
-        for r in res["expectations"]:
-            w.writerow([r["label"], r["value"]])
-    elif "validity" in res:
-        w.writerow(["predicate", "ok", "evidence"])
-        v = res["validity"]
-        w.writerow(["hermitian", v["hermitian"]["ok"], v["hermitian"]["residual"]])
-        w.writerow(["trace_preserving", v["trace_preserving"]["ok"], v["trace_preserving"]["residual"]])
-        w.writerow(
-            ["completely_positive", v["completely_positive"]["ok"], v["completely_positive"]["min_eigenvalue"]]
-        )
-    else:
-        est = res["estimate"]
-        w.writerow(["re", "im", "se_re", "se_im", "exact_re", "exact_im", "abs_error", "m"])
-        w.writerow(
-            [
-                est["re"],
-                est["im"],
-                est["se_re"],
-                est["se_im"],
-                res["exact"][0],
-                res["exact"][1],
-                res["abs_error"],
-                res["plan"]["m"],
-            ]
-        )
+    csv.writer(buf).writerows(_RUNNERS[report["protocol"]].rows(report["results"]))
     return buf.getvalue()
 
 
@@ -497,25 +506,16 @@ def _set_dotted(data: dict, path: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _scalar_view(results: dict) -> tuple:
-    """(estimate, exact, m) of the results of a sampling protocol with a single target."""
-    if "estimate" in results:
-        est = results["estimate"]
-        return complex(est["re"], est["im"]), complex(*results["exact"]), results["plan"]["m"]
-    (r,) = results["diagonal"]
-    return complex(r["frequency"], 0.0), complex(r["exact"], 0.0), results["plan"]["m"]
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
 def run_sweep(cfg_data: dict, axis: str, values: list, out: str | None) -> int:
     """Write one CSV row per value of ``axis``; an integral value is set as an int, which number fields accept too."""
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    _require(len(values) > 0, "sweep needs at least one value")
     _require(cfg_data.get("format", "csv") == "csv", "sweep writes CSV: format must be csv or omitted")
-    single = cfg_data.get("protocol") not in ("aapt", "standard-qst", "validate") and cfg_data.get("target") is None
+    protocol = cfg_data.get("protocol")  # one with no runner is left for execute to refuse, an unhashable one too
+    single = (protocol not in PROTOCOLS or _RUNNERS[protocol].sweep is not None) and cfg_data.get("target") is None
     _require(single, "sweep supports sampling protocols with a single target")
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -527,7 +527,7 @@ def run_sweep(cfg_data: dict, axis: str, values: list, out: str | None) -> int:
         start = time.perf_counter()
         results = execute(cfg)
         seconds = time.perf_counter() - start
-        est, exact, m = _scalar_view(results)
+        est, exact, m = _RUNNERS[cfg.protocol].sweep(results)
         w.writerow([value, _fmt_complex(est), _fmt_complex(exact), abs(est - exact), m, f"{seconds:.6f}"])
     _write_output(buf.getvalue(), out)
     return 0

@@ -1231,7 +1231,7 @@ PROTOCOL_FIELDS = ("channel", "state", "basis", "a", "b", "n_states")
 
 def _read_fields(config: dict) -> dict:
     """The config without the spec and index fields its protocol does not read, so its specs get parsed."""
-    reads = cli._READS.get(config["protocol"], ())
+    reads = cli._RUNNERS[config["protocol"]].reads
     return {key: value for key, value in config.items() if key in reads or key not in PROTOCOL_FIELDS}
 
 
@@ -1267,6 +1267,6 @@ class TestJunkInput:
         # Only the flags the protocol reads, so that its specs get parsed.
         flags = {"channel": channel, "state": state, "basis": basis, "a": 1, "b": 0, "n_states": 1}
         argv = ["run", "--protocol", protocol]
-        argv += [f"--{key.replace('_', '-')}={json.dumps(flags[key])}" for key in cli._READS[protocol]]
+        argv += [f"--{key.replace('_', '-')}={json.dumps(flags[key])}" for key in cli._RUNNERS[protocol].reads]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3)
