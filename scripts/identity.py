@@ -96,7 +96,8 @@ BAD_CHANNELS = [
     json.dumps({"name": "identity", "extra": 1}),
     json.dumps({"kraus": [[[1, 0]]]}),
 ]
-BAD_SPECS = ["{bad", "5", '"zero"', '{"kind": "nope"}', '{"kind": "zero", "bogus": 1}', '{"kind": "zero", "n": 0}', "[]"]
+BAD_SPECS = ["{bad", "5", '"zero"', '{"kind": "nope"}', '{"kind": "zero", "bogus": 1}', '{"kind": "zero", "n": 0}']
+BAD_SPECS += ["[]"]
 BAD_VALUES = {
     "--protocol": ["bogus", "SEQST-QPT", "", "aapt ", "validat"],
     "--target": ["none", "all-diag", "ALL", "", "diagonal"],
@@ -272,7 +273,7 @@ def corpus() -> list:
 
 
 def run_one(main, argv: list, config, tmp: str) -> tuple:
-    """(exit code or exception type, masked stdout, stderr) of ``main(argv)`` with ``$TMP`` and ``$CONFIG`` filled in."""
+    """(exit code or exception, masked stdout, stderr) of ``main(argv)``, ``$TMP`` and ``$CONFIG`` filled in."""
     if config is not None:
         Path(tmp, "config.json").write_text(json.dumps(config))
     argv = [a.replace("$CONFIG", f"{tmp}/config.json").replace("$TMP", tmp) for a in argv]
@@ -304,7 +305,8 @@ def main(argv=None) -> int:
             code, out, err = run_one(cli.main, command, config, tmp)
             codes[code] += 1
             digest = hashlib.sha256(out.encode()).hexdigest()[:16]
-            print(code, digest, json.dumps(err), json.dumps(command if config is None else [*command, config]), sep="\t")
+            shown = command if config is None else [*command, config]
+            print(code, digest, json.dumps(err), json.dumps(shown), sep="\t")
     print(f"{sum(codes.values())} argvs; exit codes: {dict(sorted(codes.items(), key=str))}", file=sys.stderr)
     return 0
 

@@ -11,7 +11,6 @@ from .core import (
     haar_random_unitary,
     maximally_entangled_state,
     random_density_matrix,
-    tensor,
 )
 from .pauli import pauli_coefficients, pauli_combination, pauli_matrix
 from .channels import (
@@ -84,7 +83,6 @@ __all__ = [
     "seqst_qpt_sample",
     "seqst_sample",
     "standard_pauli_qst",
-    "tensor",
     "tensor_channels",
     "validate_channel",
     "zoo_descriptions",

@@ -228,9 +228,18 @@ def validate_channel(chi) -> ValidityReport:
 
 # The Pauli each flip channel applies with probability p.
 _FLIPS = {"bit_flip": "x", "phase_flip": "z", "bit_phase_flip": "y"}
-# Parameters each zoo family takes; all but identity and unitary act on one qubit.
-_ZOO_PARAMS = {"identity": (), "unitary": ("gate", "u"), "depolarizing": ("p",), "amplitude_damping": ("gamma",)}
-_ZOO_PARAMS.update(dict.fromkeys(_FLIPS, ("p",)))
+# Every name a channel spec takes: (what it builds, its parameters, its ``zoo list`` line). A family
+# builds a channel on "any n" or on "one qubit"; a combinator builds one from the channel "specs" it
+# takes, all of them required.
+_ZOO = {
+    "identity": ("any n", (), "no parameters (any n)"),
+    "unitary": ("any n", ("gate", "u"), f"gate: one of {','.join(GATES)} — or u: explicit matrix"),
+    **dict.fromkeys(_FLIPS, ("one qubit", ("p",), "p in [0, 1]")),
+    "depolarizing": ("one qubit", ("p",), "p in [0, 4/3]"),
+    "amplitude_damping": ("one qubit", ("gamma",), "gamma in [0, 1]"),
+    "tensor": ("specs", ("factors",), "factors: list of channel specs"),
+    "compose": ("specs", ("first", "then"), "first, then: channel specs"),
+}
 
 
 def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
@@ -240,23 +249,22 @@ def _check_prob(name: str, value: float, hi: float = 1.0) -> float:
 
 
 def channel_zoo(name: str, n: int | None = None, **params) -> KrausChannel:
-    """Construct a named channel.
+    """Construct a named channel: a family of ``zoo_descriptions()``, with the parameters its line names.
 
-    Names: identity(n), unitary (param ``gate`` from {x,y,z,h,s,t,cnot} or
-    ``u`` an explicit matrix), bit_flip(p), phase_flip(p), bit_phase_flip(p),
-    depolarizing(p), amplitude_damping(gamma). The flip and damping channels
-    are single-qubit; build multi-qubit ones with ``tensor_channels``.
-    ``n`` defaults to 1, or to the gate's qubit count for unitary. Unknown
-    parameters, n != 1 for a single-qubit family, an n that differs from
-    the gate's qubit count and a ``u`` that is not unitary to 1e-9 are
-    refused, and a channel over the Kraus budgets raises SizeLimitExceeded.
+    The flip and damping channels are single-qubit; build multi-qubit ones
+    with ``tensor_channels``. ``n`` defaults to 1, or to the gate's qubit
+    count for unitary. Unknown parameters, n != 1 for a single-qubit family,
+    an n that differs from the gate's qubit count and a ``u`` that is not
+    unitary to 1e-9 are refused, and a channel over the Kraus budgets raises
+    SizeLimitExceeded.
     """
-    if name not in _ZOO_PARAMS:
+    kind, keys, _ = _ZOO.get(name, (None, (), None))
+    if kind in (None, "specs"):  # no entry, or a combinator, which channel_from_json builds
         raise UnknownChannel(f"unknown channel {name!r}; see zoo_descriptions()")
-    unknown = set(params) - set(_ZOO_PARAMS[name])
+    unknown = set(params) - set(keys)
     if unknown:
         raise UnknownChannel(f"channel {name!r} takes no parameter(s) {sorted(unknown)}")
-    if name not in ("identity", "unitary") and n not in (None, 1):
+    if kind == "one qubit" and n not in (None, 1):
         raise DimensionMismatch(f"{name} is a single-qubit channel, got n={n}; use tensor for more qubits")
     eye2 = np.eye(2, dtype=complex)
     if name == "identity":
@@ -325,17 +333,7 @@ def tensor_channels(*factors: KrausChannel) -> KrausChannel:
 
 def zoo_descriptions() -> dict:
     """Name -> parameter description for every zoo channel."""
-    return {
-        "identity": "no parameters (any n)",
-        "unitary": "gate: one of x,y,z,h,s,t,cnot — or u: explicit matrix",
-        "bit_flip": "p in [0, 1]",
-        "phase_flip": "p in [0, 1]",
-        "bit_phase_flip": "p in [0, 1]",
-        "depolarizing": "p in [0, 4/3]",
-        "amplitude_damping": "gamma in [0, 1]",
-        "tensor": "factors: list of channel specs",
-        "compose": "first, then: channel specs",
-    }
+    return {name: line for name, (_, _, line) in _ZOO.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +366,9 @@ def channel_from_json(spec) -> KrausChannel:
     if not isinstance(params, dict):
         raise UnknownChannel(f"channel params must be an object, got {params!r}")
     params = dict(params)
-    if name in ("tensor", "compose"):
-        keys = {"factors"} if name == "tensor" else {"first", "then"}
-        unknown, missing = sorted(set(params) - keys), sorted(keys - set(params))
+    kind, keys, _ = _ZOO.get(name, (None, (), None))
+    if kind == "specs":
+        unknown, missing = sorted(set(params) - set(keys)), sorted(set(keys) - set(params))
         if unknown or missing:
             fault = f"takes no parameter(s) {unknown}" if unknown else f"needs the parameter(s) {missing}"
             raise UnknownChannel(f"channel {name!r} {fault}")

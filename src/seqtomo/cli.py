@@ -1,7 +1,8 @@
 """Config-driven experiment runner.
 
 A protocol is one entry of the runner table: the fields it reads, its run,
-its CSV rows and, for a single-target sampler, its sweep view. A report
+its CSV rows, for a single-target sampler its sweep view, and any target
+that runs it over every entry. Each flag is a config field. A report
 carries the estimates, the exact oracle values recomputed in the same run,
 absolute errors, shot counts, timing, the resolved config and the library
 version; only its timing varies between runs of one config and seed.
@@ -55,7 +56,7 @@ class ExperimentConfig:
     basis: dict | None = None
     a: int | None = None
     b: int | None = None
-    target: str | None = None  # None (single pair/index), "all-diagonal" or "all"
+    target: str | None = None  # a protocol's whole-range target (its runner's), or None for one entry
     epsilon: float = 0.1
     delta: float = 0.05
     n_states: int | None = None
@@ -191,9 +192,11 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _check_indices(cfg: ExperimentConfig, size: int, what: str) -> None:
-    """Refuse an index a or b that the protocol reads but is missing or outside [0, size); all-diagonal reads none."""
-    for key, hint in (("a", " (or target=all-diagonal)"), ("b", "")) if cfg.target != "all-diagonal" else ():
-        if key in _RUNNERS[cfg.protocol].reads:
+    """Refuse an index a or b that the protocol reads but is missing or outside [0, size); its target reads none."""
+    runner = _RUNNERS[cfg.protocol]
+    hint = f" (or target={runner.target})" if runner.target else ""
+    for key in ("a", "b") if cfg.target is None else ():
+        if key in runner.reads:
             value = getattr(cfg, key)
             _require(value is not None, f"protocol {cfg.protocol} needs index {key}{hint}")
             _require(0 <= value < size, f"index {key}={value} outside [0, {size}) for {what}")
@@ -207,10 +210,11 @@ def _check_indices(cfg: ExperimentConfig, size: int, what: str) -> None:
 class _Runner(typing.NamedTuple):
     """One protocol. Its functions call the library through this module's globals, which tests and tracers replace."""
 
-    reads: tuple  # the spec and index fields it reads; the others are run-wide
+    reads: tuple  # the spec and index fields it reads, the spec it needs first; the others are run-wide
     run: typing.Callable  # (cfg, plan, stream) -> results, after execute's run-wide checks
     rows: typing.Callable  # results -> the CSV header, then the rows
     sweep: typing.Callable | None = None  # results -> (estimate, exact, m)
+    target: str | None = None  # the config target that runs it over every entry instead of the indices
 
 
 def _pair(z: complex) -> list:
@@ -361,40 +365,41 @@ def _validity_rows(res: dict) -> list:
     return [("predicate", "ok", "evidence"), *((name, v[name]["ok"], v[name][key]) for name, key in evidence.items())]
 
 
-_DIAGONAL = ("k", "label", "exact", "frequency", "stderr")
+_DIAGONAL_ROWS = _columns("diagonal", "k", "label", "exact", "frequency", "stderr")
 _RUNNERS = {
     "seqst-state": _Runner(("state", "basis", "a", "b"), _run_seqst_state, _estimate_rows, _estimate_view),
     "standard-qst": _Runner(("state",), _run_standard_qst, _columns("expectations", "label", "value")),
-    "aapt": _Runner(("channel",), _run_aapt, _chi_rows),
-    "dcqd-diag": _Runner(("channel", "a"), _run_dcqd_diag, _columns("diagonal", *_DIAGONAL), _diagonal_view),
+    "aapt": _Runner(("channel",), _run_aapt, _chi_rows, target="all"),
+    "dcqd-diag": _Runner(("channel", "a"), _run_dcqd_diag, _DIAGONAL_ROWS, _diagonal_view, "all-diagonal"),
     "seqst-qpt": _Runner(("channel", "a", "b"), _run_seqst_qpt, _estimate_rows, _estimate_view),
     "seqpt": _Runner(("channel", "a", "b", "n_states"), _run_seqpt, _estimate_rows, _estimate_view),
     "validate": _Runner(("channel",), _run_validate, _validity_rows),
 }
 PROTOCOLS = tuple(_RUNNERS)
+_FORMATS = ("json", "csv")
+_TARGETS = {runner.target: protocol for protocol, runner in _RUNNERS.items() if runner.target}
+# The spec and index fields, which only some protocols read, in field order.
+_READ_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if any(f.name in r.reads for r in _RUNNERS.values()))
 
 
 def execute(cfg: ExperimentConfig) -> dict:
     """Run one experiment and return the results payload."""
     _require(cfg.protocol in PROTOCOLS, f"protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
-    _require(cfg.format in ("json", "csv"), f"format must be json or csv, got {cfg.format!r}")
+    _require(cfg.format in _FORMATS, f"format must be {' or '.join(_FORMATS)}, got {cfg.format!r}")
     _require(cfg.workers >= 1, f"workers must be >= 1, got {cfg.workers}")
     plan = chernoff_plan(cfg.epsilon, cfg.delta)
-    if cfg.target == "all":
-        _require(cfg.protocol == "aapt", "target=all applies to aapt only")
-    elif cfg.target == "all-diagonal":
-        _require(cfg.protocol == "dcqd-diag", "target=all-diagonal applies to dcqd-diag only")
-        _require(cfg.a is None, "target=all-diagonal reads no index a")
-    else:
-        _require(cfg.target is None, f"target must be all, all-diagonal or omitted, got {cfg.target!r}")
-    reads = _RUNNERS[cfg.protocol].reads
-    given = [key for key in ("channel", "state", "basis", "a", "b", "n_states") if getattr(cfg, key) is not None]
-    unread = [key for key in given if key not in reads]
+    runner = _RUNNERS[cfg.protocol]
+    if cfg.target is not None:
+        owner = _TARGETS.get(cfg.target)
+        _require(owner is not None, f"target must be {', '.join(_TARGETS)} or omitted, got {cfg.target!r}")
+        _require(owner == cfg.protocol, f"target={cfg.target} applies to {owner} only")
+        _require(cfg.a is None or "a" not in runner.reads, f"target={cfg.target} reads no index a")
+    unread = [key for key in _READ_FIELDS if getattr(cfg, key) is not None and key not in runner.reads]
     _require(not unread, f"protocol {cfg.protocol} reads no {', '.join(unread)}")
     stream = RandomStream(cfg.seed)
-    for spec in ("channel", "state"):
-        _require(spec not in reads or getattr(cfg, spec) is not None, f"protocol {cfg.protocol} needs a {spec} spec")
-    return _RUNNERS[cfg.protocol].run(cfg, plan, stream)
+    spec = runner.reads[0]
+    _require(getattr(cfg, spec) is not None, f"protocol {cfg.protocol} needs a {spec} spec")
+    return runner.run(cfg, plan, stream)
 
 
 def run_report(cfg: ExperimentConfig) -> dict:
@@ -555,22 +560,26 @@ def _parse_channel_arg(text: str) -> dict:
     return {"name": name.strip(), "params": params}
 
 
+# The value of each spec flag's text; every other flag holds its field's int, float or str as it is.
+_SPEC_PARSERS = {"channel": _parse_channel_arg, "state": json.loads, "basis": json.loads}
+# What a flag shows in usage and help besides its name: the values it takes, or a help text.
+_FLAG_DOCS = {
+    "protocol": {"metavar": "{" + ",".join(PROTOCOLS) + "}"},
+    "channel": {"help": "channel spec: JSON, zoo name, or name:key=val,..."},
+    "state": {"help": "state spec as JSON"},
+    "basis": {"help": "basis spec as JSON"},
+    "target": {"metavar": "{" + ",".join(_TARGETS) + "}"},
+    "out": {"help": "output path (default: stdout)"},
+    "format": {"metavar": "{" + ",".join(_FORMATS) + "}"},
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, then one flag per config field, its value judged by the config layer like a config file's."""
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--channel", help="channel spec: JSON, zoo name, or name:key=val,...")
-    p.add_argument("--state", help="state spec as JSON")
-    p.add_argument("--basis", help="basis spec as JSON")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--target", choices=["all-diagonal", "all"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n-states", type=int, dest="n_states")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"])
+    for f in fields(ExperimentConfig):
+        kind = next((t for t in (int, float) if t in (typing.get_args(f.type) or (f.type,))), str)
+        p.add_argument("--" + f.name.replace("_", "-"), type=kind, **_FLAG_DOCS.get(f.name, {}))
 
 
 @functools.cache
@@ -622,15 +631,10 @@ def _config_from_args(args: argparse.Namespace) -> dict:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError(f"a config file must hold a JSON object, got {type(data).__name__}")
-    scalars = ("protocol", "a", "b", "target", "epsilon", "delta", "n_states", "seed", "workers", "out", "format")
-    overrides = {key: getattr(args, key) for key in scalars}
-    if args.channel is not None:
-        overrides["channel"] = _parse_channel_arg(args.channel)
-    if args.state is not None:
-        overrides["state"] = json.loads(args.state)
-    if args.basis is not None:
-        overrides["basis"] = json.loads(args.basis)
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            data[f.name] = _SPEC_PARSERS[f.name](value) if f.name in _SPEC_PARSERS else value
     return data
 
 

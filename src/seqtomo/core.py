@@ -7,8 +7,8 @@ pure state is a single column, so it costs O(D) where the D×D matrix would
 cost O(D²), and ``.matrix`` forms F F† only for a route that reads it.
 
 Qubit ordering convention, shared by the whole package: qubit 0 is the
-most significant bit of the computational-basis index, so ``tensor(a, b)``
-puts ``a`` on the leading qubits.
+most significant bit of the computational-basis index, so in ``np.kron(a, b)``
+``a`` acts on the leading qubits.
 """
 
 import math
@@ -74,8 +74,8 @@ GATES = {
 }
 
 
-def apply_gates(state: np.ndarray, gates, first: int = 0) -> np.ndarray:
-    """Run a gate list on a (..., 2, ..., 2) tensor whose qubit q is axis first + q.
+def apply_gates(state: np.ndarray, gates) -> np.ndarray:
+    """Run a gate list on a (B, 2, ..., 2) batch of B tensors whose qubit q is axis 1 + q.
 
     Each entry is (gate, qubits): a name in GATES or a 2**k × 2**k matrix, on
     k contiguous qubits. cnot, on (control, target), flips the target axis of
@@ -83,11 +83,11 @@ def apply_gates(state: np.ndarray, gates, first: int = 0) -> np.ndarray:
     """
     for gate, qubits in gates:
         u = GATES[gate] if isinstance(gate, str) else gate
-        axis = first + qubits[0]
+        axis = 1 + qubits[0]
         if u is GATES["cnot"]:
             ones = (slice(None),) * axis + (1,)
             flipped = state.copy()
-            flipped[ones] = np.flip(state[ones], axis=first + qubits[1] - (qubits[1] > qubits[0]))
+            flipped[ones] = np.flip(state[ones], axis=1 + qubits[1] - (qubits[1] > qubits[0]))
             state = flipped
         else:
             state = (u @ state.reshape(math.prod(state.shape[:axis]), len(u), -1)).reshape(state.shape)
@@ -148,11 +148,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, rank={self._f.shape[1]})"
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, read-only: block (i, j) of the result is a[i, j] * b."""
-    return _freeze(np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
 def unitarity_residual(u) -> float:

@@ -135,7 +135,7 @@ def _bell_amplitudes(ch: KrausChannel, indices=None) -> np.ndarray:
     check_size("the Bell-basis readout", ch.n, BELL_STACKS * len(ch.kraus_ops) + 1)
     _check_dual_trace(ch)
     # The dual state is a temporary, so U_Phi†'s first gate frees it.
-    bell = apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1], 1)
+    bell = apply_gates(_dual_branches(ch), _entangling_gates(ch.n)[::-1])
     x, z, phase = pauli_masks(ch.n, indices)
     amps = bell.reshape(-1, ch.dim, ch.dim)[:, z, x]
     amps *= phase  # in place: no third copy of the dual state

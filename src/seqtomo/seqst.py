@@ -75,7 +75,7 @@ class PreparationBasis:
                 raise IndexOutOfRange(f"basis index {i} outside [0, {self.dim})")
         batch = np.zeros((len(indices), self.dim), dtype=complex)
         batch[range(len(indices)), indices] = 1.0
-        return apply_gates(batch.reshape((len(indices),) + (2,) * self.n), self.gates, 1).reshape(len(indices), -1)
+        return apply_gates(batch.reshape((len(indices),) + (2,) * self.n), self.gates).reshape(len(indices), -1)
 
     def residuals(self) -> float:
         """The largest unitarity residual among W's gates, 0 for none."""

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,67 @@ class TestConfigHandling:
     def test_mismatched_target_is_config_error(self):
         args = ["run", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "1", "--target", "all"]
         assert main(args) == 2
+
+    @pytest.mark.parametrize("field, value", [("protocol", "bogus"), ("target", "everything"), ("format", "xml")])
+    def test_bad_flag_value_is_judged_like_a_config_value(self, tmp_path, capsys, field, value):
+        # The config layer judges a value, whether a flag or a config file holds it; argparse only types it.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        base = [arg for key, arg in (("protocol", "--protocol=aapt"), (None, "--channel=identity")) if key != field]
+        errors = []
+        for argv in (["run", *base, f"--{field}={value}"], ["run", *base, "--config", str(path)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "protocol, args, hint",
+        [
+            ("seqst-state", ["--state", '{"kind": "zero"}', "--b", "0"], ""),
+            ("seqst-qpt", ["--channel", "identity", "--b", "1"], ""),
+            ("seqpt", ["--channel", "identity", "--b", "1", "--n-states", "1"], ""),
+            ("dcqd-diag", ["--channel", "identity"], " (or target=all-diagonal)"),
+        ],
+    )
+    def test_missing_index_a_hints_only_a_target_its_runner_takes(self, capsys, protocol, args, hint):
+        assert main(["run", "--protocol", protocol, *args]) == 2
+        assert capsys.readouterr().err == f"error: protocol {protocol} needs index a{hint}\n"
+
+    # A valid config holding each field, for the test below.
+    FIELD_CONFIGS = [
+        {
+            "protocol": "seqst-qpt",
+            "channel": {"name": "depolarizing", "params": {"p": 0.2}},
+            "a": 1,
+            "b": 2,
+            "epsilon": 0.2,
+            "delta": 0.1,
+            "seed": 3,
+            "workers": 2,
+            "format": "csv",
+            "out": "report.txt",
+        },
+        {"protocol": "seqst-state", "state": {"kind": "ghz", "n": 2}, "basis": {"kind": "haar"}, "a": 0, "b": 3},
+        {"protocol": "dcqd-diag", "channel": {"name": "bit_flip", "params": {"p": 0.1}}, "target": "all-diagonal"},
+        {"protocol": "seqpt", "channel": {"name": "identity"}, "a": 1, "b": 1, "n_states": 2},
+    ]
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(cli.ExperimentConfig)])
+    def test_flag_and_config_file_give_one_report(self, tmp_path, monkeypatch, capsys, field):
+        monkeypatch.chdir(tmp_path)
+        config = next(c for c in self.FIELD_CONFIGS if field in c)
+        Path("config.json").write_text(json.dumps({field: config[field]}))
+        values = {key: value if isinstance(value, str) else json.dumps(value) for key, value in config.items()}
+        flags = {key: f"--{key.replace('_', '-')}={value}" for key, value in values.items()}
+        rest = [flag for key, flag in flags.items() if key != field]
+        reports = []
+        for argv in (["run", *rest, flags[field]], ["run", *rest, "--config", "config.json"]):
+            assert main(argv) == 0
+            text = capsys.readouterr().out + (Path("report.txt").read_text() if "out" in config else "")
+            reports.append(TestParserReuse.masked(text))
+        assert reports[0] == reports[1] and reports[0]
 
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1093,7 +1155,7 @@ class TestDeterminism:
 
 
 class TestParserReuse:
-    # A sampling run of each selective protocol, an argparse error and a config error.
+    # A sampling run of each selective protocol, a bad flag value, a config error and an argparse error.
     CASES = [
         ["run", "--protocol", "seqst-qpt", "--channel", "depolarizing:p=0.2", "--a", "1", "--b", "2", "--seed", "3"],
         [
@@ -1113,6 +1175,7 @@ class TestParserReuse:
         ],
         ["run", "--protocol", "bogus"],
         ["run", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "9"],
+        ["run", "--protocol", "seqst-qpt", "--a", "x"],
     ]
 
     @staticmethod
@@ -1125,7 +1188,7 @@ class TestParserReuse:
             for argv in self.CASES
         ]
         # Alternate the cases twice through one process and its one parser.
-        for i in [0, 2, 1, 3, 0, 3, 1, 2]:
+        for i in [0, 2, 1, 4, 3, 0, 3, 1, 4, 2]:
             try:
                 code = main(self.CASES[i])
             except SystemExit as exc:
@@ -1134,7 +1197,7 @@ class TestParserReuse:
             assert code == fresh[i].returncode
             assert self.masked(out) == self.masked(fresh[i].stdout)
             assert err == fresh[i].stderr
-        assert [p.returncode for p in fresh] == [0, 0, 2, 2]
+        assert [p.returncode for p in fresh] == [0, 0, 2, 2, 2]
 
 
 class TestZoo:
@@ -1225,7 +1288,7 @@ FIELDS = {
     "format": st.sampled_from(["json", "csv"]),
 }
 # The spec and index fields, which a protocol refuses unless it reads them.
-PROTOCOL_FIELDS = ("channel", "state", "basis", "a", "b", "n_states")
+PROTOCOL_FIELDS = cli._READ_FIELDS
 
 
 def _read_fields(config: dict) -> dict:

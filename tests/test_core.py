@@ -8,19 +8,17 @@ from seqtomo import (
     haar_random_unitary,
     maximally_entangled_state,
     random_density_matrix,
-    tensor,
 )
+from seqtomo.core import GATES
 from seqtomo.errors import DimensionMismatch
 
 I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestTypes:
     def test_made_operators_are_read_only(self):
-        for op in (tensor(X, Z), haar_random_unitary(2, np.random.default_rng(1))):
+        rng = np.random.default_rng(1)
+        for op in (GATES["cnot"], DensityMatrix(np.kron(I2, I2) / 4).matrix, haar_random_unitary(2, rng)):
             with pytest.raises(ValueError):
                 op[0, 0] = 5.0
 
@@ -53,28 +51,6 @@ class TestTypes:
     def test_density_of_pure_state(self):
         rho = DensityMatrix.from_factor([1, 1j] / np.sqrt(2))
         np.testing.assert_allclose(rho.matrix, np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-15)
-
-
-class TestTensorAndDagger:
-    def test_tensor_identities(self):
-        np.testing.assert_allclose(tensor(I2, I2), np.eye(4), atol=1e-15)
-
-    def test_tensor_block_structure(self):
-        got = tensor(X, Z)
-        want = np.block([[np.zeros((2, 2)), Z], [Z, np.zeros((2, 2))]])
-        np.testing.assert_allclose(got, want, atol=1e-15)
-
-    def test_tensor_yy_on_00(self):
-        # hand 4x4 matrix-vector oracle: (Y ⊗ Y)|00> = -|11>
-        got = tensor(Y, Y) @ np.array([1, 0, 0, 0], dtype=complex)
-        np.testing.assert_allclose(got, [0, 0, 0, -1], atol=1e-15)
-
-    def test_tensor_associative(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-12)
 
 
 class TestPartialTrace:
