@@ -367,9 +367,10 @@ class TestConfigHandling:
         # The config layer judges a value, whether a flag or a config file holds it; argparse only types it.
         path = tmp_path / "config.json"
         path.write_text(json.dumps({field: value}))
-        base = [arg for key, arg in (("protocol", "--protocol=aapt"), (None, "--channel=identity")) if key != field]
+        flags = {"protocol": "--protocol=aapt", "channel": "--channel=identity", field: f"--{field}={value}"}
+        rest = [flag for key, flag in flags.items() if key != field]
         errors = []
-        for argv in (["run", *base, f"--{field}={value}"], ["run", *base, "--config", str(path)]):
+        for argv in (["run", *rest, flags[field]], ["run", *rest, "--config", str(path)]):
             assert main(argv) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
