@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 import typing
@@ -300,9 +301,10 @@ def _run_dcqd_diag(cfg: ExperimentConfig, plan: ShotPlan, stream: RandomStream) 
     # The distribution the rows are drawn from; each exact chi_kk is reported clamped at 1.
     diagonal = np.minimum(probs, 1.0)
     labels = pauli_labels(ch.n) if cfg.target else {cfg.a: pauli_word(ch.n, cfg.a)}
+    exacts = diagonal.tolist() if cfg.target else {cfg.a: diagonal.item(cfg.a)}
     payload = []
     for k, freq, err in dcqd_sample_rows(probs, ks, plan, stream, cfg.workers):
-        exact = float(diagonal[k])
+        exact = exacts[k]
         payload.append(
             {
                 "k": k,
@@ -425,6 +427,12 @@ def run_report(cfg: ExperimentConfig) -> dict:
 _SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 _SCALARS.update(dict.fromkeys((bool, type(None)), {True: "true", False: "false", None: "null"}.__getitem__))
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Cuts one join into several texts: rendered JSON holds no raw control character.
+_CUT = "\0"
+# The rows of a table whose cell texts are alive at once: the 4**6 rows of a
+# six-qubit report are one join, and a larger table holds a block's cells
+# and pieces instead of all of them.
+_TABLE_ROWS = 4096
 
 
 @functools.lru_cache(maxsize=256)
@@ -437,41 +445,89 @@ def _template(level: int, keys) -> str:
     return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
 
 
+def _table(rows: list, level: int, group: int = 0) -> list | None:
+    """The texts of ``rows``, dicts with one set of str keys, or None if they are not such dicts.
+
+    With ``group``, each run of that many rows is the items of one list and
+    a text is that list, one level up; without, a text is a row. The rows
+    are written _TABLE_ROWS at a time: their literal pieces are one list,
+    repeated from a handful of shared strings; one column per sorted key is
+    gathered (a KeyError there means another key set), rendered as one batch
+    and written straight into the pieces, which are joined. The joined blocks
+    are joined once more and cut into the texts.
+    """
+    first = rows[0]
+    if not first or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
+        return None
+    if not all(type(key) is str for key in first):
+        return None
+    keys = sorted(first)
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    opening, closing = ("[" + outer, outer[:-2] + "]") if group else ("", "")
+    head, *heads = (("," if j else "{") + inner + encode_basestring_ascii(key) + ": " for j, key in enumerate(keys))
+    end, step, per = outer + "}", 2 * len(keys), group or 1
+    # Each row is led by the end of the row before it and its first head; a cell follows each head.
+    row = [end + "," + outer + head, *chain.from_iterable((None, h) for h in heads), None]
+    blocks = []
+    for start in range(0, len(rows), _TABLE_ROWS):
+        block = rows[start : start + _TABLE_ROWS]
+        pieces = row * len(block)
+        firsts = range(-start % per, len(block), per)  # the rows that begin a text
+        pieces[firsts.start * step :: per * step] = [end + closing + _CUT + opening + head] * len(firsts)
+        if not start:
+            pieces[0] = opening + head
+        if start + len(block) == len(rows):
+            pieces.append(end + closing)
+        for j, key in enumerate(keys):
+            try:
+                column = list(map(itemgetter(key), block))
+            except KeyError:
+                return None
+            pieces[2 * j + 1 :: step] = _json_values(column, level + 1)
+        blocks.append("".join(pieces))
+    return "".join(blocks).split(_CUT)
+
+
 def _json_values(values: list, level: int) -> list:
     """``json.dumps(v, indent=2, sort_keys=True)`` of each value, nested ``level`` deep.
 
     Siblings are rendered together: scalars of one exact type in one C-level
-    map; same-length lists flattened, rendered as one batch and regrouped by
-    a ``%`` template; dicts with the same str keys one sorted key column at a
-    time, and a lone dict in one pass over its cells, scalars spelled on the
-    spot (no cell but a float's reads nan or ±inf). Anything else goes
-    through json one value at a time; as strings hold no raw newline, json's
-    output is indented by prefixing its newlines.
+    map, a column of floats respelled only if its sum is not finite (NaN or
+    ±inf, or an overflow); dicts with the same str keys, alone or as the
+    items of same-length lists, as one table (``_table``) of joined literal
+    pieces; other same-length lists flattened, rendered as one batch and
+    regrouped by a ``%`` template; and a lone dict in one pass over its
+    cells, scalars spelled on the spot (no cell but a float's reads nan or
+    ±inf). Anything else goes through json one value at a time; as strings
+    hold no raw newline, json's output is indented by prefixing its newlines.
     """
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _SCALARS:
         out = list(map(_SCALARS[kind], values))
-        return list(map(_FLOAT_WORDS.get, out, out)) if kind is float else out
+        return list(map(_FLOAT_WORDS.get, out, out)) if kind is float and not math.isfinite(sum(values)) else out
     if kind is list or kind is tuple:
         lengths = set(map(len, values))
         k = lengths.pop() if len(lengths) == 1 else 0
         if k:
-            flat = _json_values(list(chain.from_iterable(values)), level + 1)
+            items = list(chain.from_iterable(values))
+            table = _table(items, level + 1, k) if type(items[0]) is dict else None
+            if table is not None:
+                return table
+            flat = _json_values(items, level + 1)
             return list(map(_template(level, k).__mod__, zip(*[iter(flat)] * k)))
     if kind is dict:
-        keysets = set(map(frozenset, values))
-        keys = keysets.pop() if len(keysets) == 1 else ()
-        if keys and all(type(key) is str for key in keys):
-            keys = tuple(sorted(keys))
-            if len(values) == 1:
-                cells = []
-                for v in map(values[0].__getitem__, keys):
-                    render = _SCALARS.get(type(v))
-                    cells.append(_json_values([v], level + 1)[0] if render is None else render(v))
-                return [_template(level, keys) % tuple(map(_FLOAT_WORDS.get, cells, cells))]
-            columns = [_json_values(list(map(itemgetter(key), values)), level + 1) for key in keys]
-            return list(map(_template(level, keys).__mod__, zip(*columns)))
+        if len(values) > 1:
+            table = _table(values, level)
+            if table is not None:
+                return table
+        elif values[0] and all(type(key) is str for key in values[0]):
+            cells = []
+            keys = tuple(sorted(values[0]))
+            for v in map(values[0].__getitem__, keys):
+                render = _SCALARS.get(type(v))
+                cells.append(_json_values([v], level + 1)[0] if render is None else render(v))
+            return [_template(level, keys) % tuple(map(_FLOAT_WORDS.get, cells, cells))]
     if len(values) > 1:
         return [_json_values([v], level)[0] for v in values]
     return [json.dumps(values[0], indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)]
@@ -617,11 +673,30 @@ MAX_CONFIG_DEPTH = 250
 def _check_depth(data: dict) -> None:
     """ConfigError if ``data`` nests deeper than MAX_CONFIG_DEPTH JSON levels, counted level by level."""
     depth, level = 0, [data]
-    while containers := [v for v in level if isinstance(v, (dict, list))]:
+    while level:
+        kinds = set(map(type, level))
+        if kinds.isdisjoint((dict, list)):
+            return
+        if kinds == {list}:
+            items = chain.from_iterable(level)
+        else:
+            containers = (v for v in level if isinstance(v, (dict, list)))
+            items = chain.from_iterable(v.values() if isinstance(v, dict) else v for v in containers)
         depth += 1
         if depth > MAX_CONFIG_DEPTH:
             raise ConfigError(f"the config nests deeper than {MAX_CONFIG_DEPTH} JSON levels, the most a report echoes")
-        level = list(chain.from_iterable(v.values() if isinstance(v, dict) else v for v in containers))
+        level = list(items)
+
+
+def _sweep_values(text: str) -> list:
+    """The numbers of ``--values``, blank items skipped; ConfigError names an item that is no number."""
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ConfigError(f"sweep --values takes comma-separated numbers, got {item!r}") from None
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
@@ -651,8 +726,7 @@ def main(argv=None) -> int:
             protocol = cfg_data.setdefault("protocol", "validate")
             _require(protocol == "validate", f"the validate command runs protocol validate, not {protocol!r}")
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-            return run_sweep(cfg_data, args.axis, values, cfg_data.get("out"))
+            return run_sweep(cfg_data, args.axis, _sweep_values(args.values), cfg_data.get("out"))
         cfg = ExperimentConfig.from_dict(cfg_data)
         report = run_report(cfg)
         _write_output(render_report(report, cfg.format), cfg.out)

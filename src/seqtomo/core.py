@@ -27,9 +27,11 @@ EIG_FLOOR = -1e-9
 # operator, 16 * 4**n bytes on n qubits, fits MATRIX_MAX_BYTES (n <= 10), as
 # does a state's D×r factor of 16 * 2**n * r bytes (n <= 20 for a pure one), and
 # a route's working set of such operators (a chi matrix is 4**n of them) plus
-# its report's rows fits WORKING_SET_MAX_BYTES. ROW_BYTES is the max RSS of a
-# report row, rounded up from the largest measured: 1.27 KB per dcqd-diag row
-# (JSON, n = 9), against 0.69 KB for standard-qst and 0.40 KB for aapt (n = 4).
+# its report's rows fits WORKING_SET_MAX_BYTES. ROW_BYTES bounds the max RSS of
+# a report row, (max RSS at n - at n = 1) / rows: the largest measured is 0.96 KB
+# per dcqd-diag row (JSON, n = 9), against 0.58 KB for standard-qst (n = 9) and
+# 0.42 KB for aapt (n = 4). It was rounded up from 1.27 KB per dcqd-diag row,
+# when each row's JSON text was held apart.
 MATRIX_MAX_BYTES = 2**24
 WORKING_SET_MAX_BYTES = 2**30
 ROW_BYTES = 1536

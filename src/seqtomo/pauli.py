@@ -42,10 +42,16 @@ def check_indices(n: int, *indices) -> None:
             raise IndexOutOfRange(f"Pauli index {m} outside [0, {4**n}) for n={n}")
 
 
+@lru_cache(maxsize=None)
+def _label_words(n: int) -> tuple:
+    """The label words of ``pauli_labels``, spelled once per n."""
+    return tuple(map("".join, product(LETTERS, repeat=n)))
+
+
 def pauli_labels(n: int) -> list:
-    """The 4**n label words, in index order."""
+    """The 4**n label words, in index order, as a new list."""
     check_indices(n)
-    return list(map("".join, product(LETTERS, repeat=n)))
+    return list(_label_words(n))
 
 
 def pauli_word(n: int, m: int) -> str:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from seqtomo import channel_zoo, channels, cli, core, kraus_to_chi, qpt, seqst
 from seqtomo.cli import main, render_report
+from seqtomo.errors import ConfigError
 
 
 def run_cli(args, out_path=None):
@@ -708,6 +709,16 @@ class TestConfigHandling:
         assert main(["validate", "--channel", deeper]) == 2
         assert capsys.readouterr().err.startswith("error: the config nests deeper than")
 
+    @pytest.mark.parametrize("opening", ["[", "[1, "], ids=["lists-only", "lists-beside-numbers"])
+    def test_list_nesting_is_refused_one_level_past_the_depth_limit(self, opening):
+        # The config object is one level; each list is one more, the innermost holding a float.
+        def nested(lists: int) -> dict:
+            return {"state": json.loads(opening * lists + "0.5" + "]" * lists)}
+
+        cli._check_depth(nested(cli.MAX_CONFIG_DEPTH - 1))
+        with pytest.raises(ConfigError, match="the config nests deeper than"):
+            cli._check_depth(nested(cli.MAX_CONFIG_DEPTH))
+
     @pytest.mark.parametrize("protocol", ["aapt", "validate", "standard-qst"])
     @pytest.mark.parametrize("flags, code", [(["--epsilon", "5"], 2), (["--delta", "7"], 2), (["--epsilon", "1e-10"], 3)])
     def test_protocols_without_shots_check_the_plan(self, capsys, protocol, flags, code):
@@ -948,6 +959,21 @@ class TestStateFactorCeilings:
         assert capsys.readouterr().err == f"error: state dimension {size} is not 2^n for any n >= 1\n"
 
 
+def _whole_basis_case(protocol: str, n: int, *flags: str) -> dict:
+    depolarizing = {"name": "tensor", "params": {"factors": [{"name": "depolarizing", "params": {"p": 0.2}}] * n}}
+    state = {"kind": "random_mixed", "n": n, "seed": 3}
+    spec = ["--state", json.dumps(state)] if protocol == "standard-qst" else ["--channel", json.dumps(depolarizing)]
+    return {"id": f"{protocol}-{n}", "argv": ["run", "--protocol", protocol, *spec, *flags]}
+
+
+# Reports of every row of a basis, which the writer renders as tables; at n = 7, in several blocks.
+WHOLE_BASIS_CASES = (
+    [_whole_basis_case("standard-qst", n) for n in range(1, 8)]
+    + [_whole_basis_case("dcqd-diag", n, "--target", "all-diagonal") for n in range(1, 5)]
+    + [_whole_basis_case("aapt", n) for n in (1, 2)]
+)
+
+
 class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
     @given(st.recursive(_LEAVES, _containers, max_leaves=40))
@@ -975,8 +1001,51 @@ class TestJsonWriter:
     def test_single_dict_cells_match_json_dumps(self, value):
         assert render_report(value, "json") == json_reference(value)
 
+    # Sibling dicts with one key set are written as one table: a column per key, joined once per list.
     @pytest.mark.parametrize(
-        "case", json.loads((Path(__file__).parent / "data" / "reports.json").read_text()), ids=lambda c: c["id"]
+        "value",
+        [
+            [{"%s": 1.5, "%%": "%s", 'a"b': None}, {"%s": -2.0, "%%": "%%", 'a"b': True}],
+            {"rows": [{"v": float("nan")}, {"v": float("inf")}, {"v": -float("inf")}, {"v": -0.0}, {"v": 1.0}]},
+            {"rows": [{"v": 1e308}, {"v": 1e308}, {"v": -0.0}], "sums": [1e308, 1e308]},
+            [{"a": 1, "b": 2}, {"a": 1, "c": 2}, {"b": 1, "c": 2}],
+            [{1: "one", 10: 2.0}, {1: "uno", 10: 3.0}, {"1": 0, "10": 1}],
+            [{"x": [1, [2.5]], "y": {"z": {"w": [None]}}}, {"x": [3, [4.5]], "y": {"z": {"w": [True]}}}],
+            [[{"k": 0, "l": "I"}, {"k": 1, "l": "X"}], [{"k": 2, "l": "Y"}, {"k": 3, "l": "Z"}]],
+            [[{"k": 3 * i + j, "v": j / 7} for j in range(3)] for i in range(4)],
+            [[[{"k": 0}], [{"k": 1}]], [[{"k": 2}], [{"k": 3}]]],
+            [[{"k": 0}, {"k": 1}], [{"k": 2}], [], [{"k": 3}, {"j": 4}]],
+            [{}, {}, {"rows": [{}, {}]}, {"rows": [{"a": {}}, {"a": {}}]}],
+            [{"k": 1}, [1], {"k": 2}, "k"],
+            [{"k": np.float64(0.5)}, {"k": np.float64(float("nan"))}],
+        ],
+        ids=[
+            "keys-percent-quote",
+            "float-words-in-a-column",
+            "sum-overflows",
+            "other-key-sets",
+            "int-keys",
+            "nested-cells",
+            "list-of-row-lists",
+            "four-lists-of-three-rows",
+            "lists-of-lists-of-rows",
+            "ragged-parents",
+            "empty-dicts",
+            "mixed-siblings",
+            "numpy-cells",
+        ],
+    )
+    @pytest.mark.parametrize("block", [None, 1, 2, 5], ids=["block-default", "block-1", "block-2", "block-5"])
+    def test_tables_match_json_dumps(self, value, block, monkeypatch):
+        # Small blocks put block boundaries inside and between the lists a table's texts are.
+        if block:
+            monkeypatch.setattr(cli, "_TABLE_ROWS", block)
+        assert render_report(value, "json") == json_reference(value)
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((Path(__file__).parent / "data" / "reports.json").read_text()) + WHOLE_BASIS_CASES,
+        ids=lambda c: c["id"],
     )
     def test_golden_reports_match_json_dumps(self, case, monkeypatch):
         reports = []
@@ -1105,6 +1174,14 @@ class TestSweep:
         args = ["sweep", "--protocol", "seqst-qpt", "--channel", "identity", "--a", "0", "--b", "0", "--format", "csv"]
         assert run_cli([*args, "--axis", "epsilon", "--values", "0.2"], tmp_path / "sweep.csv") == 0
         assert (tmp_path / "sweep.csv").read_text().startswith("value,estimate,exact")
+
+    @pytest.mark.parametrize("values, item", [("x", "x"), ("0.1, 0.2x", " 0.2x"), ("1,,nan,1e", "1e")])
+    def test_values_that_are_no_numbers_are_refused_by_name(self, monkeypatch, capsys, values, item):
+        monkeypatch.setattr(cli, "execute", Reached.stub)
+        args = ["sweep", "--protocol", "dcqd-diag", "--channel", "identity", "--a", "1", "--axis", "seed"]
+        assert main([*args, "--values", values]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: sweep --values takes comma-separated numbers, got {item!r}\n"
 
     def test_bad_axis_is_error(self):
         args = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_pauli, dense_pauli_basis
 
+import seqtomo
 from seqtomo import (
     pauli_coefficients,
     pauli_combination,
@@ -20,6 +21,21 @@ class TestLabels:
     def test_label_words_in_index_order(self, n):
         # Base-4 digits against itertools.product: two independent spellings.
         assert [pauli_word(n, m) for m in range(4**n)] == pauli_labels(n)
+
+    def test_each_call_returns_a_new_list(self):
+        first = pauli_labels(2)
+        assert type(first) is list and pauli_labels(2) == first and pauli_labels(2) is not first
+        first[0] = "changed"
+        first.append("more")
+        assert pauli_labels(2) == [pauli_word(2, m) for m in range(16)]
+
+    def test_the_package_exports_no_new_pauli_name(self):
+        assert len(seqtomo.__all__) == 36
+        assert [name for name in seqtomo.__all__ if name.startswith("pauli")] == [
+            "pauli_coefficients",
+            "pauli_combination",
+            "pauli_matrix",
+        ]
 
     def test_identity_is_index_zero(self):
         assert pauli_word(3, 0) == "III"
